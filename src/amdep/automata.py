@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 import re
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -20,11 +21,8 @@ from .algebra import (
     SGraph,
     canonical_constant_form,
     constant_from_canonical,
-    is_placeholder,
     placeholder,
     placeholder_target,
-    skeleton_form,
-    term_type,
     _fold_order,
     _sorted_children,
 )
@@ -126,19 +124,96 @@ class TreeAutomaton:
     shape: dict[str, dict]  # address -> leaf/op descriptor (for reconstruction)
     empty: bool = False
     meta: dict = field(default_factory=dict)
+    _compiled: "CompiledAutomaton | None" = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
-    def rules_by_parent(self):
-        out: dict[State, list[Rule]] = {}
-        for r in self.rules:
-            out.setdefault(r.parent, []).append(r)
-        return out
+    def compiled(self) -> "CompiledAutomaton":
+        """The integer-indexed form every query runs on, built on first use
+        and rebuilt only when ``rules`` or ``finals`` is replaced."""
+        c = self._compiled
+        if (c is None or c.built_from[0] is not self.rules or c.built_from[1] is not self.finals
+                or len(c.rules) != len(self.rules)):
+            c = self._compiled = CompiledAutomaton(self)
+        return c
 
     def states(self):
-        seen = set()
-        for r in self.rules:
-            seen.add(r.parent)
-            seen.update(r.children)
-        return seen
+        return set(self.compiled().states)
+
+
+class CompiledAutomaton:
+    """A TreeAutomaton as lists indexed by integers.
+
+    States are numbered bottom-up: every child state of a rule has a smaller
+    index than the rule's parent, so one pass in index order visits children
+    before parents. Rules keep their ids: ``state_rules[q]`` holds the ids of
+    the rules with parent state q in ascending order, ``children[rid]`` the
+    child state indices of rule rid, and ``finals`` the indices of the final
+    states in the automaton's order.
+    """
+
+    def __init__(self, a: TreeAutomaton):
+        n = len(a.rules)
+        rules: list = [None] * n
+        for r in a.rules:
+            if not 0 <= r.rid < n or rules[r.rid] is not None:
+                raise ValueError(f"automaton {a.graph_id!r}: rule ids are not 0..{n - 1}")
+            rules[r.rid] = r
+        seen = dict.fromkeys(s for r in rules for s in (r.parent, *r.children))
+        self.states: list[State] = sorted(seen, key=lambda s: -len(s.address))
+        index = {s: i for i, s in enumerate(self.states)}
+        self.rules: list[Rule] = rules
+        self.state_rules: list[list[int]] = [[] for _ in self.states]
+        self.children: list[tuple[int, ...]] = []
+        for r in rules:
+            parent = index[r.parent]
+            kids = tuple(index[c] for c in r.children)
+            if any(k >= parent for k in kids):
+                raise ValueError(f"automaton {a.graph_id!r}: rule {r.rid} has a child "
+                                 "state no deeper than its parent")
+            self.state_rules[parent].append(r.rid)
+            self.children.append(kids)
+        self.finals: list[int] = [index[f] for f in a.finals if f in index]
+        self.built_from = (a.rules, a.finals)
+
+
+def bottom_up(c: CompiledAutomaton, weights, times, plus):
+    """Value of every state (a list by state index) in one bottom-up pass
+    over a semiring: ``plus`` over the state's rules, in id order, of the
+    rule's weight ``times`` its children's values, left to right. Counting
+    is (sum, *) on integers, inside scores (logsumexp, +) on log weights and
+    Viterbi (max, +)."""
+    value: list = [None] * len(c.states)
+    children = c.children
+    for q, rids in enumerate(c.state_rules):
+        terms = []
+        for rid in rids:
+            t = weights[rid]
+            for k in children[rid]:
+                t = times(t, value[k])
+            terms.append(t)
+        value[q] = plus(terms)
+    return value
+
+
+def _alignments(shape):
+    """Alignment anchor of the rules at each address of a shape: a leaf's
+    constant's root label, or for an operation the root labels of the
+    leftmost leaves of its head and dependent sides. Each leaf constant is
+    parsed once."""
+    label = {addr: constant_from_canonical(d["const"]).root_label()
+             for addr, d in shape.items() if d["kind"] == "leaf"}
+    depth = max(map(len, shape), default=0)
+
+    def leftmost(addr):
+        while addr not in label:
+            if len(addr) > depth:
+                raise ValueError(f"automaton shape has no leaf below address {addr!r}")
+            addr += "0"
+        return label[addr]
+
+    return {addr: ("node", label[addr]) if d["kind"] == "leaf"
+            else ("edge", leftmost(addr + "0"), leftmost(addr + "1"))
+            for addr, d in shape.items()}
 
 
 def _phi_consistent(phi1, phi2):
@@ -146,12 +221,14 @@ def _phi_consistent(phi1, phi2):
     return all(d2.get(k, v) == v for k, v in phi1)
 
 
-def build_automaton(tree: AMDepTree, sources) -> TreeAutomaton:
+def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
     """One leaf rule per injective assignment of a constant's placeholders
     (nested request names included) to reusable sources; operation rules
     percolate the head-side assignment upward when the two child assignments
-    agree on their shared placeholders."""
+    agree on their shared placeholders. graph_id names the automaton and
+    its warnings."""
     sources = tuple(sources)
+    where = f"graph {graph_id}: " if graph_id else ""
     for ch in "(){}=,:# ":
         if any(ch in s for s in sources):
             raise ValueError(f"source name containing {ch!r} unsupported")
@@ -177,8 +254,8 @@ def build_automaton(tree: AMDepTree, sources) -> TreeAutomaton:
         rules_at[node.address] = lst
         states_at[node.address] = sorted({st for st, _, _ in lst})
         if not lst:
-            log.warning("constant at %s has %d placeholders but only %d sources",
-                        node.tree_node, len(ph), len(sources))
+            log.warning("%sconstant at %s has %d placeholders but only %d sources",
+                        where, node.tree_node, len(ph), len(sources))
 
     for node in sorted((n for n in b.walk() if not n.is_leaf),
                        key=lambda n: -len(n.address)):
@@ -211,55 +288,42 @@ def build_automaton(tree: AMDepTree, sources) -> TreeAutomaton:
             if parent in useful:
                 useful.update(children)
     rules: list[Rule] = []
-    leaf_label = {a: d["const"] for a, d in shape.items() if d["kind"] == "leaf"}
-
-    def leftmost_label(addr):
-        while addr not in leaf_label:
-            addr += "0"
-        return constant_from_canonical(leaf_label[addr]).root_label()
-
+    aligns = _alignments(shape)
     for addr in sorted(rules_at):
         for parent, lbl, children in rules_at[addr]:
             if parent not in useful or any(c not in useful for c in children):
                 continue
-            if children:
-                kind, name = lbl.split("_", 1)
-                event = ("edge", kind, name)
-                align = ("edge", leftmost_label(addr + "0"), leftmost_label(addr + "1"))
-            else:
-                event = ("const", lbl)
-                align = ("node", leftmost_label(addr))
-            rules.append(Rule(len(rules), parent, lbl, children, event, align))
-    fa = TreeAutomaton(graph_id="", sources=sources, rules=rules,
+            rules.append(Rule(len(rules), parent, lbl, children, _event(lbl, children),
+                              aligns[addr]))
+    fa = TreeAutomaton(graph_id=graph_id, sources=sources, rules=rules,
                        finals=[f for f in finals if f in useful], shape=shape,
                        empty=not finals)
     if fa.empty:
-        log.warning("automaton accepts no trees (source inventory too small?)")
+        log.warning("%sautomaton accepts no trees (source inventory too small?)", where)
     return fa
+
+
+def _event(label, children):
+    if children:
+        kind, name = label.split("_", 1)
+        return ("edge", kind, name)
+    return ("const", label)
 
 
 # ---------------------------------------------------------------------------
 # counting / enumeration / reconstruction
 
 
+def subtree_counts(c: CompiledAutomaton) -> list[int]:
+    """Number of runs below each state: the bottom-up pass over integers."""
+    return bottom_up(c, [1] * len(c.rules), operator.mul, sum)
+
+
 def count_trees(a: TreeAutomaton) -> int:
     """Exact number of accepted trees (unit-weight inside with integers)."""
-    by_parent = a.rules_by_parent()
-    memo: dict[State, int] = {}
-
-    def count(state):
-        if state not in memo:
-            memo[state] = 0  # guards accidental cycles; automaton is acyclic
-            total = 0
-            for r in by_parent.get(state, []):
-                prod = 1
-                for c in r.children:
-                    prod *= count(c)
-                total += prod
-            memo[state] = total
-        return memo[state]
-
-    return sum(count(f) for f in a.finals)
+    c = a.compiled()
+    counts = subtree_counts(c)
+    return sum(counts[f] for f in c.finals)
 
 
 @dataclass(frozen=True)
@@ -282,27 +346,25 @@ def enumerate_runs(a: TreeAutomaton, limit=None):
     that order."""
     if limit is not None and limit <= 0:
         return []
-    by_parent = a.rules_by_parent()
-    for lst in by_parent.values():
-        lst.sort(key=lambda r: r.rid)
+    c = a.compiled()
 
-    def runs_for_rule(r):
-        if not r.children:
-            yield Run(r.rid)
+    def runs_for_rule(rid):
+        kids = c.children[rid]
+        if not kids:
+            yield Run(rid)
             return
-        for lc in runs_for(r.children[0]):
-            for rc in runs_for(r.children[1]):
-                yield Run(r.rid, (lc, rc))
+        for lc in runs_for(kids[0]):
+            for rc in runs_for(kids[1]):
+                yield Run(rid, (lc, rc))
 
-    def runs_for(state):
-        for r in by_parent.get(state, []):
-            yield from runs_for_rule(r)
+    def runs_for(q):
+        for rid in c.state_rules[q]:
+            yield from runs_for_rule(rid)
 
-    top_rules = sorted((r for f in a.finals for r in by_parent.get(f, [])),
-                       key=lambda r: r.rid)
+    top_rules = sorted(rid for f in c.finals for rid in c.state_rules[f])
     out = []
-    for r in top_rules:
-        for run in runs_for_rule(r):
+    for rid in top_rules:
+        for run in runs_for_rule(rid):
             out.append(run)
             if limit is not None and len(out) >= limit:
                 return out
@@ -312,7 +374,7 @@ def enumerate_runs(a: TreeAutomaton, limit=None):
 def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
     """De-binarize an accepted run into a dependency tree whose constants and
     operations carry the run's reusable source names."""
-    rules = {r.rid: r for r in a.rules}
+    rules = a.compiled().rules
     nodes: dict[str, SGraph] = {}
     edges: list[DepEdge] = []
     root_of: dict[str, str] = {}  # address -> dep tree node id of head side
@@ -342,10 +404,6 @@ def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
 _STATE_RE = re.compile(r"^(?P<addr>[01]*|e):\{(?P<phi>[^}]*)\}$")
 
 
-def _state_str(s: State) -> str:
-    return str(s)
-
-
 def _parse_state(text: str) -> State:
     m = _STATE_RE.match(text.strip())
     if not m:
@@ -365,10 +423,10 @@ def write_automaton(a: TreeAutomaton, path, weights=None):
     lines = [f"#! graph {a.graph_id}", f"#! sources {' '.join(a.sources)}",
              f"#! shape {json.dumps(a.shape, sort_keys=True, separators=(',', ':'))}"]
     for f in a.finals:
-        lines.append(f"final: {_state_str(f)}")
+        lines.append(f"final: {f}")
     for r in a.rules:
-        kids = ", ".join(_state_str(c) for c in r.children)
-        line = f"{_state_str(r.parent)} <- {r.label}({kids})"
+        kids = ", ".join(str(c) for c in r.children)
+        line = f"{r.parent} <- {r.label}({kids})"
         if weights is not None:
             line += f" # {weights[r.rid]!r}"
         lines.append(line)
@@ -384,6 +442,14 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     rules = []
     weights: dict[int, float] = {}
     saw_weight = False
+    parsed: dict[str, State] = {}  # a state recurs as parent and child of many rules
+
+    def state(text):
+        s = parsed.get(text)
+        if s is None:
+            s = parsed[text] = _parse_state(text)
+        return s
+
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
@@ -401,7 +467,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
             if line.startswith("#"):
                 continue
             if line.startswith("final:"):
-                finals.append(_parse_state(line[len("final:"):]))
+                finals.append(state(line[len("final:"):]))
                 continue
             body = line
             if " # " in line:
@@ -416,60 +482,23 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                     weights[len(rules)] = weight
                     saw_weight = True
             head, rest = body.split(" <- ", 1)
-            parent = _parse_state(head)
+            parent = state(head)
             if rest.endswith("()"):
                 label, children = rest[:-2], ()
             else:
                 open_idx = rest.index("(")
                 label = rest[:open_idx]
                 inner = rest[open_idx + 1:-1]
-                children = tuple(_parse_state(p) for p in inner.split(", "))
-            if children:
-                kind, name = label.split("_", 1)
-                event = ("edge", kind, name)
-            else:
-                event = ("const", label)
-            rules.append(Rule(len(rules), parent, label, children, event, ("", )))
+                children = tuple(state(p) for p in inner.split(", "))
+            rules.append(Rule(len(rules), parent, label, children, _event(label, children),
+                              ("",)))
+    aligns = _alignments(shape)
+    for r in rules:
+        r.align = aligns[r.parent.address]
     a = TreeAutomaton(graph_id, sources, rules, finals, shape, empty=not finals)
-    _recompute_align(a)
     return a, (weights if saw_weight else None)
-
-
-def _recompute_align(a: TreeAutomaton):
-    leaf_label = {addr: d["const"] for addr, d in a.shape.items() if d["kind"] == "leaf"}
-
-    def leftmost_label(addr):
-        while addr not in leaf_label:
-            addr += "0"
-        return constant_from_canonical(leaf_label[addr]).root_label()
-
-    for r in a.rules:
-        if r.children:
-            addr = r.parent.address
-            r.align = ("edge", leftmost_label(addr + "0"), leftmost_label(addr + "1"))
-        else:
-            r.align = ("node", leftmost_label(r.parent.address))
 
 
 def build_corpus_automata(trees, sources):
     """Automata for a decomposed corpus: list of (id, automaton)."""
-    out = []
-    for tid, tree in trees:
-        a = build_automaton(tree, sources)
-        a.graph_id = tid
-        out.append((tid, a))
-    return out
-
-
-def event_groups(automata):
-    """Normalization groups over the events of a corpus: constants grouped by
-    their name-erased skeleton, edges by operation kind."""
-    groups: dict[str, set] = {}
-    for _tid, a in automata:
-        for r in a.rules:
-            if r.event[0] == "const":
-                key = "const:" + skeleton_form(constant_from_canonical(r.event[1]))
-            else:
-                key = f"edge:{r.event[1]}"
-            groups.setdefault(key, set()).add(r.event)
-    return {k: sorted(v) for k, v in groups.items()}
+    return [(tid, build_automaton(tree, sources, graph_id=tid)) for tid, tree in trees]

@@ -23,7 +23,7 @@ from .algebra import AMDepTree, check_well_typed, evaluate, read_trees, write_tr
 from .automata import build_automaton, count_trees, read_automaton, write_automaton
 from .decompose import Decomposition, decompose, enumerate_unrollings, canonical_tree, \
     default_plan, check_resolvable, resolve
-from .errors import AmdepError, EmptyAutomaton, NotWellTyped
+from .errors import AmdepError, EmptyAutomaton, MissingInput, NotWellTyped
 from .generate import GeneratorConfig, gen_corpus
 from .graph import BlobHeuristics, SemanticGraph, is_isomorphic_mod_of, read_corpus, \
     write_corpus, partition_blobs, normalize_edges
@@ -169,13 +169,33 @@ def cmd_decompose(args):
 
 def _build_one(payload):
     tid, tobj, sources = payload
-    tree = AMDepTree.from_json(tobj)
-    a = build_automaton(tree, sources)
-    a.graph_id = tid
-    return tid, a
+    return tid, build_automaton(AMDepTree.from_json(tobj), sources, graph_id=tid)
+
+
+def _automaton_files(ids):
+    """One file name per id: the id with '#' replaced by '_'. When that name
+    is already taken (a#0 and a_0 both give a_0), the later id gets the
+    first '<name>_<k>' that is neither taken nor any other id's own name."""
+    stems = [tid.replace("#", "_") for tid in ids]
+    reserved = set(stems)
+    used: set[str] = set()
+    names = []
+    for stem in stems:
+        name, k = stem, 0
+        while name in used or (k and name in reserved):
+            k += 1
+            name = f"{stem}_{k}"
+        used.add(name)
+        names.append(f"{name}.auto")
+    return names
 
 
 def cmd_build_automata(args):
+    return _build_automata(args)[0]
+
+
+def _build_automata(args):
+    """build-automata; returns the exit code and the (id, automaton) list."""
     trees = read_trees(args.trees)
     sources = tuple(f"s{i + 1}" for i in range(args.sources))
     outdir = Path(args.out)
@@ -189,8 +209,7 @@ def cmd_build_automata(args):
     index = []
     outputs = []
     empty = 0
-    for tid, a in results:
-        fname = f"{tid.replace('#', '_')}.auto"
+    for (tid, a), fname in zip(results, _automaton_files([tid for tid, _a in results])):
         write_automaton(a, outdir / fname)
         outputs.append(outdir / fname)
         empty += 1 if a.empty else 0
@@ -202,20 +221,23 @@ def cmd_build_automata(args):
                    {"sources": args.sources, "jobs": args.jobs},
                    [args.trees], [str(p) for p in outputs] + [str(outdir / "index.json")],
                    {"automata": len(index), "empty": empty})
-    return EXIT_PARTIAL if empty else EXIT_OK
+    return (EXIT_PARTIAL if empty else EXIT_OK), results
 
 
 def _read_automata_dir(path):
-    idx = json.loads((Path(path) / "index.json").read_text())
+    index = Path(path) / "index.json"
+    if not index.is_file():
+        raise MissingInput(f"{index}: no such file (build-automata writes it)")
+    idx = json.loads(index.read_text())
     out = []
     for item in idx["automata"]:
-        a, weights = read_automaton(Path(path) / item["file"])
+        a, _weights = read_automaton(Path(path) / item["file"])
         out.append((item["id"], a))
-    return idx, out
+    return out
 
 
 def cmd_count(args):
-    _idx, automata = _read_automata_dir(args.automata)
+    automata = _read_automata_dir(args.automata)
     total = 0
     for tid, a in automata:
         c = count_trees(a)
@@ -225,8 +247,11 @@ def cmd_count(args):
     return EXIT_OK
 
 
-def cmd_train_em(args):
-    _idx, automata = _read_automata_dir(args.automata)
+def cmd_train_em(args, automata=None):
+    """automata: the (id, automaton) list of args.automata when the caller
+    already holds it, as the pipeline does; read from there when None."""
+    if automata is None:
+        automata = _read_automata_dir(args.automata)
     if args.iters == 0:
         from .training import random_weights_baseline
         table = random_weights_baseline(automata, seed=args.seed)
@@ -242,7 +267,7 @@ def cmd_train_em(args):
 
 
 def cmd_train_joint(args):
-    _idx, automata = _read_automata_dir(args.automata)
+    automata = _read_automata_dir(args.automata)
     if args.corpus:
         wanted = {gid for gid, _ in read_corpus(args.corpus)}
         automata = [(tid, a) for tid, a in automata if tid.split("#")[0] in wanted]
@@ -258,8 +283,10 @@ def cmd_train_joint(args):
     return EXIT_OK
 
 
-def cmd_viterbi(args):
-    _idx, automata = _read_automata_dir(args.automata)
+def cmd_viterbi(args, automata=None):
+    """automata: as for cmd_train_em."""
+    if automata is None:
+        automata = _read_automata_dir(args.automata)
     weights_obj = json.loads(Path(args.weights).read_text()) if args.weights else None
     best = []
     skipped = 0
@@ -346,26 +373,27 @@ def cmd_pipeline(args):
     code1 = cmd_decompose(ns)
     ns2 = argparse.Namespace(trees=str(outdir / "trees.json"), sources=args.sources,
                              out=str(outdir / "automata"), jobs=args.jobs)
-    code2 = cmd_build_automata(ns2)
+    code2, automata = _build_automata(ns2)
     ns3 = argparse.Namespace(automata=str(outdir / "automata"), iters=args.iters,
                              seed=args.seed, smoothing=1e-6,
                              out=str(outdir / "theta.json"),
                              manifest=str(outdir / "theta.manifest.json"))
-    cmd_train_em(ns3)
+    cmd_train_em(ns3, automata)
     ns4 = argparse.Namespace(automata=str(outdir / "automata"),
                              weights=str(outdir / "theta.json"), sample_seed=None,
                              out=str(outdir / "best-trees.json"),
                              manifest=str(outdir / "viterbi.manifest.json"))
-    code4 = cmd_viterbi(ns4)
+    code4 = cmd_viterbi(ns4, automata)
     ns5 = argparse.Namespace(graphs=args.graphs, trees=str(outdir / "best-trees.json"),
                              out=str(outdir / "verify.json"))
     code5 = cmd_verify(ns5)
     trees = [t for _tid, t in read_trees(outdir / "best-trees.json")]
     entropy = constant_entropy(trees) if trees else None
     skipped = json.loads((outdir / "skipped.json").read_text())
+    ngraphs = len(read_corpus(args.graphs))
     counts = {
-        "graphs": len(read_corpus(args.graphs)),
-        "decomposed": len(read_corpus(args.graphs)) - len(skipped),
+        "graphs": ngraphs,
+        "decomposed": ngraphs - len(skipped),
         "skipped_nondecomposable": len(skipped),
         "best_trees": len(trees),
         "constant_entropy": entropy,
@@ -490,7 +518,6 @@ def main(argv=None):
     try:
         return args.func(args)
     except AmdepError as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -18,6 +18,10 @@ class CorpusError(AmdepError):
         self.graph_id = graph_id
 
 
+class MissingInput(AmdepError):
+    """A required input file does not exist."""
+
+
 class TypeDepthExceeded(AmdepError):
     pass
 

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import canonical_constant_form, constant_from_canonical, skeleton_form
-from .automata import Run, TreeAutomaton
+from .automata import CompiledAutomaton, Run, TreeAutomaton, bottom_up, subtree_counts
 from .errors import EmptyAutomaton, NonFiniteGradient
 
 log = logging.getLogger("amdep.training")
@@ -32,9 +33,9 @@ def logsumexp(values):
 
 @dataclass
 class InsideOutsideResult:
-    log_inside: dict  # state -> log inside score
+    log_inside: list  # log inside score per state, indexed as a.compiled().states
     log_total: float  # log I
-    log_alpha: dict | None = None  # rule id -> log outer weight
+    log_alpha: list | None = None  # log outer weight per rule, indexed by rule id
     lin_total: float | None = None  # linear-domain I when it did not under/overflow
 
     @property
@@ -49,18 +50,58 @@ class InsideOutsideResult:
         return 0.0 if v == NEG_INF else math.exp(v)
 
 
-def _log_weights(a: TreeAutomaton, weights):
-    out = {}
-    for r in a.rules:
-        w = weights[r.rid] if weights is not None else 1.0
-        if not (w > 0.0) or not math.isfinite(w):
-            raise ValueError(f"rule weight must be positive and finite, got {w!r}")
-        out[r.rid] = math.log(w)
-    return out
+def _rule_weights(a: TreeAutomaton, weights):
+    """(weights, log weights) as lists indexed by rule id; weights maps rule
+    id -> positive finite weight, unit when None."""
+    n = len(a.rules)
+    w = [1.0] * n if weights is None else [weights[rid] for rid in range(n)]
+    for x in w:
+        if not (x > 0.0) or not math.isfinite(x):
+            raise ValueError(f"rule weight must be positive and finite, got {x!r}")
+    return w, [math.log(x) for x in w]
 
 
-def _states_bottom_up(a: TreeAutomaton):
-    return sorted(a.states(), key=lambda s: (-len(s.address), s))
+def _vmax(terms):
+    return max(terms, default=NEG_INF)
+
+
+def _log_inside(c: CompiledAutomaton, lw):
+    log_in = bottom_up(c, lw, operator.add, logsumexp)
+    return log_in, logsumexp([log_in[f] for f in c.finals])
+
+
+def _log_outer(c: CompiledAutomaton, lw, log_in):
+    """Top-down pass: the log outer weight of every rule, by rule id."""
+    log_out: list[list[float]] = [[] for _ in c.states]
+    for f in c.finals:
+        log_out[f] = [0.0]
+    log_alpha = [NEG_INF] * len(lw)
+    for q in reversed(range(len(c.states))):
+        out_q = logsumexp(log_out[q])
+        for rid in c.state_rules[q]:
+            kids = c.children[rid]
+            t = out_q
+            for k in kids:
+                t += log_in[k]
+            log_alpha[rid] = t
+            for i, k in enumerate(kids):
+                contrib = out_q + lw[rid]
+                for j, d in enumerate(kids):
+                    if j != i:
+                        contrib += log_in[d]
+                log_out[k].append(contrib)
+    return log_alpha
+
+
+def _posteriors(a: TreeAutomaton, w, lw):
+    """(log I, posterior of each rule in a.rules order): the expected number
+    of uses of the rule in an accepted tree, alpha(r) * w(r) / I."""
+    c = a.compiled()
+    log_in, total = _log_inside(c, lw)
+    if total == NEG_INF:
+        raise EmptyAutomaton("no accepted trees")
+    log_alpha = _log_outer(c, lw, log_in)
+    return total, [math.exp(log_alpha[r.rid] + lw[r.rid] - total) for r in a.rules]
 
 
 def inside(a: TreeAutomaton, weights=None) -> InsideOutsideResult:
@@ -70,26 +111,12 @@ def inside(a: TreeAutomaton, weights=None) -> InsideOutsideResult:
     underflow-safe reference. weights maps rule id -> positive weight (unit
     when None)."""
     if a.empty or not a.finals:
-        return InsideOutsideResult({}, NEG_INF)
-    lw = _log_weights(a, weights)
-    by_parent = a.rules_by_parent()
-    log_in: dict = {}
-    lin_in: dict = {}
-    for state in _states_bottom_up(a):
-        terms = []
-        lins = []
-        for r in by_parent.get(state, []):
-            t = lw[r.rid]
-            p = weights[r.rid] if weights is not None else 1.0
-            for c in r.children:
-                t += log_in.get(c, NEG_INF)
-                p *= lin_in.get(c, 0.0)
-            terms.append(t)
-            lins.append(p)
-        log_in[state] = logsumexp(terms)
-        lin_in[state] = math.fsum(lins)
-    total = logsumexp([log_in.get(f, NEG_INF) for f in a.finals])
-    lin_total = math.fsum(lin_in.get(f, 0.0) for f in a.finals)
+        return InsideOutsideResult([], NEG_INF)
+    c = a.compiled()
+    w, lw = _rule_weights(a, weights)
+    log_in, total = _log_inside(c, lw)
+    lin_in = bottom_up(c, w, operator.mul, math.fsum)
+    lin_total = math.fsum(lin_in[f] for f in c.finals)
     return InsideOutsideResult(log_in, total, lin_total=lin_total)
 
 
@@ -100,99 +127,72 @@ def outer_weights(a: TreeAutomaton, weights=None) -> InsideOutsideResult:
     res = inside(a, weights)
     if res.log_total == NEG_INF:
         raise EmptyAutomaton("no accepted trees")
-    lw = _log_weights(a, weights)
-    log_out: dict = {f: [0.0] for f in a.finals}
-    log_alpha: dict = {}
-    by_parent = a.rules_by_parent()
-    for state in sorted(a.states(), key=lambda s: (len(s.address), s)):
-        out_s = logsumexp(log_out.get(state, []))
-        for r in by_parent.get(state, []):
-            t = out_s
-            for c in r.children:
-                t += res.log_inside.get(c, NEG_INF)
-            log_alpha[r.rid] = t
-            for i, c in enumerate(r.children):
-                contrib = out_s + lw[r.rid]
-                for j, d in enumerate(r.children):
-                    if j != i:
-                        contrib += res.log_inside.get(d, NEG_INF)
-                log_out.setdefault(c, []).append(contrib)
-    return InsideOutsideResult(res.log_inside, res.log_total, log_alpha, res.lin_total)
+    _w, lw = _rule_weights(a, weights)
+    res.log_alpha = _log_outer(a.compiled(), lw, res.log_inside)
+    return res
 
 
 def viterbi(a: TreeAutomaton, weights=None) -> Run:
     """Maximum-weight accepted run; ties broken by the smallest preorder
-    rule-id sequence."""
+    rule-id sequence. Candidate runs at one state share the binarized shape
+    and start with distinct rule ids, so that order is the order of their
+    first rule id: the (max, +) pass keeps best scores and the backtrace
+    takes the first rule, in id order, that reaches its state's best."""
     if a.empty or not a.finals:
         raise EmptyAutomaton("no accepted trees")
-    lw = _log_weights(a, weights)
-    by_parent = a.rules_by_parent()
-    best: dict = {}
-    for state in _states_bottom_up(a):
-        cand = None
-        for r in sorted(by_parent.get(state, []), key=lambda r: r.rid):
-            score = lw[r.rid]
-            kids = []
-            dead = False
-            for c in r.children:
-                if c not in best:
-                    dead = True
-                    break
-                s, run = best[c]
-                score += s
-                kids.append(run)
-            if dead:
-                continue
-            run = Run(r.rid, tuple(kids))
-            key = (-score, run.rule_ids())
-            if cand is None or key < cand[0]:
-                cand = (key, score, run)
-        if cand is not None:
-            best[state] = (cand[1], cand[2])
-    tops = [best[f] for f in a.finals if f in best]
+    c = a.compiled()
+    _w, lw = _rule_weights(a, weights)
+    best = bottom_up(c, lw, operator.add, _vmax)
+
+    def best_rule(q):
+        for rid in c.state_rules[q]:
+            t = lw[rid]
+            for k in c.children[rid]:
+                t += best[k]
+            if t == best[q]:
+                return rid
+        raise AssertionError("no rule reaches the state's best score")
+
+    def run(rid):
+        return Run(rid, tuple(run(best_rule(k)) for k in c.children[rid]))
+
+    tops = [(-best[f], best_rule(f)) for f in c.finals if best[f] != NEG_INF]
     if not tops:
         raise EmptyAutomaton("no accepted trees")
-    return min(tops, key=lambda sr: (-sr[0], sr[1].rule_ids()))[1]
+    return run(min(tops)[1])
 
 
 def sample_run(a: TreeAutomaton, rng: random.Random) -> Run:
     """Exact uniform sample over accepted trees: integer subtree counts drive
     a top-down categorical walk."""
-    by_parent = a.rules_by_parent()
-    counts: dict = {}
-    for state in _states_bottom_up(a):
-        total = 0
-        for r in by_parent.get(state, []):
-            prod = 1
-            for c in r.children:
-                prod *= counts.get(c, 0)
-            total += prod
-        counts[state] = total
-    grand = sum(counts.get(f, 0) for f in a.finals)
+    c = a.compiled()
+    counts = subtree_counts(c)
+    grand = sum(counts[f] for f in c.finals)
     if grand == 0:
         raise EmptyAutomaton("no accepted trees")
     pick = rng.randrange(grand)
     final = None
-    for f in a.finals:
-        if pick < counts.get(f, 0):
+    for f in c.finals:
+        if pick < counts[f]:
             final = f
             break
-        pick -= counts.get(f, 0)
+        pick -= counts[f]
 
-    def descend(state, idx):
-        for r in sorted(by_parent.get(state, []), key=lambda r: r.rid):
+    def descend(q, idx):
+        for rid in c.state_rules[q]:
+            kids = c.children[rid]
             prod = 1
-            for c in r.children:
-                prod *= counts.get(c, 0)
+            for k in kids:
+                prod *= counts[k]
             if idx < prod:
                 kid_runs = []
-                for i, c in enumerate(r.children):
+                for i, k in enumerate(kids):
                     later = 1
-                    for d in r.children[i + 1:]:
-                        later *= counts.get(d, 0)
+                    for d in kids[i + 1:]:
+                        later *= counts[d]
                     sub, idx = divmod(idx, later)
-                    kid_runs.append(descend(c, sub))
-                return Run(r.rid, tuple(kid_runs))
+                    kid_runs.append(descend(k, sub))
+                return Run(rid, tuple(kid_runs))
             idx -= prod
         raise AssertionError("index out of range")
 
@@ -244,24 +244,28 @@ class EventTable:
 
 def discover_events(automata):
     groups: dict[str, set[str]] = {}
+    group_of: dict[str, str] = {}  # events recur across rules and graphs
     for _tid, a in automata:
         for r in a.rules:
             key = rule_event_key(r)
-            groups.setdefault(event_group_key(key), set()).add(key)
+            group = group_of.get(key)
+            if group is None:
+                group = group_of[key] = event_group_key(key)
+            groups.setdefault(group, set()).add(key)
     return {g: sorted(ks) for g, ks in sorted(groups.items())}
 
 
-def _normalize_groups(theta, groups, smoothing=0.0):
-    for keys in groups.values():
-        total = math.fsum(theta.get(k, 0.0) + smoothing for k in keys)
+def _normalize_groups(theta, members, smoothing=0.0):
+    """Normalize the list theta in place within each group of event indices."""
+    for group in members:
+        total = math.fsum(theta[e] + smoothing for e in group)
         if total <= 0.0:
             log.warning("degenerate normalization group; resetting to uniform")
-            for k in keys:
-                theta[k] = 1.0 / len(keys)
+            for e in group:
+                theta[e] = 1.0 / len(group)
         else:
-            for k in keys:
-                theta[k] = (theta.get(k, 0.0) + smoothing) / total
-    return theta
+            for e in group:
+                theta[e] = (theta[e] + smoothing) / total
 
 
 def em_fit(automata, iterations=25, seed=0, smoothing=1e-6) -> EventTable:
@@ -279,28 +283,36 @@ def em_fit(automata, iterations=25, seed=0, smoothing=1e-6) -> EventTable:
     if not usable:
         raise EmptyAutomaton("no usable automata in corpus")
     groups = discover_events(usable)
+    keys = [k for ks in groups.values() for k in ks]
+    index = {k: e for e, k in enumerate(keys)}
+    members = [[index[k] for k in ks] for ks in groups.values()]
+    # event index of each rule, by rule id, interned once per automaton
+    events = []
+    for _tid, a in usable:
+        by_rid = [0] * len(a.rules)
+        for r in a.rules:
+            by_rid[r.rid] = index[rule_event_key(r)]
+        events.append(by_rid)
     rng = random.Random(seed)
-    theta = {k: rng.uniform(0.1, 1.0) for keys in groups.values() for k in keys}
-    _normalize_groups(theta, groups)
+    theta = [rng.uniform(0.1, 1.0) for _ in keys]
+    _normalize_groups(theta, members)
     history = []
     for it in range(iterations):
-        table = EventTable(theta, groups)
-        counts: dict[str, float] = {}
+        counts = [0.0] * len(keys)
         ll = 0.0
-        for _tid, a in usable:
-            w = table.rule_weights(a)
-            res = outer_weights(a, w)
-            ll += res.log_total
-            for r in a.rules:
-                post = math.exp(res.log_alpha[r.rid] + math.log(w[r.rid]) - res.log_total)
-                key = rule_event_key(r)
-                counts[key] = counts.get(key, 0.0) + post
+        for (_tid, a), by_rid in zip(usable, events):
+            w, lw = _rule_weights(a, [theta[e] for e in by_rid])
+            log_total, posts = _posteriors(a, w, lw)
+            ll += log_total
+            for r, post in zip(a.rules, posts):
+                counts[by_rid[r.rid]] += post
         history.append(ll)
         if len(history) >= 2 and history[-1] < history[-2] - 1e-9:
             log.warning("EM log-likelihood decreased: %.12f -> %.12f",
                         history[-2], history[-1])
-        theta = _normalize_groups(counts, groups, smoothing)
-    return EventTable(theta, groups,
+        _normalize_groups(counts, members, smoothing)
+        theta = counts
+    return EventTable(dict(zip(keys, theta)), groups,
                       meta={"iterations": iterations, "seed": seed,
                             "smoothing": smoothing, "log_likelihood": history,
                             "skipped": skipped})
@@ -376,14 +388,13 @@ def log_inside_gradient(scorer: Scorer, a: TreeAutomaton):
     log I is the posterior expected feature count: sum over rules of
     alpha(r) * c(r) / I times the rule's feature vector, computed without
     backpropagating through the inside recursion."""
-    w = score_rules(scorer, a)
-    res = outer_weights(a, w)
+    keys = [scorer.feature_key(r) for r in a.rules]
+    weights = {r.rid: math.exp(scorer.params.get(key, 0.0)) for r, key in zip(a.rules, keys)}
+    log_total, posts = _posteriors(a, *_rule_weights(a, weights))
     grad: dict[str, float] = {}
-    for r in a.rules:
-        post = math.exp(res.log_alpha[r.rid] + math.log(w[r.rid]) - res.log_total)
-        key = scorer.feature_key(r)
+    for key, post in zip(keys, posts):
         grad[key] = grad.get(key, 0.0) + post
-    return res.log_total, grad
+    return log_total, grad
 
 
 @dataclass

@@ -1,6 +1,8 @@
+import logging
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amdep.algebra import (
     AMDepTree,
@@ -137,6 +139,16 @@ class TestBuildAutomaton:
         a = build_automaton(d.tree, S3)
         assert len(a.rules) == 1 and not a.rules[0].children
         assert count_trees(a) == 1
+
+    def test_warnings_name_the_graph(self, sparkle_glow, heuristics, caplog):
+        d = decompose(sparkle_glow, heuristics)
+        with caplog.at_level(logging.WARNING, logger="amdep.automata"):
+            a = build_automaton(d.tree, ("s1", "s2"), graph_id="sg")
+        assert a.graph_id == "sg" and a.empty
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert any("placeholders but only 2 sources" in m for m in messages)
+        assert any("accepts no trees" in m for m in messages)
+        assert all(m.startswith("graph sg: ") for m in messages)
 
     def test_too_few_sources_gives_empty(self, sparkle_glow, heuristics):
         d = decompose(sparkle_glow, heuristics)
@@ -298,6 +310,27 @@ class TestSerialization:
         path = tmp_path / "w.auto"
         write_automaton(a, path, weights)
         _a2, w2 = read_automaton(path)
+        assert w2 == weights
+
+    @given(seed=st.integers(0, 10_000), nsources=st.integers(1, 4),
+           weighted=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_property(self, heuristics, tmp_path_factory, seed, nsources,
+                                 weighted, data):
+        g = evaluate(gen_random_tree(GeneratorConfig(max_nodes=6), seed=seed))
+        d = decompose(g, heuristics)
+        a = build_automaton(d.tree, [f"s{i + 1}" for i in range(nsources)],
+                            graph_id=f"g{seed}")
+        weights = None
+        if weighted and a.rules:  # an automaton without rules writes no weights
+            weights = {r.rid: data.draw(st.floats(1e-300, 1e300)) for r in a.rules}
+        path = tmp_path_factory.mktemp("rt") / "a.auto"
+        write_automaton(a, path, weights)
+        a2, w2 = read_automaton(path)
+        assert (a2.graph_id, a2.sources, a2.shape) == (a.graph_id, a.sources, a.shape)
+        assert a2.finals == a.finals and a2.empty == a.empty
+        assert [(r.rid, r.parent, r.label, r.children, r.event, r.align) for r in a2.rules] \
+            == [(r.rid, r.parent, r.label, r.children, r.event, r.align) for r in a.rules]
         assert w2 == weights
 
     def test_events_survive(self, rel_decomp, tmp_path):

@@ -122,6 +122,30 @@ class TestAutomataCommands:
         assert run("build-automata", "--trees", tmp_path / "t.json",
                    "--sources", 3, "--out", tmp_path / "auto3") == 0
 
+    def test_colliding_file_names_kept_apart(self, tmp_path, capsys):
+        # a#0 and a_0 both map to a_0.auto: each needs its own file
+        assert run("decompose", "--graphs", GOLDENS / "figures-graphs.json",
+                   "--out", tmp_path / "t.json", "--report", tmp_path / "s.json") == 0
+        trees = json.loads((tmp_path / "t.json").read_text())[:2]
+        trees[0]["id"], trees[1]["id"] = "a#0", "a_0"
+        (tmp_path / "t2.json").write_text(json.dumps(trees))
+        assert run("build-automata", "--trees", tmp_path / "t2.json",
+                   "--out", tmp_path / "auto") == 0
+        index = json.loads((tmp_path / "auto/index.json").read_text())["automata"]
+        assert [item["file"] for item in index] == ["a_0.auto", "a_0_1.auto"]
+        assert index[0]["trees"] != index[1]["trees"]
+        capsys.readouterr()
+        assert run("count", "--automata", tmp_path / "auto") == 0
+        lines = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert lines[:2] == [["a#0", index[0]["trees"]], ["a_0", index[1]["trees"]]]
+
+    def test_missing_index_exits_1(self, tmp_path, capsys):
+        (tmp_path / "auto").mkdir()
+        assert run("count", "--automata", tmp_path / "auto") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(tmp_path / "auto/index.json") in err[0]
+
 
 class TestTrainAndViterbi:
     def test_theta_written(self, workspace):
