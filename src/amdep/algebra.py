@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import (
+    AmdepError,
     LabelClash,
     MissingSource,
     ModAddsSources,
@@ -20,6 +21,7 @@ from .errors import (
     NotWellTyped,
     RequestClash,
     RequestMismatch,
+    TreesError,
     TypeDepthExceeded,
 )
 from .graph import Edge, SemanticGraph
@@ -143,11 +145,6 @@ def type_unify(a: AMType, b: AMType) -> AMType:
             raise RequestClash(k, out[k], v)
         out[k] = v
     return AMType(out)
-
-
-def is_submap(sub: AMType, sup: AMType) -> bool:
-    """True iff every entry of sub occurs in sup with an equal request."""
-    return all(k in sup and sup.request(k) == v for k, v in sub.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -384,20 +381,12 @@ class AMDepTree:
     def constant(self, node) -> SGraph:
         return self.nodes[node]
 
-    def subtree_nodes(self, node):
-        out = [node]
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            for e in self._children[n]:
-                out.append(e.child)
-                stack.append(e.child)
-        return out
-
-    def depth_order(self):
-        """Nodes ordered so children precede parents."""
+    def depth_order(self, node=None):
+        """Nodes of the subtree at node (default: the root) ordered so
+        children precede parents; a subtree's order is the whole tree's
+        order restricted to it."""
         order = []
-        stack = [(self.root, False)]
+        stack = [(self.root if node is None else node, False)]
         while stack:
             n, done = stack.pop()
             if done:
@@ -434,9 +423,25 @@ class AMDepTree:
 
 
 def read_trees(path):
+    """Read a trees file into (id, AMDepTree) pairs; a malformed file or item
+    raises TreesError naming the path and the item's id (or #index)."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return [(item["id"], AMDepTree.from_json(item["tree"])) for item in data]
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise TreesError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise TreesError(f"{path}: trees file must be a top-level array")
+    out = []
+    for i, item in enumerate(data):
+        tid = item.get("id", f"#{i}") if isinstance(item, dict) else f"#{i}"
+        try:
+            out.append((item["id"], AMDepTree.from_json(item["tree"])))
+        except KeyError as exc:
+            raise TreesError(f"{path}: item {tid!r} has no {exc} key") from exc
+        except (TypeError, ValueError, AmdepError) as exc:
+            raise TreesError(f"{path}: item {tid!r} is malformed: {exc}") from exc
+    return out
 
 
 def write_trees(trees, path):
@@ -533,10 +538,7 @@ def check_well_typed(tree: AMDepTree) -> AMType:
 def term_type(tree: AMDepTree, node: str) -> AMType:
     """Type of the result of evaluating the subtree rooted at node."""
     types: dict[str, AMType] = {}
-    wanted = set(tree.subtree_nodes(node))
-    for n in tree.depth_order():
-        if n not in wanted:
-            continue
+    for n in tree.depth_order(node):
         head = tree.constant(n).typ
         pending = [(e, types[e.child]) for e in _sorted_children(tree, n)]
         for _edge, _ctype, head in _fold_order(n, head, pending):
@@ -549,10 +551,7 @@ def evaluate_sgraph(tree: AMDepTree, node=None) -> SGraph:
     """Evaluate (a subtree of) the tree bottom-up to an s-graph."""
     node = tree.root if node is None else node
     results: dict[str, SGraph] = {}
-    wanted = set(tree.subtree_nodes(node))
-    for n in tree.depth_order():
-        if n not in wanted:
-            continue
+    for n in tree.depth_order(node):
         head = tree.constant(n)
         pending = [(e, results[e.child].typ) for e in _sorted_children(tree, n)]
         child_result = {e.child: results[e.child] for e in tree.children(n)}

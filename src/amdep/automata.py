@@ -26,6 +26,7 @@ from .algebra import (
     _fold_order,
     _sorted_children,
 )
+from .errors import UnsupportedName
 
 log = logging.getLogger("amdep.automata")
 
@@ -231,7 +232,7 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
     where = f"graph {graph_id}: " if graph_id else ""
     for ch in "(){}=,:# ":
         if any(ch in s for s in sources):
-            raise ValueError(f"source name containing {ch!r} unsupported")
+            raise UnsupportedName(f"source name containing {ch!r} unsupported")
     b = binarize(tree)
     rules_at: dict[str, list] = {}
     states_at: dict[str, list] = {}
@@ -242,7 +243,8 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
             continue
         ph = sorted(node.const.placeholders())
         if any(ch in node.tree_node for ch in "(){}=,:# "):
-            raise ValueError(f"node id {node.tree_node!r} unsupported in automaton files")
+            raise UnsupportedName(f"{where}node id {node.tree_node!r} unsupported "
+                                  "in automaton files")
         shape[node.address] = {"kind": "leaf", "node": node.tree_node,
                                "const": canonical_constant_form(node.const)}
         lst = []

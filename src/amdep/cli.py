@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -130,6 +129,12 @@ def _decompose_one(payload):
 
 
 def cmd_decompose(args):
+    return _decompose(args)[0]
+
+
+def _decompose(args):
+    """decompose; returns the exit code, the corpus, the (id, tree) list and
+    the skip list."""
     corpus = read_corpus(args.graphs)
     heuristics = _load_blobs(args.blobs)
     rules = ([(k, v) for k, v in heuristics.exact.items()]
@@ -139,6 +144,8 @@ def cmd_decompose(args):
                 for gid, g in corpus]
     t0 = time.time()
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_decompose_one, payloads))
     else:
@@ -162,9 +169,7 @@ def cmd_decompose(args):
                    [args.out, args.report],
                    {"graphs": len(corpus), "decomposed": len(corpus) - len(skipped),
                     "skipped": len(skipped), "trees": len(trees)})
-    if skipped:
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return (EXIT_PARTIAL if skipped else EXIT_OK), corpus, trees, skipped
 
 
 def _build_one(payload):
@@ -194,14 +199,19 @@ def cmd_build_automata(args):
     return _build_automata(args)[0]
 
 
-def _build_automata(args):
-    """build-automata; returns the exit code and the (id, automaton) list."""
-    trees = read_trees(args.trees)
+def _build_automata(args, trees=None):
+    """build-automata; returns the exit code and the (id, automaton) list.
+    trees: the (id, tree) list of args.trees when the caller already holds
+    it, as the pipeline does; read from there when None."""
+    if trees is None:
+        trees = read_trees(args.trees)
     sources = tuple(f"s{i + 1}" for i in range(args.sources))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     payloads = [(tid, t.to_json(), sources) for tid, t in trees]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_build_one, payloads))
     else:
@@ -283,8 +293,13 @@ def cmd_train_joint(args):
     return EXIT_OK
 
 
-def cmd_viterbi(args, automata=None):
-    """automata: as for cmd_train_em."""
+def cmd_viterbi(args):
+    return _viterbi(args)[0]
+
+
+def _viterbi(args, automata=None):
+    """viterbi; returns the exit code and the (id, tree) list. automata: as
+    for cmd_train_em."""
     if automata is None:
         automata = _read_automata_dir(args.automata)
     weights_obj = json.loads(Path(args.weights).read_text()) if args.weights else None
@@ -309,12 +324,15 @@ def cmd_viterbi(args, automata=None):
                    [str(Path(args.automata) / "index.json")]
                    + ([args.weights] if args.weights else []),
                    [args.out], {"trees": len(best), "skipped": skipped})
-    return EXIT_PARTIAL if skipped else EXIT_OK
+    return (EXIT_PARTIAL if skipped else EXIT_OK), best
 
 
-def cmd_verify(args):
-    corpus = dict(read_corpus(args.graphs))
-    trees = read_trees(args.trees)
+def cmd_verify(args, corpus=None, trees=None):
+    """corpus, trees: the (id, graph) and (id, tree) lists of args.graphs and
+    args.trees when the caller already holds them; read when None."""
+    corpus = dict(read_corpus(args.graphs) if corpus is None else corpus)
+    if trees is None:
+        trees = read_trees(args.trees)
     report = []
     failures = 0
     for tid, tree in trees:
@@ -370,10 +388,10 @@ def cmd_pipeline(args):
     ns.out = str(outdir / "trees.json")
     ns.report = str(outdir / "skipped.json")
     ns.manifest = str(outdir / "decompose.manifest.json")
-    code1 = cmd_decompose(ns)
+    code1, corpus, trees, skipped = _decompose(ns)
     ns2 = argparse.Namespace(trees=str(outdir / "trees.json"), sources=args.sources,
                              out=str(outdir / "automata"), jobs=args.jobs)
-    code2, automata = _build_automata(ns2)
+    code2, automata = _build_automata(ns2, trees)
     ns3 = argparse.Namespace(automata=str(outdir / "automata"), iters=args.iters,
                              seed=args.seed, smoothing=1e-6,
                              out=str(outdir / "theta.json"),
@@ -383,20 +401,16 @@ def cmd_pipeline(args):
                              weights=str(outdir / "theta.json"), sample_seed=None,
                              out=str(outdir / "best-trees.json"),
                              manifest=str(outdir / "viterbi.manifest.json"))
-    code4 = cmd_viterbi(ns4, automata)
+    code4, best = _viterbi(ns4, automata)
     ns5 = argparse.Namespace(graphs=args.graphs, trees=str(outdir / "best-trees.json"),
                              out=str(outdir / "verify.json"))
-    code5 = cmd_verify(ns5)
-    trees = [t for _tid, t in read_trees(outdir / "best-trees.json")]
-    entropy = constant_entropy(trees) if trees else None
-    skipped = json.loads((outdir / "skipped.json").read_text())
-    ngraphs = len(read_corpus(args.graphs))
+    code5 = cmd_verify(ns5, corpus, best)
     counts = {
-        "graphs": ngraphs,
-        "decomposed": ngraphs - len(skipped),
+        "graphs": len(corpus),
+        "decomposed": len(corpus) - len(skipped),
         "skipped_nondecomposable": len(skipped),
-        "best_trees": len(trees),
-        "constant_entropy": entropy,
+        "best_trees": len(best),
+        "constant_entropy": constant_entropy([t for _tid, t in best]) if best else None,
     }
     write_manifest(outdir / "manifest.json", "pipeline",
                    {"sources": args.sources, "iters": args.iters, "seed": args.seed,

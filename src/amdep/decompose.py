@@ -60,23 +60,6 @@ class UnrolledTree:
     refs: dict[str, str]  # ref leaf id -> referenced node id
     edges: list[UEdge]
 
-    def children(self, node):
-        return [e for e in self.edges if e.parent == node]
-
-    def as_semantic_graph(self) -> SemanticGraph:
-        nodes = dict(self.labels)
-        for rid, tgt in self.refs.items():
-            nodes[rid] = f"REF({tgt})"
-        edges = []
-        for e in self.edges:
-            ge = e.graph_edge
-            src = e.parent if not e.backward else e.child
-            tgt = e.child if not e.backward else e.parent
-            # keep the normalized orientation; endpoints may be ref ids
-            edges.append(Edge(src if src in nodes else ge.src,
-                              tgt if tgt in nodes else ge.tgt, ge.label))
-        return SemanticGraph(nodes, edges, self.root)
-
     def merged(self) -> SemanticGraph:
         """Merge every reference leaf into its target; reproduces the
         normalized graph when the unrolling is total."""
@@ -483,19 +466,23 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
     def current_tree():
         return AMDepTree(nodes, root, edges)
 
-    def path_nodes(y):
-        out = set()
+    # Neither the plan nor the set of reference leaves changes while
+    # resolving: a reference leaf is never a path's parent, so its constant
+    # keeps its empty type, and no other constant's type becomes empty.
+    path_nodes = {}
+    for y in plan.resolve_set:
+        out = {plan.targets[y]}
         for path in plan.paths[y]:
             for e in path:
                 out.add(e.parent)
                 out.add(e.child)
-        out.add(plan.targets[y])
-        return out
+        path_nodes[y] = out
+    ref_leaves = [n for n in tree.nodes if is_ref_node(tree, n)]
 
     pending = set(plan.resolve_set)
     while pending:
         eligible = [y for y in sorted(pending)
-                    if not any(y in path_nodes(x) for x in pending if x != y)]
+                    if not any(y in path_nodes[x] for x in pending if x != y)]
         if not eligible:
             raise ResolutionFailed(sorted(pending)[0],
                                    "circular resolution paths; no eligible node")
@@ -538,9 +525,8 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
             old = snapshot.parent_edge(y)
             edges = [e for e in edges if not (e.child == y and e.parent == old.parent)]
             edges.append(DepEdge(rt, y, "APP", placeholder(y)))
-        doomed = [n for n in nodes
-                  if n in snapshot.nodes and is_ref_node(snapshot, n)
-                  and ref_target(snapshot, n) == y]
+        doomed = [n for n in ref_leaves
+                  if n in nodes and ref_target(snapshot, n) == y]
         for n in doomed:
             del nodes[n]
             edges = [e for e in edges if e.child != n]

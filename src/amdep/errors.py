@@ -22,6 +22,15 @@ class MissingInput(AmdepError):
     """A required input file does not exist."""
 
 
+class TreesError(AmdepError):
+    """A trees file, or one of its items, is malformed."""
+
+
+class UnsupportedName(AmdepError, ValueError):
+    """A node id or source name uses a character that automaton files
+    reserve."""
+
+
 class TypeDepthExceeded(AmdepError):
     pass
 

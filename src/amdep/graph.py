@@ -8,6 +8,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 
 from .errors import CorpusError
 
@@ -21,6 +22,10 @@ class Edge:
     label: str
 
 
+# the field order of Edge's comparison, as a key compared in C
+_EDGE_KEY = attrgetter("src", "tgt", "label")
+
+
 class SemanticGraph:
     """Immutable rooted directed graph with labeled nodes and edges.
 
@@ -32,7 +37,8 @@ class SemanticGraph:
 
     def __init__(self, nodes, edges, root):
         self.nodes = dict(nodes)
-        self.edges = tuple(sorted(set(Edge(*e) if not isinstance(e, Edge) else e for e in edges)))
+        self.edges = tuple(sorted(set(Edge(*e) if not isinstance(e, Edge) else e for e in edges),
+                                  key=_EDGE_KEY))
         self.root = root
         out: dict[str, list[Edge]] = {n: [] for n in self.nodes}
         inc: dict[str, list[Edge]] = {n: [] for n in self.nodes}
@@ -269,9 +275,6 @@ class BlobPartition:
 
     owner: dict[Edge, str]
 
-    def blob(self, node):
-        return [e for e, n in self.owner.items() if n == node]
-
 
 def partition_blobs(g: SemanticGraph, heuristics: BlobHeuristics) -> BlobPartition:
     owner = {}
@@ -357,6 +360,15 @@ def _signature(nodes, pairs):
     return {n: (nodes[n], tuple(sorted(outs[n])), tuple(sorted(ins[n]))) for n in nodes}
 
 
+def _adjacency(nodes, pairs):
+    """Undirected neighbour sets; a self-loop makes a node its own neighbour."""
+    adj: dict[str, set[str]] = {n: set() for n in nodes}
+    for s, t in pairs:
+        adj[s].add(t)
+        adj[t].add(s)
+    return adj
+
+
 def _match(nodes1, root1, pairs1, nodes2, root2, pairs2):
     if len(nodes1) != len(nodes2):
         return False
@@ -369,10 +381,8 @@ def _match(nodes1, root1, pairs1, nodes2, root2, pairs2):
     if sig1[root1] != sig2[root2]:
         return False
 
-    adj1: dict[str, set[str]] = {n: set() for n in nodes1}
-    for s, t in pairs1:
-        adj1[s].add(t)
-        adj1[t].add(s)
+    adj1 = _adjacency(nodes1, pairs1)
+    adj2 = _adjacency(nodes2, pairs2)
 
     # order g1 nodes so each (after the root) touches an earlier one
     order = [root1]
@@ -394,16 +404,26 @@ def _match(nodes1, root1, pairs1, nodes2, root2, pairs2):
     candidates = {n: [m for m in nodes2 if sig2[m] == sig1[n]] for n in order}
     mapping: dict[str, str] = {}
     used: set[str] = set()
+    empty = Counter()
 
     def consistent(n, m):
-        for prev1, prev2 in mapping.items():
-            if pairs1.get((n, prev1), Counter()) != pairs2.get((m, prev2), Counter()):
+        # Only mapped neighbours can disagree (VF2-style): each must map to
+        # a neighbour of m with equal labels both ways, and m may have no
+        # other mapped neighbours. n and m are unmapped, so a self-loop is
+        # never counted and is compared on its own.
+        mapped = 0
+        for prev1 in adj1[n]:
+            prev2 = mapping.get(prev1)
+            if prev2 is None:
+                continue
+            mapped += 1
+            if pairs1.get((n, prev1), empty) != pairs2.get((m, prev2), empty):
                 return False
-            if pairs1.get((prev1, n), Counter()) != pairs2.get((prev2, m), Counter()):
+            if pairs1.get((prev1, n), empty) != pairs2.get((prev2, m), empty):
                 return False
-        if pairs1.get((n, n), Counter()) != pairs2.get((m, m), Counter()):
+        if mapped != sum(1 for prev2 in adj2[m] if prev2 in used):
             return False
-        return True
+        return pairs1.get((n, n), empty) == pairs2.get((m, m), empty)
 
     def extend(i):
         if i == len(order):

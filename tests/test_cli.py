@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -206,6 +208,15 @@ class TestVerify:
         assert run("verify", "--graphs", tmp_path / "g.json",
                    "--trees", tmp_path / "t.json") == 0
 
+    def test_item_without_tree_exits_1(self, tmp_path, capsys):
+        (tmp_path / "g.json").write_text("[]")
+        (tmp_path / "t.json").write_text(json.dumps([{"id": "lonely"}]))
+        assert run("verify", "--graphs", tmp_path / "g.json",
+                   "--trees", tmp_path / "t.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "'lonely'" in err[0] and "tree" in err[0]
+
 
 class TestStatsAndPipeline:
     def test_stats_output(self, workspace, capsys):
@@ -229,7 +240,42 @@ class TestStatsAndPipeline:
             assert (tmp_path / "again" / name).read_bytes() == \
                 (workspace / "run" / name).read_bytes(), name
 
+    def test_stages_match_standalone_commands(self, workspace, tmp_path):
+        """The pipeline hands trees from stage to stage in memory; each stage's
+        output equals what the standalone command makes from the files."""
+        rundir = workspace / "run"
+        assert run("build-automata", "--trees", rundir / "trees.json", "--sources", 3,
+                   "--out", tmp_path / "automata") == 0
+        assert (tmp_path / "automata/index.json").read_bytes() == \
+            (rundir / "automata/index.json").read_bytes()
+        assert run("verify", "--graphs", workspace / "graphs.json",
+                   "--trees", rundir / "best-trees.json",
+                   "--out", tmp_path / "verify.json") == 0
+        assert (tmp_path / "verify.json").read_bytes() == (rundir / "verify.json").read_bytes()
+
+    def test_reserved_character_in_node_id_exits_1(self, tmp_path, capsys):
+        graphs = tmp_path / "g.json"
+        graphs.write_text(json.dumps([{
+            "id": "colon", "root": "x:1",
+            "nodes": [{"id": "x:1", "label": "want"}, {"id": "b", "label": "boy"}],
+            "edges": [{"src": "x:1", "tgt": "b", "label": "ARG0"}]}]))
+        assert run("pipeline", "--graphs", graphs, "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "graph colon" in err[0] and "'x:1'" in err[0]
+
     def test_manifest_digests_cover_outputs(self, workspace):
         manifest = json.loads((workspace / "run/manifest.json").read_text())
         assert set(manifest["outputs"]) == {"trees.json", "theta.json", "best-trees.json"}
         assert manifest["command"] == "pipeline"
+
+
+def test_import_does_not_load_process_pool():
+    """Only --jobs > 1 needs worker processes; importing the CLI must not pay
+    for concurrent.futures.process and multiprocessing."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import amdep.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -1,7 +1,10 @@
 import json
 import random
+from collections import Counter
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amdep.errors import CorpusError
 from amdep.graph import (
@@ -11,6 +14,7 @@ from amdep.graph import (
     is_isomorphic,
     is_isomorphic_mod_of,
     normalize_edges,
+    of_normal_form,
     partition_blobs,
     read_corpus,
     write_corpus,
@@ -175,7 +179,86 @@ class TestNormalize:
             normalize_edges(tiny_fairy, p)
 
 
+NODE_LABELS = ("A", "B")
+EDGE_LABELS = ("e", "f", "e-of")
+
+
+@st.composite
+def small_graphs(draw):
+    """Rooted graphs of 1-6 nodes over few labels, so that symmetric shapes,
+    self-loops, parallel pairs, "-of" edges and disconnected parts all occur."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    nodes = {n: draw(st.sampled_from(NODE_LABELS)) for n in ids}
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    st.sampled_from(EDGE_LABELS)), max_size=9))
+    return SemanticGraph(nodes, edges, draw(st.sampled_from(ids)))
+
+
+def _triples(g):
+    return Counter((e.src, e.tgt, e.label) for e in g.edges)
+
+
+def _of_triples(g):
+    return of_normal_form(g)[2]
+
+
+def _brute_force_isomorphic(g1, g2, triples):
+    """Oracle: some node bijection keeps the root, the node labels and the
+    edge multiset given by triples."""
+    if len(g1.nodes) != len(g2.nodes):
+        return False
+    t1, t2 = triples(g1), triples(g2)
+    for image in permutations(g2.nodes):
+        m = dict(zip(g1.nodes, image))
+        if (m[g1.root] == g2.root
+                and all(g2.nodes[m[n]] == lbl for n, lbl in g1.nodes.items())
+                and Counter({(m[s], m[t], lbl): k for (s, t, lbl), k in t1.items()}) == t2):
+            return True
+    return False
+
+
 class TestIsomorphism:
+    @given(g=small_graphs(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force_oracle(self, g, data):
+        """A random renaming of g, then at most one near miss: an edge added
+        between existing nodes, one edge relabeled or re-targeted, the targets
+        of two edges swapped (which keeps every node's degrees), or the root
+        moved."""
+        names = data.draw(st.permutations([f"m{i}" for i in range(len(g.nodes))]))
+        renamed = g.renamed(dict(zip(g.nodes, names)))
+        ids = sorted(renamed.nodes)
+        edges = list(renamed.edges)
+        root = renamed.root
+        kind = data.draw(st.sampled_from(
+            ["rename", "add-edge", "relabel-edge", "retarget-edge", "swap-targets",
+             "move-root"]))
+        if kind == "add-edge":
+            edges.append(Edge(data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids)),
+                              data.draw(st.sampled_from(EDGE_LABELS))))
+        elif kind in ("relabel-edge", "retarget-edge") and edges:
+            i = data.draw(st.integers(0, len(edges) - 1))
+            e = edges[i]
+            if kind == "relabel-edge":
+                label = data.draw(st.sampled_from([lbl for lbl in EDGE_LABELS if lbl != e.label]))
+                edges[i] = Edge(e.src, e.tgt, label)
+            else:
+                edges[i] = Edge(e.src, data.draw(st.sampled_from(ids)), e.label)
+        elif kind == "swap-targets" and len(edges) > 1:
+            i, j = data.draw(st.lists(st.integers(0, len(edges) - 1), min_size=2, max_size=2,
+                                      unique=True))
+            a, b = edges[i], edges[j]
+            edges[i], edges[j] = Edge(a.src, b.tgt, a.label), Edge(b.src, a.tgt, b.label)
+        elif kind == "move-root":
+            root = data.draw(st.sampled_from(ids))
+        other = SemanticGraph(renamed.nodes, edges, root)
+        if kind == "rename":
+            assert is_isomorphic(g, other) and is_isomorphic_mod_of(g, other)
+        for check, triples in ((is_isomorphic, _triples), (is_isomorphic_mod_of, _of_triples)):
+            expected = _brute_force_isomorphic(g, other, triples)
+            assert check(g, other) == expected
+            assert check(other, g) == expected
+
     def test_renaming_invariance(self, sparkle_glow):
         renamed = sparkle_glow.renamed({"a": "x1", "s": "x2", "g": "x3", "f": "x4"})
         assert is_isomorphic(sparkle_glow, renamed)
