@@ -25,7 +25,6 @@ from .decompose import (
     default_plan,
     modify_swap,
     resolve,
-    resolve_extended,
     unroll,
 )
 from .graph import (

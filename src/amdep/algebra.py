@@ -491,8 +491,7 @@ def _fold_order(node, head_type, pending):
 
     pending: list of (DepEdge, child term type), pre-sorted by the
     deterministic tie-break (op kind APP < MOD, source, child id).
-    Yields (edge, child_type, head_type_after). Raises NotWellTyped when
-    stuck.
+    Yields (edge, head_type_after). Raises NotWellTyped when stuck.
     """
     remaining = list(pending)
     while remaining:
@@ -516,56 +515,68 @@ def _fold_order(node, head_type, pending):
                 head_type = type_unify(head_type.without(edge.source), ctype)
             except RequestClash as exc:
                 raise NotWellTyped(node, str(exc)) from exc
-        yield edge, ctype, head_type
+        yield edge, head_type
 
 
-def _sorted_children(tree, node):
-    return sorted(tree.children(node), key=lambda e: (e.op, e.source, e.child))
+def _given_order(head_type, sequence, types):
+    """An explicit child order, typed like _fold_order but unchecked."""
+    for edge in sequence:
+        if edge.op == "APP":
+            head_type = type_unify(head_type.without(edge.source), types[edge.child])
+        yield edge, head_type
+
+
+def fold(tree: AMDepTree, node=None, leaf=None, step=None, orders=None):
+    """The one bottom-up pass over the subtree at node (default: the root).
+
+    Each node consumes its children in the greedy admissible order of
+    _fold_order, or in orders[n] where given. leaf(n) is n's starting value
+    and step(n, value, edge, child_value) the value after consuming one
+    child; step runs as soon as the child is chosen, so an evaluation error
+    surfaces before the search looks at later children. Without leaf and
+    step only types are computed. Returns node's (term type, value).
+    """
+    node = tree.root if node is None else node
+    types: dict[str, AMType] = {}
+    values = {}
+    for n in tree.depth_order(node):
+        head = tree.constant(n).typ
+        value = leaf(n) if leaf else None
+        if orders is not None and n in orders:
+            sequence = _given_order(head, orders[n], types)
+        else:
+            sequence = _fold_order(n, head, [(e, types[e.child]) for e in tree.children(n)])
+        for edge, head in sequence:
+            if step:
+                value = step(n, value, edge, values[edge.child])
+        types[n] = head
+        values[n] = value
+    return types[node], values[node]
 
 
 def check_well_typed(tree: AMDepTree) -> AMType:
     """Type-level simulation of evaluation; returns the root term type."""
-    types: dict[str, AMType] = {}
-    for n in tree.depth_order():
-        head = tree.constant(n).typ
-        pending = [(e, types[e.child]) for e in _sorted_children(tree, n)]
-        for _edge, _ctype, head in _fold_order(n, head, pending):
-            pass
-        types[n] = head
-    return types[tree.root]
+    return fold(tree)[0]
 
 
 def term_type(tree: AMDepTree, node: str) -> AMType:
     """Type of the result of evaluating the subtree rooted at node."""
-    types: dict[str, AMType] = {}
-    for n in tree.depth_order(node):
-        head = tree.constant(n).typ
-        pending = [(e, types[e.child]) for e in _sorted_children(tree, n)]
-        for _edge, _ctype, head in _fold_order(n, head, pending):
-            pass
-        types[n] = head
-    return types[node]
+    return fold(tree, node)[0]
+
+
+def _evaluate_step(n, head: SGraph, edge: DepEdge, child: SGraph) -> SGraph:
+    try:
+        if edge.op == "APP":
+            return apply(head, child, edge.source)
+        return modify(head, child, edge.source)
+    except (MissingSource, RequestMismatch, NonEmptyModRequest,
+            ModAddsSources, RequestClash, LabelClash) as exc:
+        raise NotWellTyped(n, str(exc)) from exc
 
 
 def evaluate_sgraph(tree: AMDepTree, node=None) -> SGraph:
     """Evaluate (a subtree of) the tree bottom-up to an s-graph."""
-    node = tree.root if node is None else node
-    results: dict[str, SGraph] = {}
-    for n in tree.depth_order(node):
-        head = tree.constant(n)
-        pending = [(e, results[e.child].typ) for e in _sorted_children(tree, n)]
-        child_result = {e.child: results[e.child] for e in tree.children(n)}
-        for edge, _ctype, _t in _fold_order(n, head.typ, pending):
-            try:
-                if edge.op == "APP":
-                    head = apply(head, child_result[edge.child], edge.source)
-                else:
-                    head = modify(head, child_result[edge.child], edge.source)
-            except (MissingSource, RequestMismatch, NonEmptyModRequest,
-                    ModAddsSources, RequestClash, LabelClash) as exc:
-                raise NotWellTyped(n, str(exc)) from exc
-        results[n] = head
-    return results[node]
+    return fold(tree, node, tree.constant, _evaluate_step)[1]
 
 
 def evaluate(tree: AMDepTree) -> SemanticGraph:
@@ -583,7 +594,7 @@ def evaluate(tree: AMDepTree) -> SemanticGraph:
 def admissible_orders(tree: AMDepTree, node, types, max_children=8):
     """All admissible child consumption orders at one node (for testing the
     order-invariance property). types maps node -> term type."""
-    kids = _sorted_children(tree, node)
+    kids = tree.children(node)
     if len(kids) > max_children:
         raise ValueError("too many children to enumerate")
 
@@ -610,22 +621,7 @@ def admissible_orders(tree: AMDepTree, node, types, max_children=8):
 def evaluate_with_orders(tree: AMDepTree, orders: dict[str, list]) -> SGraph:
     """Evaluate with an explicit child order at selected nodes (each must be
     admissible); other nodes fold in the default greedy order."""
-    results: dict[str, SGraph] = {}
-    for n in tree.depth_order():
-        head = tree.constant(n)
-        child_result = {e.child: results[e.child] for e in tree.children(n)}
-        if n in orders:
-            sequence = orders[n]
-        else:
-            pending = [(e, child_result[e.child].typ) for e in _sorted_children(tree, n)]
-            sequence = [edge for edge, _c, _t in _fold_order(n, head.typ, pending)]
-        for edge in sequence:
-            if edge.op == "APP":
-                head = apply(head, child_result[edge.child], edge.source)
-            else:
-                head = modify(head, child_result[edge.child], edge.source)
-        results[n] = head
-    return results[tree.root]
+    return fold(tree, None, tree.constant, _evaluate_step, orders)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ from .algebra import (
     SGraph,
     canonical_constant_form,
     constant_from_canonical,
+    fold,
     placeholder,
     placeholder_target,
-    _fold_order,
-    _sorted_children,
 )
 from .errors import UnsupportedName
 
@@ -63,19 +62,12 @@ class BinNode:
 def binarize(tree: AMDepTree) -> BinNode:
     """Fold each node's constant with its children in the deterministic
     admissible order; the head side is always the left child."""
-    types = {}
-    built: dict[str, BinNode] = {}
-    for n in tree.depth_order():
-        head = tree.constant(n).typ
-        node = BinNode("", const=tree.constant(n), tree_node=n)
-        pending = [(e, types[e.child]) for e in _sorted_children(tree, n)]
-        for edge, _ctype, head in _fold_order(n, head, pending):
-            node = BinNode("", op=edge.op, source=edge.source,
-                           dep_parent=edge.parent, dep_child=edge.child,
-                           left=node, right=built[edge.child])
-        types[n] = head
-        built[n] = node
-    root = built[tree.root]
+    _typ, root = fold(
+        tree,
+        leaf=lambda n: BinNode("", const=tree.constant(n), tree_node=n),
+        step=lambda _n, left, edge, right: BinNode(
+            "", op=edge.op, source=edge.source, dep_parent=edge.parent,
+            dep_child=edge.child, left=left, right=right))
     _assign_addresses(root, "")
     return root
 

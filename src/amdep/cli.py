@@ -20,12 +20,10 @@ from pathlib import Path
 from . import __version__
 from .algebra import AMDepTree, check_well_typed, evaluate, read_trees, write_trees
 from .automata import build_automaton, count_trees, read_automaton, write_automaton
-from .decompose import Decomposition, decompose, enumerate_unrollings, canonical_tree, \
-    default_plan, check_resolvable, resolve
-from .errors import AmdepError, EmptyAutomaton, MissingInput, NotWellTyped
+from .decompose import Decomposition, decompose, enumerate_candidate_trees
+from .errors import AmdepError, EmptyAutomaton, MissingInput
 from .generate import GeneratorConfig, gen_corpus
-from .graph import BlobHeuristics, SemanticGraph, is_isomorphic_mod_of, read_corpus, \
-    write_corpus, partition_blobs, normalize_edges
+from .graph import BlobHeuristics, SemanticGraph, is_isomorphic_mod_of, read_corpus, write_corpus
 from .training import (JointConfig, constant_entropy, event_histogram, em_fit,
                        joint_fit, random_tree_baseline, reconstruct_best)
 
@@ -98,33 +96,10 @@ def _decompose_one(payload):
         if isinstance(d, Decomposition):
             return gid, [d.tree.to_json()], None
         return gid, [], d.to_json()
-    p = partition_blobs(g, heuristics)
-    n = normalize_edges(g, p)
-    trees = []
-    seen = set()
-    if n.graph.is_acyclic():
-        from amdep.graph import is_isomorphic
-
-        for u in enumerate_unrollings(n, tie_break):
-            c = canonical_tree(u, n)
-            plan = default_plan(c)
-            if not check_resolvable(c, plan, n).decomposable:
-                continue
-            try:
-                t = resolve(c, plan)
-                if not check_well_typed(t).is_empty:
-                    continue
-                if not is_isomorphic(evaluate(t), n.graph):
-                    continue
-            except AmdepError:
-                continue
-            obj = t.to_json()
-            key = json.dumps(obj, sort_keys=True)
-            if key not in seen:
-                seen.add(key)
-                trees.append(obj)
+    trees = enumerate_candidate_trees(g, heuristics, tie_break, with_swaps=False,
+                                      include_invalid_entries=False)
     if trees:
-        return gid, trees, None
+        return gid, [t.to_json() for t in trees], None
     return gid, [], {"reason": "no resolvable unrolling", "report": None}
 
 
@@ -137,10 +112,7 @@ def _decompose(args):
     the skip list."""
     corpus = read_corpus(args.graphs)
     heuristics = _load_blobs(args.blobs)
-    rules = ([(k, v) for k, v in heuristics.exact.items()]
-             + [(p + "*", s) for p, s in heuristics.prefixes]
-             + [("*", heuristics.default)])
-    payloads = [(gid, g.to_json(), rules, args.tie_break, args.enumerate_unrollings)
+    payloads = [(gid, g.to_json(), heuristics.rules, args.tie_break, args.enumerate_unrollings)
                 for gid, g in corpus]
     t0 = time.time()
     if args.jobs > 1:
@@ -354,7 +326,7 @@ def cmd_verify(args, corpus=None, trees=None):
                     else:
                         entry["error"] = "evaluation not isomorphic to graph"
                         failures += 1
-            except (NotWellTyped, AmdepError) as exc:
+            except AmdepError as exc:
                 entry["error"] = str(exc)
                 failures += 1
         report.append(entry)

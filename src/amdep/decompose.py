@@ -14,6 +14,7 @@ from .algebra import (
     DepEdge,
     EMPTY_TYPE,
     SGraph,
+    canonical_constant_form,
     check_well_typed,
     constant,
     evaluate,
@@ -23,7 +24,7 @@ from .algebra import (
     term_type,
     type_unify,
 )
-from .errors import InvalidSwapPair, NotWellTyped, RequestClash, ResolutionFailed
+from .errors import AmdepError, InvalidSwapPair, NotWellTyped, RequestClash, ResolutionFailed
 from .graph import (
     BlobHeuristics,
     Edge,
@@ -375,29 +376,31 @@ def _path_down(tree: AMDepTree, top, bottom):
     return edges
 
 
+def _ref_positions(tree: AMDepTree) -> dict[str, list[str]]:
+    """Each referenced node -> its reference leaves."""
+    out: dict[str, list[str]] = {}
+    for node in tree.nodes:
+        if is_ref_node(tree, node):
+            out.setdefault(ref_target(tree, node), []).append(node)
+    return out
+
+
+def _lca_targets(tree: AMDepTree) -> dict[str, str]:
+    """Each referenced node -> the lowest common ancestor of the node and
+    all its reference leaves."""
+    return {y: _lca(tree, [y] + refs) for y, refs in _ref_positions(tree).items()}
+
+
 def default_plan(tree: AMDepTree) -> ResolutionPlan:
     """Resolve exactly the referenced nodes, each at the lowest common
     ancestor of the node and all its reference leaves."""
-    ref_positions: dict[str, list[str]] = {}
-    for node in tree.nodes:
-        if is_ref_node(tree, node):
-            ref_positions.setdefault(ref_target(tree, node), []).append(node)
-    plan = ResolutionPlan(set(), {}, {})
-    for y, positions in sorted(ref_positions.items()):
-        rt = _lca(tree, [y] + positions)
-        plan.resolve_set.add(y)
-        plan.targets[y] = rt
-        plan.paths[y] = [_path_down(tree, rt, p) for p in sorted([y] + positions)]
-    return plan
+    return build_plan(tree, _lca_targets(tree))
 
 
 def build_plan(tree: AMDepTree, targets: dict[str, str]) -> ResolutionPlan:
     """Plan with explicit resolution targets (each at least as high as the
     default lowest common ancestor); may include nodes without references."""
-    ref_positions: dict[str, list[str]] = {}
-    for node in tree.nodes:
-        if is_ref_node(tree, node):
-            ref_positions.setdefault(ref_target(tree, node), []).append(node)
+    ref_positions = _ref_positions(tree)
     for y in ref_positions:
         if y not in targets:
             raise ValueError(f"plan must cover referenced node {y!r}")
@@ -539,12 +542,6 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
     return current_tree()
 
 
-def resolve_extended(tree: AMDepTree, plan: ResolutionPlan) -> AMDepTree:
-    """Resolution with generalized targets (above the common ancestor) and
-    optional resolution of unreferenced nodes."""
-    return resolve(tree, plan)
-
-
 # ---------------------------------------------------------------------------
 # modify-edge swapping
 
@@ -616,6 +613,52 @@ class Decomposition:
     unrolled: UnrolledTree
 
 
+def _normalize(g: SemanticGraph, heuristics: BlobHeuristics | None) -> NormalizedGraph:
+    heuristics = heuristics or BlobHeuristics.default_table()
+    return normalize_edges(g, partition_blobs(g, heuristics))
+
+
+def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=False):
+    """The one candidate-verify loop: for each unrolling, its canonical tree
+    (plus, with_swaps, each single modify-edge swap of it) under every plan
+    of _plan_space is checked for resolvability, resolved, typed and
+    evaluated against the normalized graph. Yields (unrolling, tree, None)
+    for a candidate that verifies and (unrolling, None, NonDecomposable)
+    with the first check it failed otherwise."""
+    for u in unrollings:
+        try:
+            base = canonical_tree(u, n)
+        except ValueError as exc:
+            yield u, None, NonDecomposable(f"no canonical tree: {exc}")
+            continue
+        variants = [base]
+        if with_swaps:
+            for pair in consecutive_mod_pairs(base):
+                try:
+                    variants.append(modify_swap(base, [pair]))
+                except InvalidSwapPair:
+                    pass
+        for cand in variants:
+            for targets in _plan_space(cand, with_lifts):
+                plan = build_plan(cand, targets)
+                report = check_resolvable(cand, plan, n)
+                if not report.decomposable:
+                    yield u, None, NonDecomposable("resolution conditions violated", report)
+                    continue
+                try:
+                    t = resolve(cand, plan)
+                    final_type = check_well_typed(t)
+                    if not final_type.is_empty:
+                        why = f"resolved tree has open sources {final_type}"
+                    elif not is_isomorphic(evaluate(t), n.graph):
+                        why = "resolved tree does not evaluate to the input graph"
+                    else:
+                        why = None
+                except AmdepError as exc:
+                    why = f"resolution failed: {exc}"
+                yield (u, t, None) if why is None else (u, None, NonDecomposable(why, report))
+
+
 def decompose(g: SemanticGraph, heuristics: BlobHeuristics | None = None,
               tie_break="sorted", max_unrollings=64):
     """Full pipeline: blob partition, edge normalization, unrolling,
@@ -625,40 +668,17 @@ def decompose(g: SemanticGraph, heuristics: BlobHeuristics | None = None,
     Backward entry points into not-yet-traversed components interact
     non-locally with resolvability, so unrollings are tried lazily in
     tie-break order until one verifies; the first candidate almost always
-    succeeds and the result is deterministic for a fixed tie_break.
+    succeeds and the result is deterministic for a fixed tie_break. When none
+    verifies, the report is the first candidate's failure.
     """
-    heuristics = heuristics or BlobHeuristics.default_table()
-    p = partition_blobs(g, heuristics)
-    n = normalize_edges(g, p)
+    n = _normalize(g, heuristics)
     if not n.graph.is_acyclic():
         return NonDecomposable("normalized graph has a directed cycle")
     first_failure = None
-    for u in iter_unrollings(n, tie_break, limit=max_unrollings):
-        c = canonical_tree(u, n)
-        plan = default_plan(c)
-        report = check_resolvable(c, plan, n)
-        if not report.decomposable:
-            if first_failure is None:
-                first_failure = NonDecomposable("resolution conditions violated", report)
-            continue
-        try:
-            t = resolve(c, plan)
-            final_type = check_well_typed(t)
-        except (ResolutionFailed, NotWellTyped) as exc:
-            if first_failure is None:
-                first_failure = NonDecomposable(f"resolution failed: {exc}", report)
-            continue
-        if not final_type.is_empty:
-            if first_failure is None:
-                first_failure = NonDecomposable(
-                    f"resolved tree has open sources {final_type}", report)
-            continue
-        if not is_isomorphic(evaluate(t), n.graph):
-            if first_failure is None:
-                first_failure = NonDecomposable(
-                    "resolved tree does not evaluate to the input graph", report)
-            continue
-        return Decomposition(t, n, u)
+    for u, t, failure in _candidates(n, iter_unrollings(n, tie_break, limit=max_unrollings)):
+        if t is not None:
+            return Decomposition(t, n, u)
+        first_failure = first_failure or failure
     return first_failure or NonDecomposable("no unrolling found")
 
 
@@ -666,73 +686,32 @@ def enumerate_candidate_trees(g: SemanticGraph, heuristics=None, tie_break="sort
                               max_unrollings=64, with_swaps=True, with_lifts=False,
                               include_invalid_entries=True):
     """Bounded exploration of the decomposition space: every unrolling entry
-    choice, optionally every non-overlapping set of modify-edge swaps and
-    every lifted resolution target. Yields only trees that verify (well-typed
-    and evaluating to the normalized input). Intended for tiny graphs."""
-    heuristics = heuristics or BlobHeuristics.default_table()
-    p = partition_blobs(g, heuristics)
-    n = normalize_edges(g, p)
+    choice, optionally every single modify-edge swap and every lifted
+    resolution target. Returns the distinct trees that verify (well-typed
+    and evaluating to the normalized input), in the order first found."""
+    n = _normalize(g, heuristics)
     if not n.graph.is_acyclic():
         return []
-    found = []
-    seen = set()
-    for u in enumerate_unrollings(n, tie_break, limit=max_unrollings,
-                                  include_invalid=include_invalid_entries):
-        base = canonical_tree(u, n)
-        variants = [base]
-        if with_swaps:
-            pairs = consecutive_mod_pairs(base)
-            for i in range(len(pairs)):
-                try:
-                    variants.append(modify_swap(base, [pairs[i]]))
-                except InvalidSwapPair:
-                    pass
-        for cand in variants:
-            for targets in _plan_space(cand, with_lifts):
-                try:
-                    plan = build_plan(cand, targets)
-                except ValueError:
-                    continue
-                report = check_resolvable(cand, plan, n)
-                if not report.decomposable:
-                    continue
-                try:
-                    t = resolve(cand, plan)
-                    if not check_well_typed(t).is_empty:
-                        continue
-                    if not is_isomorphic(evaluate(t), n.graph):
-                        continue
-                except (ResolutionFailed, NotWellTyped):
-                    continue
-                key = _tree_key(t)
-                if key not in seen:
-                    seen.add(key)
-                    found.append(t)
-    return found
+    unrollings = iter_unrollings(n, tie_break, limit=max_unrollings,
+                                 include_invalid=include_invalid_entries)
+    found = {}
+    for _u, t, _failure in _candidates(n, unrollings, with_swaps, with_lifts):
+        if t is not None:
+            found.setdefault(_tree_key(t), t)
+    return list(found.values())
 
 
 def _plan_space(tree: AMDepTree, with_lifts):
-    refd = sorted({ref_target(tree, n) for n in tree.nodes if is_ref_node(tree, n)})
-    default = {}
-    for y in refd:
-        positions = [y] + [n for n in tree.nodes
-                           if is_ref_node(tree, n) and ref_target(tree, n) == y]
-        default[y] = _lca(tree, positions)
+    default = _lca_targets(tree)
     if not with_lifts:
         return [default]
-    options = []
-    for y in refd:
-        chain = _ancestors(tree, default[y])
-        options.append([(y, a) for a in chain])
     plans = [{}]
-    for opts in options:
-        plans = [dict(pl, **{y: a}) for pl in plans for y, a in opts]
-    return plans or [default]
+    for y in sorted(default):
+        plans = [dict(pl, **{y: a}) for pl in plans for a in _ancestors(tree, default[y])]
+    return plans
 
 
 def _tree_key(t: AMDepTree):
-    from .algebra import canonical_constant_form
-
     return (
         tuple(sorted((e.parent, e.child, e.op, e.source) for e in t.edges)),
         tuple(sorted((nid, canonical_constant_form(c)) for nid, c in t.nodes.items())),

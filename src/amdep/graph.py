@@ -180,7 +180,9 @@ class SemanticGraph:
 
 
 def read_corpus(path):
-    """Read a JSON corpus file into a list of (id, SemanticGraph) pairs."""
+    """Read a JSON corpus file into a list of (id, SemanticGraph) pairs.
+    Ids must be present, distinct and free of '#', which tree ids use to
+    number the trees of one graph."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -189,10 +191,16 @@ def read_corpus(path):
     if not isinstance(data, list):
         raise CorpusError(f"{path}: corpus must be a top-level array")
     out = []
+    seen = set()
     for i, obj in enumerate(data):
         gid = obj.get("id", f"#{i}") if isinstance(obj, dict) else f"#{i}"
         g = SemanticGraph.from_json(obj, graph_id=gid)
         g.validate(graph_id=gid)
+        if not isinstance(gid, str) or "#" in gid:
+            raise CorpusError("id is missing, not a string or contains '#'", gid)
+        if gid in seen:
+            raise CorpusError("id repeats an earlier graph's id", gid)
+        seen.add(gid)
         for e in g.edges:
             if e.label.endswith("-of"):
                 log.debug("graph %s: edge label %r already ends in -of; if reversed, "
@@ -223,10 +231,11 @@ class BlobHeuristics:
     """
 
     def __init__(self, rules):
+        self.rules = list(rules)
         self.exact = {}
         self.prefixes = []
         self.default = None
-        for pattern, side in rules:
+        for pattern, side in self.rules:
             if side not in ("src", "tgt"):
                 raise ValueError(f"bad blob rule side {side!r}")
             if pattern == "*":

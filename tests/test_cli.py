@@ -5,9 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from amdep.algebra import write_trees
 from amdep.cli import main
+from amdep.decompose import decompose
+from amdep.graph import SemanticGraph
 
 GOLDENS = Path(__file__).parent / "goldens"
+ONE_EDGE = {"root": "a", "nodes": [{"id": "a", "label": "see"}, {"id": "b", "label": "boy"}],
+            "edges": [{"src": "a", "tgt": "b", "label": "ARG0"}]}
 
 
 def run(*argv):
@@ -66,6 +71,23 @@ class TestDecompose:
         assert code == 2
         skipped = json.loads((tmp_path / "skip.json").read_text())
         assert [s["id"] for s in skipped] == ["bad-cycle"]
+
+    @pytest.mark.parametrize("enumerate_all", [False, True])
+    def test_parallel_edges_skipped(self, tmp_path, enumerate_all):
+        # two edges a -> b become two APP children of a on one placeholder
+        # source, so no canonical tree exists
+        graphs = tmp_path / "g.json"
+        graphs.write_text(json.dumps([{
+            "id": "twice", "root": "a",
+            "nodes": [{"id": "a", "label": "see"}, {"id": "b", "label": "boy"}],
+            "edges": [{"src": "a", "tgt": "b", "label": "ARG0"},
+                      {"src": "a", "tgt": "b", "label": "ARG1"}]}]))
+        flags = ["--enumerate-unrollings"] if enumerate_all else []
+        assert run("decompose", "--graphs", graphs, *flags, "--out", tmp_path / "t.json",
+                   "--report", tmp_path / "s.json") == 2
+        [skip] = json.loads((tmp_path / "s.json").read_text())
+        assert skip["id"] == "twice" and skip["reason"]
+        assert json.loads((tmp_path / "t.json").read_text()) == []
 
     def test_enumerate_unrollings_variants(self, tmp_path):
         assert run("decompose", "--graphs", GOLDENS / "figures-graphs.json",
@@ -216,6 +238,33 @@ class TestVerify:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "'lonely'" in err[0] and "tree" in err[0]
+
+
+    @staticmethod
+    def _one_tree(tmp_path, graph_objs, tree_id):
+        """Write graph_objs as the corpus and the decomposition of the last
+        one as a trees file holding one tree named tree_id."""
+        (tmp_path / "g.json").write_text(json.dumps(graph_objs))
+        g = SemanticGraph.from_json(graph_objs[-1])
+        write_trees([(tree_id, decompose(g).tree)], tmp_path / "t.json")
+
+    def test_hash_in_graph_id_exits_1(self, tmp_path, capsys):
+        # 'g#1' would be read back as variant 1 of graph 'g'
+        self._one_tree(tmp_path, [{**ONE_EDGE, "id": "g#1"}], "g#1")
+        assert run("verify", "--graphs", tmp_path / "g.json",
+                   "--trees", tmp_path / "t.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "'g#1'" in err[0] and "'#'" in err[0]
+
+    def test_repeated_graph_id_exits_1(self, tmp_path, capsys):
+        other = {**ONE_EDGE, "nodes": [{"id": "a", "label": "see"}, {"id": "b", "label": "girl"}]}
+        self._one_tree(tmp_path, [{**ONE_EDGE, "id": "g"}, {**other, "id": "g"}], "g")
+        assert run("verify", "--graphs", tmp_path / "g.json",
+                   "--trees", tmp_path / "t.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "'g'" in err[0] and "repeats" in err[0]
 
 
 class TestStatsAndPipeline:

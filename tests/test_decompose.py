@@ -24,7 +24,6 @@ from amdep.decompose import (
     is_ref_node,
     modify_swap,
     resolve,
-    resolve_extended,
     unroll,
 )
 from amdep.errors import InvalidSwapPair
@@ -246,7 +245,7 @@ class TestResolveExtended:
         n = normalized(sparkle_glow, heuristics)
         c = canonical_tree(unroll(n), n)
         plan = default_plan(c)
-        assert resolve_extended(c, plan) == resolve(c, default_plan(c))
+        assert resolve(c, plan) == resolve(c, default_plan(c))
 
     def test_lift_one_level_above_lca(self, heuristics):
         # pure chain a -> b -> c; lift c to attach at a instead of b
@@ -257,7 +256,7 @@ class TestResolveExtended:
         plan = build_plan(c_tree, {"c": "a"})
         report = check_resolvable(c_tree, plan, n)
         assert report.decomposable
-        lifted = resolve_extended(c_tree, plan)
+        lifted = resolve(c_tree, plan)
         assert lifted.parent_edge("c").parent == "a"
         assert lifted.constant("a").typ == AMType(
             {"ps(b)": AMType({"ps(c)": EMPTY_TYPE})})
