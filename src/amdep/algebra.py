@@ -574,17 +574,16 @@ def _evaluate_step(n, head: SGraph, edge: DepEdge, child: SGraph) -> SGraph:
         raise NotWellTyped(n, str(exc)) from exc
 
 
-def evaluate_sgraph(tree: AMDepTree, node=None) -> SGraph:
-    """Evaluate (a subtree of) the tree bottom-up to an s-graph."""
-    return fold(tree, node, tree.constant, _evaluate_step)[1]
-
-
 def evaluate(tree: AMDepTree) -> SemanticGraph:
-    """Evaluate a well-typed tree to a plain graph; the final type must be
-    empty and every node must end up labeled."""
-    result = evaluate_sgraph(tree)
-    if not result.typ.is_empty:
-        raise NonEmptyRootType(result.typ)
+    """Type the tree, then evaluate it to a plain graph. The errors, in the
+    order they are looked for: the first typing error, an open root type
+    (NonEmptyRootType), the first apply/modify error, a node left
+    unlabeled. Evaluation replays the child orders typing chose."""
+    orders = {n: [] for n in tree.nodes}
+    typ = fold(tree, step=lambda n, _value, edge, _child: orders[n].append(edge))[0]
+    if not typ.is_empty:
+        raise NonEmptyRootType(typ)
+    result = fold(tree, None, tree.constant, _evaluate_step, orders)[1]
     for n, lbl in result.graph.nodes.items():
         if lbl is None:
             raise NotWellTyped(None, f"evaluation leaves node {n!r} unlabeled")

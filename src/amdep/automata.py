@@ -491,8 +491,3 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
         r.align = aligns[r.parent.address]
     a = TreeAutomaton(graph_id, sources, rules, finals, shape, empty=not finals)
     return a, (weights if saw_weight else None)
-
-
-def build_corpus_automata(trees, sources):
-    """Automata for a decomposed corpus: list of (id, automaton)."""
-    return [(tid, build_automaton(tree, sources, graph_id=tid)) for tid, tree in trees]

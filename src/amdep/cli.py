@@ -18,14 +18,16 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .algebra import AMDepTree, check_well_typed, evaluate, read_trees, write_trees
-from .automata import build_automaton, count_trees, read_automaton, write_automaton
+from .algebra import AMDepTree, evaluate, read_trees, write_trees
+from .automata import (build_automaton, count_trees, read_automaton, reconstruct_tree,
+                       write_automaton)
 from .decompose import Decomposition, decompose, enumerate_candidate_trees
-from .errors import AmdepError, EmptyAutomaton, MissingInput
+from .errors import AmdepError, EmptyAutomaton, MissingInput, NonEmptyRootType, first_ids
 from .generate import GeneratorConfig, gen_corpus
 from .graph import BlobHeuristics, SemanticGraph, is_isomorphic_mod_of, read_corpus, write_corpus
-from .training import (JointConfig, constant_entropy, event_histogram, em_fit,
-                       joint_fit, random_tree_baseline, reconstruct_best)
+from .training import (SMOOTHING, JointConfig, constant_entropy, event_histogram, em_fit,
+                       joint_fit, random_tree_baseline, random_weights_baseline,
+                       reconstruct_best)
 
 log = logging.getLogger("amdep.cli")
 
@@ -65,6 +67,17 @@ def write_manifest(path, command, config, inputs, outputs, counts):
 
 def _load_blobs(path):
     return BlobHeuristics.from_tsv(path) if path else BlobHeuristics.default_table()
+
+
+def _map(fn, payloads, jobs):
+    """[fn(p) for p in payloads], in a pool of jobs worker processes when
+    jobs > 1; the pool is imported only then, so the CLI starts without it."""
+    if jobs <= 1:
+        return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, payloads))
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +128,7 @@ def _decompose(args):
     payloads = [(gid, g.to_json(), heuristics.rules, args.tie_break, args.enumerate_unrollings)
                 for gid, g in corpus]
     t0 = time.time()
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_decompose_one, payloads))
-    else:
-        results = [_decompose_one(p) for p in payloads]
+    results = _map(_decompose_one, payloads, args.jobs)
     trees = []
     skipped = []
     for gid, tree_objs, failure in results:
@@ -180,14 +187,7 @@ def _build_automata(args, trees=None):
     sources = tuple(f"s{i + 1}" for i in range(args.sources))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    payloads = [(tid, t.to_json(), sources) for tid, t in trees]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_build_one, payloads))
-    else:
-        results = [_build_one(p) for p in payloads]
+    results = _map(_build_one, [(tid, t.to_json(), sources) for tid, t in trees], args.jobs)
     index = []
     outputs = []
     empty = 0
@@ -235,7 +235,6 @@ def cmd_train_em(args, automata=None):
     if automata is None:
         automata = _read_automata_dir(args.automata)
     if args.iters == 0:
-        from .training import random_weights_baseline
         table = random_weights_baseline(automata, seed=args.seed)
     else:
         table = em_fit(automata, iterations=args.iters, seed=args.seed,
@@ -279,16 +278,15 @@ def _viterbi(args, automata=None):
     skipped = 0
     for tid, a in automata:
         try:
-            if args.sample_seed is not None:
-                run = random_tree_baseline(a, seed=f"{args.sample_seed}:{tid}")
+            if args.sample_seed is None:
+                tree = reconstruct_best(a, weights_obj)
             else:
-                run = reconstruct_best(a, weights_obj)
-                best.append((tid, run))
-                continue
-            from .automata import reconstruct_tree
-            best.append((tid, reconstruct_tree(a, run)))
+                run = random_tree_baseline(a, seed=f"{args.sample_seed}:{tid}")
+                tree = reconstruct_tree(a, run)
         except EmptyAutomaton:
             skipped += 1
+            continue
+        best.append((tid, tree))
     write_trees(best, args.out)
     write_manifest(args.manifest or args.out + ".manifest.json", "viterbi",
                    {"weights": Path(args.weights).name if args.weights else None,
@@ -306,32 +304,25 @@ def cmd_verify(args, corpus=None, trees=None):
     if trees is None:
         trees = read_trees(args.trees)
     report = []
-    failures = 0
     for tid, tree in trees:
         gid = tid.split("#")[0]
         entry = {"id": tid}
         if gid not in corpus:
             entry["error"] = "no matching graph"
-            failures += 1
         else:
             try:
-                typ = check_well_typed(tree)
-                if not typ.is_empty:
-                    entry["error"] = f"open sources {typ}"
-                    failures += 1
+                if is_isomorphic_mod_of(evaluate(tree), corpus[gid]):
+                    entry["ok"] = True
                 else:
-                    result = evaluate(tree)
-                    if is_isomorphic_mod_of(result, corpus[gid]):
-                        entry["ok"] = True
-                    else:
-                        entry["error"] = "evaluation not isomorphic to graph"
-                        failures += 1
+                    entry["error"] = "evaluation not isomorphic to graph"
+            except NonEmptyRootType as exc:
+                entry["error"] = f"open sources {exc.typ}"
             except AmdepError as exc:
                 entry["error"] = str(exc)
-                failures += 1
         report.append(entry)
     if args.out:
         _write_json(report, args.out)
+    failures = sum("error" in entry for entry in report)
     print(f"verified {len(trees) - failures}/{len(trees)} trees")
     return EXIT_FAIL if failures else EXIT_OK
 
@@ -361,11 +352,14 @@ def cmd_pipeline(args):
     ns.report = str(outdir / "skipped.json")
     ns.manifest = str(outdir / "decompose.manifest.json")
     code1, corpus, trees, skipped = _decompose(ns)
+    if not trees:
+        skipped_ids = first_ids(s["id"] for s in skipped) or "none"
+        raise AmdepError(f"no graph decomposed (skipped: {skipped_ids}; reasons in {ns.report})")
     ns2 = argparse.Namespace(trees=str(outdir / "trees.json"), sources=args.sources,
                              out=str(outdir / "automata"), jobs=args.jobs)
     code2, automata = _build_automata(ns2, trees)
     ns3 = argparse.Namespace(automata=str(outdir / "automata"), iters=args.iters,
-                             seed=args.seed, smoothing=1e-6,
+                             seed=args.seed, smoothing=SMOOTHING,
                              out=str(outdir / "theta.json"),
                              manifest=str(outdir / "theta.manifest.json"))
     cmd_train_em(ns3, automata)
@@ -446,7 +440,7 @@ def build_parser():
     e.add_argument("--automata", required=True)
     e.add_argument("--iters", type=int, default=25)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--smoothing", type=float, default=1e-6)
+    e.add_argument("--smoothing", type=float, default=SMOOTHING)
     e.add_argument("--out", required=True)
     e.add_argument("--manifest")
     e.set_defaults(func=cmd_train_em)

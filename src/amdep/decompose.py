@@ -24,7 +24,8 @@ from .algebra import (
     term_type,
     type_unify,
 )
-from .errors import AmdepError, InvalidSwapPair, NotWellTyped, RequestClash, ResolutionFailed
+from .errors import (AmdepError, InvalidSwapPair, NonEmptyRootType, NotWellTyped, RequestClash,
+                     ResolutionFailed)
 from .graph import (
     BlobHeuristics,
     Edge,
@@ -647,13 +648,10 @@ def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=Fal
                     continue
                 try:
                     t = resolve(cand, plan)
-                    final_type = check_well_typed(t)
-                    if not final_type.is_empty:
-                        why = f"resolved tree has open sources {final_type}"
-                    elif not is_isomorphic(evaluate(t), n.graph):
-                        why = "resolved tree does not evaluate to the input graph"
-                    else:
-                        why = None
+                    why = (None if is_isomorphic(evaluate(t), n.graph)
+                           else "resolved tree does not evaluate to the input graph")
+                except NonEmptyRootType as exc:
+                    why = f"resolved tree has open sources {exc.typ}"
                 except AmdepError as exc:
                     why = f"resolution failed: {exc}"
                 yield (u, t, None) if why is None else (u, None, NonDecomposable(why, report))

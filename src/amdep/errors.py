@@ -7,6 +7,13 @@ class AmdepError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def first_ids(ids, limit=5):
+    """The first few ids, for a message that names what it is about."""
+    ids = list(ids)
+    shown = ", ".join(ids[:limit])
+    return shown if len(ids) <= limit else f"{shown} and {len(ids) - limit} more"
+
+
 class CorpusError(AmdepError):
     """A graph in a corpus file failed validation.
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import AMDepTree, AMType, DepEdge, EMPTY_TYPE, SGraph, check_well_typed, constant, evaluate
+from .algebra import AMDepTree, AMType, DepEdge, EMPTY_TYPE, SGraph, constant, evaluate
 from .errors import GenerationExhausted, NotWellTyped
 
 _VOCAB = (
@@ -92,7 +92,6 @@ class _Builder:
             self.edges.append(DepEdge(nid, child, "APP", name))
 
         while self.remaining() > 0 and rng.random() < cfg.mod_prob:
-            used = {name for name, _ in fresh_entries} | set(open_names)
             alpha_pool = [s for s in cfg.sources if s not in open_names] or list(cfg.sources)
             alpha = rng.choice(sorted(set(alpha_pool)))
             mod_req: dict[str, AMType] = {alpha: EMPTY_TYPE}
@@ -102,28 +101,29 @@ class _Builder:
                     mod_req[shared] = target.request(shared)
             child = self.build(AMType(mod_req))
             self.edges.append(DepEdge(nid, child, "MOD", alpha))
-            del used
         return nid
 
 
 def gen_random_tree(cfg: GeneratorConfig, seed: int) -> AMDepTree:
     """Deterministic per seed; the result is well-typed with an empty root
     type and evaluates successfully (asserted, with bounded retries)."""
+    return _tree_and_graph(cfg, seed)[0]
+
+
+def _tree_and_graph(cfg: GeneratorConfig, seed: int):
+    """gen_random_tree's tree together with the connected graph it
+    evaluates to."""
     for attempt in range(32):
         rng = random.Random(f"{seed}:{attempt}")
         b = _Builder(cfg, rng)
         root = b.build(EMPTY_TYPE)
         tree = AMDepTree(b.nodes, root, b.edges)
         try:
-            if not check_well_typed(tree).is_empty:
-                continue
             g = evaluate(tree)
         except NotWellTyped:
             continue
-        triples = [(e.src, e.tgt, e.label) for e in g.edges]
-        if len(triples) != len(set(triples)) or not g.is_connected():
-            continue
-        return tree
+        if g.is_connected():
+            return tree, g
     raise GenerationExhausted(f"no valid tree after 32 attempts (seed={seed})")
 
 
@@ -132,6 +132,6 @@ def gen_corpus(n: int, seed: int, cfg: GeneratorConfig | None = None):
     cfg = cfg or GeneratorConfig()
     out = []
     for i in range(n):
-        tree = gen_random_tree(cfg, seed=(seed * 1_000_003 + i))
-        out.append((f"g{i:04d}", evaluate(tree), tree))
+        tree, g = _tree_and_graph(cfg, seed=(seed * 1_000_003 + i))
+        out.append((f"g{i:04d}", g, tree))
     return out

@@ -120,9 +120,6 @@ class SemanticGraph:
                     raise CorpusError(f"node {n!r} has no label", graph_id)
         if not self.is_connected():
             raise CorpusError("graph is not connected", graph_id)
-        triples = [(e.src, e.tgt, e.label) for e in self.edges]
-        if len(triples) != len(set(triples)):
-            raise CorpusError("duplicate (src, tgt, label) edge", graph_id)
         return self
 
     def renamed(self, mapping):

@@ -12,12 +12,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import canonical_constant_form, constant_from_canonical, skeleton_form
-from .automata import CompiledAutomaton, Run, TreeAutomaton, bottom_up, subtree_counts
-from .errors import EmptyAutomaton, NonFiniteGradient
+from .automata import (CompiledAutomaton, Run, TreeAutomaton, bottom_up, reconstruct_tree,
+                       subtree_counts)
+from .errors import EmptyAutomaton, NonFiniteGradient, first_ids
 
 log = logging.getLogger("amdep.training")
 
 NEG_INF = float("-inf")
+SMOOTHING = 1e-6  # EM's default additive smoothing of expected event counts
 
 
 def logsumexp(values):
@@ -268,7 +270,12 @@ def _normalize_groups(theta, members, smoothing=0.0):
                 theta[e] = (theta[e] + smoothing) / total
 
 
-def em_fit(automata, iterations=25, seed=0, smoothing=1e-6) -> EventTable:
+def _no_usable_automata(empty_ids):
+    msg = "no usable automata in corpus"
+    return EmptyAutomaton(f"{msg}; empty: {first_ids(empty_ids)}" if empty_ids else msg)
+
+
+def em_fit(automata, iterations=25, seed=0, smoothing=SMOOTHING) -> EventTable:
     """Inside-outside EM over globally tied event weights.
 
     automata: list of (id, TreeAutomaton); empty ones are skipped with a
@@ -281,7 +288,7 @@ def em_fit(automata, iterations=25, seed=0, smoothing=1e-6) -> EventTable:
     if skipped:
         log.warning("EM skipping %d empty automata: %s", len(skipped), skipped[:5])
     if not usable:
-        raise EmptyAutomaton("no usable automata in corpus")
+        raise _no_usable_automata(skipped)
     groups = discover_events(usable)
     keys = [k for ks in groups.values() for k in ks]
     index = {k: e for e, k in enumerate(keys)}
@@ -334,8 +341,6 @@ def random_tree_baseline(a: TreeAutomaton, seed=0) -> Run:
 def reconstruct_best(a: TreeAutomaton, weights_obj=None):
     """Viterbi tree under a parsed weights file (an event table when it has
     a "theta" key, a scorer when it has "params", unit weights when None)."""
-    from .automata import reconstruct_tree
-
     if weights_obj is None:
         w = None
     elif "theta" in weights_obj:
@@ -412,7 +417,7 @@ def joint_fit(automata, cfg: JointConfig) -> Scorer:
     seeded generator and gradients accumulated in corpus order."""
     usable = [(tid, a) for tid, a in automata if not a.empty and a.finals]
     if not usable:
-        raise EmptyAutomaton("no usable automata in corpus")
+        raise _no_usable_automata([tid for tid, _a in automata])
     scorer = Scorer(meta={"epochs": cfg.epochs, "lr": cfg.lr, "batch": cfg.batch,
                           "seed": cfg.seed, "l2": cfg.l2})
     rng = random.Random(cfg.seed)

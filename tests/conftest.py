@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from amdep.algebra import AMDepTree, AMType, SGraph, constant
 from amdep.graph import BlobHeuristics, SemanticGraph
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -52,3 +53,19 @@ def tree_shape(tree_json):
                   sorted((nd["id"], nd.get("label")) for nd in c["nodes"]))
               for n, c in tree_json["nodes"].items()}
     return edges, types, consts
+
+
+def two_error_tree(open_root=False):
+    """A head see whose x slot node is labelled dog, with cat at x: the
+    merge clashes. Its y child is typed [z] against an empty request at y,
+    a typing error found after x is consumed; open_root instead leaves y
+    unfilled, so the root type stays [y]."""
+    g = SemanticGraph({"h": "see", "h@x": "dog", "h@y": None},
+                      [("h", "h@x", "ARG0"), ("h", "h@y", "ARG1")], "h")
+    head = SGraph(g, "h", {"x": "h@x", "y": "h@y"}, AMType({"x": {}, "y": {}}))
+    nodes = {"h": head, "c": constant("cat", "c")}
+    edges = [("h", "c", "APP", "x")]
+    if not open_root:
+        nodes["o"] = constant("open", "o", [("ARG0", "z")])
+        edges.append(("h", "o", "APP", "y"))
+    return AMDepTree(nodes, "h", edges)

@@ -1,11 +1,12 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from amdep.algebra import (
     AMDepTree,
     AMType,
+    DepEdge,
     EMPTY_TYPE,
     SGraph,
     admissible_orders,
@@ -22,6 +23,7 @@ from amdep.algebra import (
     type_unify,
 )
 from amdep.errors import (
+    AmdepError,
     MissingSource,
     ModAddsSources,
     NonEmptyModRequest,
@@ -31,7 +33,10 @@ from amdep.errors import (
     RequestMismatch,
     TypeDepthExceeded,
 )
-from amdep.graph import is_isomorphic
+from amdep.generate import GeneratorConfig, gen_random_tree
+from amdep.graph import SemanticGraph, is_isomorphic
+
+from conftest import two_error_tree
 
 T = AMType
 
@@ -250,6 +255,14 @@ class TestEvaluate:
             evaluate(tree)
         assert exc.value.node == "w"
 
+    def test_typing_error_before_evaluation_error(self):
+        # evaluating without typing first would stop at the cat/dog clash at x
+        with pytest.raises(NotWellTyped, match="no admissible child") as exc:
+            evaluate(two_error_tree())
+        assert exc.value.node == "h"
+        with pytest.raises(NonEmptyRootType, match=r"\[y\]"):
+            evaluate(two_error_tree(open_root=True))
+
 
 class TestTermType:
     def test_leaf(self):
@@ -367,3 +380,77 @@ def test_label_merge_rules():
     same = SGraph(g, "w", {"x": "slot"}, typ({"x": {}}))
     dog = constant("dog", "d")
     assert "dog" in apply(same, dog, "x").graph.nodes.values()
+
+
+def _relabeled(c: SGraph, node, label):
+    nodes = dict(c.graph.nodes)
+    nodes[node] = label
+    return SGraph(SemanticGraph(nodes, c.graph.edges, c.root), c.root, dict(c.sources), c.typ)
+
+
+@st.composite
+def mutated_trees(draw):
+    """A generated tree with a few op flips, source swaps, dropped leaves,
+    relabelled roots or slots and changed requests; mostly ill-typed, open
+    or clashing."""
+    cfg = GeneratorConfig(max_nodes=6, reentrancy_prob=0.6, mod_prob=0.5)
+    tree = gen_random_tree(cfg, draw(st.integers(0, 100_000)))
+    nodes, edges = dict(tree.nodes), list(tree.edges)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["op", "source", "drop", "label", "slot", "request"]))
+        if kind == "drop":
+            leaves = [e for e in edges if all(f.parent != e.child for f in edges)]
+            if leaves:
+                e = draw(st.sampled_from(leaves))
+                edges.remove(e)
+                del nodes[e.child]
+            continue
+        if kind in ("op", "source") and edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            e = edges[i]
+            if kind == "op":
+                edges[i] = DepEdge(e.parent, e.child, "MOD" if e.op == "APP" else "APP", e.source)
+            else:
+                edges[i] = DepEdge(e.parent, e.child, e.op, draw(st.sampled_from(cfg.sources)))
+            continue
+        n = draw(st.sampled_from(sorted(nodes)))
+        c = nodes[n]
+        if kind == "label":
+            nodes[n] = _relabeled(c, c.root, draw(st.sampled_from(["cat", "dog", "want"])))
+        elif kind == "slot" and c.sources:
+            slot = draw(st.sampled_from(sorted(c.sources.values())))
+            nodes[n] = _relabeled(c, slot, draw(st.sampled_from(["cat", "dog"])))
+        elif kind == "request" and c.sources:
+            name = draw(st.sampled_from(sorted(c.sources)))
+            req = draw(st.sampled_from([EMPTY_TYPE, typ({"s1": {}}), typ({"s2": {"s3": {}}})]))
+            nodes[n] = c.with_type(c.typ.updated(name, req))
+    try:
+        return AMDepTree(nodes, tree.root, edges)
+    except ValueError:
+        assume(False)
+
+
+def _typed_then_evaluated(tree):
+    """The round trip composed by hand: type, check the root, evaluate in
+    the greedy order, check labels."""
+    root_type = check_well_typed(tree)
+    if not root_type.is_empty:
+        raise NonEmptyRootType(root_type)
+    result = evaluate_with_orders(tree, {})
+    for n, lbl in result.graph.nodes.items():
+        if lbl is None:
+            raise NotWellTyped(None, f"evaluation leaves node {n!r} unlabeled")
+    return result.graph
+
+
+def _outcome(f, tree):
+    try:
+        return f(tree)
+    except AmdepError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_trees())
+def test_evaluate_matches_typed_then_evaluated(tree):
+    assert _outcome(evaluate, tree) == _outcome(_typed_then_evaluated, tree)

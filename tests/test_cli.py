@@ -10,9 +10,33 @@ from amdep.cli import main
 from amdep.decompose import decompose
 from amdep.graph import SemanticGraph
 
+from conftest import two_error_tree
+
 GOLDENS = Path(__file__).parent / "goldens"
 ONE_EDGE = {"root": "a", "nodes": [{"id": "a", "label": "see"}, {"id": "b", "label": "boy"}],
             "edges": [{"src": "a", "tgt": "b", "label": "ARG0"}]}
+PARALLEL_EDGES = {"id": "twice", "root": "a",
+                  "nodes": [{"id": "a", "label": "see"}, {"id": "b", "label": "boy"}],
+                  "edges": [{"src": "a", "tgt": "b", "label": "ARG0"},
+                            {"src": "a", "tgt": "b", "label": "ARG1"}]}
+WIDE = {"id": "wide", "root": "a",
+        "nodes": [{"id": "a", "label": "give"}, {"id": "b", "label": "cat"},
+                  {"id": "c", "label": "dog"}, {"id": "d", "label": "bone"}],
+        "edges": [{"src": "a", "tgt": "b", "label": "ARG0"},
+                  {"src": "a", "tgt": "c", "label": "ARG1"},
+                  {"src": "a", "tgt": "d", "label": "ARG2"}]}
+
+
+def same_outputs(dir1, dir2):
+    """Every output file of two run directories has the same bytes; the
+    manifests agree on everything but their config."""
+    files = sorted(p.relative_to(dir1) for p in Path(dir1).rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(dir2) for p in Path(dir2).rglob("*") if p.is_file())
+    for f in files:
+        a, b = (Path(dir1) / f).read_bytes(), (Path(dir2) / f).read_bytes()
+        if f.name.endswith("manifest.json"):
+            a, b = ({k: v for k, v in json.loads(m).items() if k != "config"} for m in (a, b))
+        assert a == b, f
 
 
 def run(*argv):
@@ -103,6 +127,11 @@ class TestDecompose:
                    "--jobs", 2) == 0
         assert (tmp_path / "t2.json").read_bytes() == \
             (workspace / "run/trees.json").read_bytes()
+
+    def test_build_automata_jobs_identical(self, workspace, tmp_path):
+        assert run("build-automata", "--trees", workspace / "run/trees.json",
+                   "--out", tmp_path / "auto", "--jobs", 2) == 0
+        same_outputs(tmp_path / "auto", workspace / "run/automata")
 
     def test_custom_blob_table(self, tmp_path):
         blobs = tmp_path / "blobs.tsv"
@@ -239,6 +268,18 @@ class TestVerify:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "'lonely'" in err[0] and "tree" in err[0]
 
+    @pytest.mark.parametrize("open_root, error", [
+        (False, "at node 'h': no admissible child; APP_y->o: request at 'y' is [], "
+                "child has type [z]"),
+        (True, "open sources [y]")])
+    def test_typing_reported_before_evaluation(self, tmp_path, open_root, error):
+        # the tree's evaluation also fails, on the cat/dog label clash at x
+        (tmp_path / "g.json").write_text(json.dumps([{**ONE_EDGE, "id": "two"}]))
+        write_trees([("two", two_error_tree(open_root))], tmp_path / "t.json")
+        assert run("verify", "--graphs", tmp_path / "g.json", "--trees", tmp_path / "t.json",
+                   "--out", tmp_path / "r.json") == 1
+        assert json.loads((tmp_path / "r.json").read_text()) == [{"id": "two", "error": error}]
+
 
     @staticmethod
     def _one_tree(tmp_path, graph_objs, tree_id):
@@ -312,6 +353,24 @@ class TestStatsAndPipeline:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "graph colon" in err[0] and "'x:1'" in err[0]
+
+    def test_pipeline_jobs_identical(self, workspace, tmp_path):
+        assert run("pipeline", "--graphs", workspace / "graphs.json", "--sources", 3,
+                   "--iters", 5, "--seed", 1, "--jobs", 2, "--out", tmp_path / "run") == 0
+        same_outputs(tmp_path / "run", workspace / "run")
+
+    @pytest.mark.parametrize("graph, sources, error", [
+        (PARALLEL_EDGES, 3, "no graph decomposed (skipped: twice; reasons in "),
+        (WIDE, 2, "no usable automata in corpus; empty: wide")])
+    def test_pipeline_with_nothing_usable_names_graph(self, tmp_path, capsys, graph, sources,
+                                                     error):
+        (tmp_path / "g.json").write_text(json.dumps([graph]))
+        assert run("pipeline", "--graphs", tmp_path / "g.json", "--sources", sources,
+                   "--out", tmp_path / "run") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + error)
+        assert (tmp_path / "run/trees.json").is_file()
+        assert (tmp_path / "run/skipped.json").is_file()
 
     def test_manifest_digests_cover_outputs(self, workspace):
         manifest = json.loads((workspace / "run/manifest.json").read_text())

@@ -301,6 +301,15 @@ class TestEM:
         table = em_fit([("e", empty), ("f", full)], iterations=2, seed=0)
         assert table.meta["skipped"] == ["e"]
 
+    def test_all_empty_names_them(self, sparkle_glow, heuristics):
+        d = decompose(sparkle_glow, heuristics)
+        empty = [(f"e{i}", build_automaton(d.tree, ("s1", "s2"))) for i in range(7)]
+        msg = "no usable automata in corpus; empty: e0, e1, e2, e3, e4 and 2 more"
+        with pytest.raises(EmptyAutomaton, match=msg):
+            em_fit(empty, iterations=1)
+        with pytest.raises(EmptyAutomaton, match=msg):
+            joint_fit(empty, JointConfig(epochs=1))
+
 
 class TestBaselines:
     def test_random_weights_deterministic(self, heuristics):
