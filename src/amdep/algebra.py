@@ -23,6 +23,7 @@ from .errors import (
     RequestMismatch,
     TreesError,
     TypeDepthExceeded,
+    open_input,
 )
 from .graph import Edge, SemanticGraph
 
@@ -425,10 +426,10 @@ class AMDepTree:
 def read_trees(path):
     """Read a trees file into (id, AMDepTree) pairs; a malformed file or item
     raises TreesError naming the path and the item's id (or #index)."""
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise TreesError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise TreesError(f"{path}: trees file must be a top-level array")
@@ -455,9 +456,16 @@ def write_trees(trees, path):
 # evaluation
 
 # A child filling source α by APP must wait while α is still an open source
-# of some sibling's term type: applying it earlier would consume the slot
-# before the sibling's delayed copy can merge with it, silently changing the
-# result. With this blocking rule all admissible orders are confluent.
+# of a sibling whose α slot merges with the head's α slot by name: applying
+# it earlier would consume the slot before the sibling's delayed copy can
+# merge with it, silently changing the result. An APP sibling merges every
+# source of its type that way (type_unify). A MOD sibling merges only its
+# leftover sources, those other than the slot it attaches by: that slot
+# merges with the head's root (see modify), whatever the head's α slot holds
+# at the time. So a modifier attached by α does not block APP at α. Filling
+# α first changes none of the modifier's merges, and _mod_admissible still
+# checks the leftover against the head type when the modifier is consumed.
+# With this blocking rule all admissible orders are confluent.
 
 
 def _app_admissible(head_type, edge, child_type, others):
@@ -467,6 +475,8 @@ def _app_admissible(head_type, edge, child_type, others):
         return (f"request at {edge.source!r} is {head_type.request(edge.source)}, "
                 f"child has type {child_type}")
     for other_edge, other_type in others:
+        if other_edge.op == "MOD" and other_edge.source == edge.source:
+            continue
         if edge.source in other_type.names():
             return f"source {edge.source!r} still open in sibling {other_edge.child!r}"
     return None

@@ -25,7 +25,7 @@ from .algebra import (
     placeholder,
     placeholder_target,
 )
-from .errors import UnsupportedName
+from .errors import MalformedInput, UnsupportedName, open_input
 
 log = logging.getLogger("amdep.automata")
 
@@ -444,50 +444,57 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
             s = parsed[text] = _parse_state(text)
         return s
 
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#!"):
-                _, key, rest = line.split(" ", 2)
-                if key == "graph":
-                    graph_id = rest
-                elif key == "sources":
-                    sources = tuple(rest.split())
-                elif key == "shape":
-                    shape = json.loads(rest)
-                continue
-            if line.startswith("#"):
-                continue
-            if line.startswith("final:"):
-                finals.append(state(line[len("final:"):]))
-                continue
-            body = line
-            if " # " in line:
-                cut = line.rfind(" # ")
-                wtext = line[cut + 3:]
-                try:
-                    weight = float(wtext)
-                except ValueError:
-                    weight = None  # a label containing " # ", not a weight
-                if weight is not None:
-                    body = line[:cut]
-                    weights[len(rules)] = weight
-                    saw_weight = True
-            head, rest = body.split(" <- ", 1)
-            parent = state(head)
-            if rest.endswith("()"):
-                label, children = rest[:-2], ()
-            else:
-                open_idx = rest.index("(")
-                label = rest[:open_idx]
-                inner = rest[open_idx + 1:-1]
-                children = tuple(state(p) for p in inner.split(", "))
-            rules.append(Rule(len(rules), parent, label, children, _event(label, children),
-                              ("",)))
-    aligns = _alignments(shape)
-    for r in rules:
-        r.align = aligns[r.parent.address]
+    ln = 0
+    try:
+        with open_input(path) as fh:
+            for ln, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                if line.startswith("#!"):
+                    _, key, rest = line.split(" ", 2)
+                    if key == "graph":
+                        graph_id = rest
+                    elif key == "sources":
+                        sources = tuple(rest.split())
+                    elif key == "shape":
+                        shape = json.loads(rest)
+                    continue
+                if line.startswith("#"):
+                    continue
+                if line.startswith("final:"):
+                    finals.append(state(line[len("final:"):]))
+                    continue
+                body = line
+                if " # " in line:
+                    cut = line.rfind(" # ")
+                    wtext = line[cut + 3:]
+                    try:
+                        weight = float(wtext)
+                    except ValueError:
+                        weight = None  # a label containing " # ", not a weight
+                    if weight is not None:
+                        body = line[:cut]
+                        weights[len(rules)] = weight
+                        saw_weight = True
+                head, rest = body.split(" <- ", 1)
+                parent = state(head)
+                if rest.endswith("()"):
+                    label, children = rest[:-2], ()
+                else:
+                    open_idx = rest.index("(")
+                    label = rest[:open_idx]
+                    inner = rest[open_idx + 1:-1]
+                    children = tuple(state(p) for p in inner.split(", "))
+                rules.append(Rule(len(rules), parent, label, children, _event(label, children),
+                                  ("",)))
+    except ValueError as exc:
+        raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
+    try:
+        aligns = _alignments(shape)
+        for r in rules:
+            r.align = aligns[r.parent.address]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput(f"{path}: shape does not fit the rules: {exc!r}") from exc
     a = TreeAutomaton(graph_id, sources, rules, finals, shape, empty=not finals)
     return a, (weights if saw_weight else None)

@@ -4,12 +4,14 @@ train-joint, viterbi, verify, stats, pipeline.
 Every command with outputs writes a manifest (config snapshot, seeds, and
 input/output digests) so runs are reproducible; identical seeds and inputs
 give bit-identical outputs. Set AMD_LOG=DEBUG|INFO|WARNING for verbosity.
+
+Each command imports the modules it runs when it runs, so a short command
+such as verify does not pay for loading the training code.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -18,16 +20,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .algebra import AMDepTree, evaluate, read_trees, write_trees
-from .automata import (build_automaton, count_trees, read_automaton, reconstruct_tree,
-                       write_automaton)
-from .decompose import Decomposition, decompose, enumerate_candidate_trees
-from .errors import AmdepError, EmptyAutomaton, MissingInput, NonEmptyRootType, first_ids
-from .generate import GeneratorConfig, gen_corpus
-from .graph import BlobHeuristics, SemanticGraph, is_isomorphic_mod_of, read_corpus, write_corpus
-from .training import (SMOOTHING, JointConfig, constant_entropy, event_histogram, em_fit,
-                       joint_fit, random_tree_baseline, random_weights_baseline,
-                       reconstruct_best)
+from .errors import (AmdepError, EmptyAutomaton, MalformedInput, MissingInput, NonEmptyRootType,
+                     first_ids, open_input)
 
 log = logging.getLogger("amdep.cli")
 
@@ -37,6 +31,8 @@ EXIT_PARTIAL = 2
 
 
 def _sha256(path):
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -48,6 +44,14 @@ def _write_json(obj, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, ensure_ascii=False, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _read_json(path):
+    with open_input(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
 
 
 def write_manifest(path, command, config, inputs, outputs, counts):
@@ -66,18 +70,52 @@ def write_manifest(path, command, config, inputs, outputs, counts):
 
 
 def _load_blobs(path):
+    from .graph import BlobHeuristics
+
     return BlobHeuristics.from_tsv(path) if path else BlobHeuristics.default_table()
+
+
+class _Records(logging.Handler):
+    """Keeps what a worker logs, each message formatted so that it pickles."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _call_logged(fn, payload):
+    """fn(payload) and the log records it emitted, which are kept instead of
+    written."""
+    root = logging.getLogger()
+    handler = _Records()
+    saved, root.handlers = root.handlers, [handler]
+    try:
+        return fn(payload), handler.records
+    finally:
+        root.handlers = saved
 
 
 def _map(fn, payloads, jobs):
     """[fn(p) for p in payloads], in a pool of jobs worker processes when
-    jobs > 1; the pool is imported only then, so the CLI starts without it."""
+    jobs > 1; the pool is imported only then, so the CLI starts without it.
+    Workers send their log records back with their results, and they are
+    written in input order, so stderr does not depend on jobs."""
     if jobs <= 1:
         return [fn(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor
+    from functools import partial
 
+    results = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
+        for result, records in pool.map(partial(_call_logged, fn), payloads):
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            results.append(result)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +123,10 @@ def _map(fn, payloads, jobs):
 
 
 def cmd_gen(args):
+    from .algebra import write_trees
+    from .generate import GeneratorConfig, gen_corpus
+    from .graph import write_corpus
+
     cfg = GeneratorConfig(max_nodes=args.max_nodes,
                           sources=tuple(f"s{i + 1}" for i in range(args.sources)),
                           max_sources_per_constant=min(3, args.sources))
@@ -101,6 +143,9 @@ def cmd_gen(args):
 
 
 def _decompose_one(payload):
+    from .decompose import Decomposition, decompose, enumerate_candidate_trees
+    from .graph import BlobHeuristics, SemanticGraph
+
     gid, gobj, blobs_rules, tie_break, enumerate_all = payload
     g = SemanticGraph.from_json(gobj, graph_id=gid)
     heuristics = BlobHeuristics(blobs_rules)
@@ -123,6 +168,9 @@ def cmd_decompose(args):
 def _decompose(args):
     """decompose; returns the exit code, the corpus, the (id, tree) list and
     the skip list."""
+    from .algebra import AMDepTree, write_trees
+    from .graph import read_corpus
+
     corpus = read_corpus(args.graphs)
     heuristics = _load_blobs(args.blobs)
     payloads = [(gid, g.to_json(), heuristics.rules, args.tie_break, args.enumerate_unrollings)
@@ -152,6 +200,9 @@ def _decompose(args):
 
 
 def _build_one(payload):
+    from .algebra import AMDepTree
+    from .automata import build_automaton
+
     tid, tobj, sources = payload
     return tid, build_automaton(AMDepTree.from_json(tobj), sources, graph_id=tid)
 
@@ -182,6 +233,9 @@ def _build_automata(args, trees=None):
     """build-automata; returns the exit code and the (id, automaton) list.
     trees: the (id, tree) list of args.trees when the caller already holds
     it, as the pipeline does; read from there when None."""
+    from .algebra import read_trees
+    from .automata import count_trees, write_automaton
+
     if trees is None:
         trees = read_trees(args.trees)
     sources = tuple(f"s{i + 1}" for i in range(args.sources))
@@ -207,18 +261,21 @@ def _build_automata(args, trees=None):
 
 
 def _read_automata_dir(path):
+    from .automata import read_automaton
+
     index = Path(path) / "index.json"
     if not index.is_file():
         raise MissingInput(f"{index}: no such file (build-automata writes it)")
-    idx = json.loads(index.read_text())
-    out = []
-    for item in idx["automata"]:
-        a, _weights = read_automaton(Path(path) / item["file"])
-        out.append((item["id"], a))
-    return out
+    try:
+        items = [(item["id"], Path(path) / item["file"]) for item in _read_json(index)["automata"]]
+    except (KeyError, TypeError) as exc:
+        raise MalformedInput(f"{index}: not an automata index: {exc!r}") from exc
+    return [(tid, read_automaton(file)[0]) for tid, file in items]
 
 
 def cmd_count(args):
+    from .automata import count_trees
+
     automata = _read_automata_dir(args.automata)
     total = 0
     for tid, a in automata:
@@ -232,22 +289,28 @@ def cmd_count(args):
 def cmd_train_em(args, automata=None):
     """automata: the (id, automaton) list of args.automata when the caller
     already holds it, as the pipeline does; read from there when None."""
+    from .training import SMOOTHING, em_fit, random_weights_baseline
+
     if automata is None:
         automata = _read_automata_dir(args.automata)
+    smoothing = SMOOTHING if args.smoothing is None else args.smoothing
     if args.iters == 0:
         table = random_weights_baseline(automata, seed=args.seed)
     else:
         table = em_fit(automata, iterations=args.iters, seed=args.seed,
-                       smoothing=args.smoothing)
+                       smoothing=smoothing)
     _write_json(table.to_json(), args.out)
     write_manifest(args.manifest or args.out + ".manifest.json", "train-em",
-                   {"iters": args.iters, "seed": args.seed, "smoothing": args.smoothing},
+                   {"iters": args.iters, "seed": args.seed, "smoothing": smoothing},
                    [str(Path(args.automata) / "index.json")], [args.out],
                    {"events": len(table.theta), "instances": len(automata)})
     return EXIT_OK
 
 
 def cmd_train_joint(args):
+    from .graph import read_corpus
+    from .training import JointConfig, joint_fit
+
     automata = _read_automata_dir(args.automata)
     if args.corpus:
         wanted = {gid for gid, _ in read_corpus(args.corpus)}
@@ -271,9 +334,17 @@ def cmd_viterbi(args):
 def _viterbi(args, automata=None):
     """viterbi; returns the exit code and the (id, tree) list. automata: as
     for cmd_train_em."""
+    from .algebra import write_trees
+    from .automata import reconstruct_tree
+    from .training import random_tree_baseline, reconstruct_best
+
     if automata is None:
         automata = _read_automata_dir(args.automata)
-    weights_obj = json.loads(Path(args.weights).read_text()) if args.weights else None
+    weights_obj = None
+    if args.weights:
+        weights_obj = _read_json(args.weights)
+        if not isinstance(weights_obj, dict) or not weights_obj.keys() & {"theta", "params"}:
+            raise MalformedInput(f"{args.weights}: weights file must contain 'theta' or 'params'")
     best = []
     skipped = 0
     for tid, a in automata:
@@ -300,6 +371,9 @@ def _viterbi(args, automata=None):
 def cmd_verify(args, corpus=None, trees=None):
     """corpus, trees: the (id, graph) and (id, tree) lists of args.graphs and
     args.trees when the caller already holds them; read when None."""
+    from .algebra import evaluate, read_trees
+    from .graph import is_isomorphic_mod_of, read_corpus
+
     corpus = dict(read_corpus(args.graphs) if corpus is None else corpus)
     if trees is None:
         trees = read_trees(args.trees)
@@ -328,6 +402,9 @@ def cmd_verify(args, corpus=None, trees=None):
 
 
 def cmd_stats(args):
+    from .algebra import read_trees
+    from .training import constant_entropy, event_histogram
+
     trees = [t for _tid, t in read_trees(args.trees)]
     if not trees:
         print("constant entropy: n/a (no trees)")
@@ -345,6 +422,8 @@ def cmd_stats(args):
 
 
 def cmd_pipeline(args):
+    from .training import constant_entropy
+
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ns = argparse.Namespace(**vars(args))
@@ -359,7 +438,7 @@ def cmd_pipeline(args):
                              out=str(outdir / "automata"), jobs=args.jobs)
     code2, automata = _build_automata(ns2, trees)
     ns3 = argparse.Namespace(automata=str(outdir / "automata"), iters=args.iters,
-                             seed=args.seed, smoothing=SMOOTHING,
+                             seed=args.seed, smoothing=None,
                              out=str(outdir / "theta.json"),
                              manifest=str(outdir / "theta.manifest.json"))
     cmd_train_em(ns3, automata)
@@ -440,7 +519,9 @@ def build_parser():
     e.add_argument("--automata", required=True)
     e.add_argument("--iters", type=int, default=25)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--smoothing", type=float, default=SMOOTHING)
+    e.add_argument("--smoothing", type=float,
+                   help="additive smoothing of expected event counts "
+                        "(default: amdep.training.SMOOTHING)")
     e.add_argument("--out", required=True)
     e.add_argument("--manifest")
     e.set_defaults(func=cmd_train_em)
@@ -492,8 +573,12 @@ def build_parser():
 
 
 def main(argv=None):
-    logging.basicConfig(level=os.environ.get("AMD_LOG", "WARNING"),
-                        format="%(levelname)s %(name)s: %(message)s")
+    try:
+        logging.getLogger().setLevel(os.environ.get("AMD_LOG", "WARNING"))
+    except ValueError as exc:
+        print(f"error: AMD_LOG: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -29,6 +29,20 @@ class MissingInput(AmdepError):
     """A required input file does not exist."""
 
 
+class MalformedInput(AmdepError):
+    """An automata index, automaton file or weights file is not in its
+    format."""
+
+
+def open_input(path):
+    """open(path) for reading text; a file that cannot be opened raises
+    MissingInput naming the path."""
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise MissingInput(f"{path}: {exc.strerror}") from exc
+
+
 class TreesError(AmdepError):
     """A trees file, or one of its items, is malformed."""
 

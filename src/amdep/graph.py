@@ -7,10 +7,9 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 from operator import attrgetter
 
-from .errors import CorpusError
+from .errors import CorpusError, open_input
 
 log = logging.getLogger("amdep.graph")
 
@@ -180,10 +179,10 @@ def read_corpus(path):
     """Read a JSON corpus file into a list of (id, SemanticGraph) pairs.
     Ids must be present, distinct and free of '#', which tree ids use to
     number the trees of one graph."""
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise CorpusError(f"{path}: corpus must be a top-level array")
@@ -269,6 +268,8 @@ class BlobHeuristics:
 
     @classmethod
     def default_table(cls):
+        from importlib import resources
+
         with resources.files("amdep.data").joinpath("blobs.tsv").open("r") as fh:
             rules = [tuple(line.split("\t")) for line in fh.read().splitlines()
                      if line.strip() and not line.startswith("#")]

@@ -8,6 +8,21 @@ from amdep.graph import BlobHeuristics, SemanticGraph
 
 GOLDENS = Path(__file__).parent / "goldens"
 
+# A graph whose best tree renames a modifier's attach slot and the head's APP
+# source to one name; APP there must not wait for that modifier
+MOD_ATTACH_GRAPH = {
+    "id": "mod-attach", "root": "v0",
+    "nodes": [{"id": "v0", "label": "want"}, {"id": "v1", "label": "tiny"},
+              {"id": "v2", "label": "go"}, {"id": "v3", "label": "boy"},
+              {"id": "v4", "label": "want"}, {"id": "v5", "label": "tiny"}],
+    "edges": [{"src": "v0", "tgt": "v1", "label": "mod"},
+              {"src": "v0", "tgt": "v2", "label": "op1"},
+              {"src": "v1", "tgt": "v5", "label": "op1"},
+              {"src": "v3", "tgt": "v0", "label": "mod"},
+              {"src": "v3", "tgt": "v2", "label": "ARG0"},
+              {"src": "v3", "tgt": "v4", "label": "ARG2"},
+              {"src": "v4", "tgt": "v5", "label": "mod"}]}
+
 
 @pytest.fixture(scope="session")
 def heuristics():

@@ -2,7 +2,7 @@ import logging
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from amdep.algebra import (
     AMDepTree,
@@ -22,9 +22,29 @@ from amdep.automata import (
 )
 from amdep.decompose import Decomposition, decompose
 from amdep.generate import GeneratorConfig, gen_random_tree
-from amdep.graph import is_isomorphic
+from amdep.graph import SemanticGraph, is_isomorphic, is_isomorphic_mod_of
+
+from conftest import MOD_ATTACH_GRAPH
 
 S3 = ("s1", "s2", "s3")
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected graphs of 2-6 nodes rooted at v0: a random spanning tree
+    plus extra edges, at most one edge per node pair, many of them mod."""
+    n = draw(st.integers(2, 6))
+    ids = [f"v{i}" for i in range(n)]
+    edge_labels = st.sampled_from(["ARG0", "ARG1", "ARG2", "op1", "mod", "mod"])
+    pairs = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
+    pairs += draw(st.lists(st.sampled_from([(a, b) for a in ids for b in ids if a < b]),
+                           max_size=n, unique=True))
+    edges = {}
+    for a, b in pairs:
+        if (a, b) not in edges:
+            edges[(a, b)] = (*((b, a) if draw(st.booleans()) else (a, b)), draw(edge_labels))
+    labels = st.sampled_from(["want", "go", "boy", "tiny", "see"])
+    return SemanticGraph({v: draw(labels) for v in ids}, edges.values(), "v0")
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +286,19 @@ class TestReconstruct:
                 for e in t.edges:
                     assert not is_placeholder(e.source)
             checked += 1
+
+    @given(g=small_graphs())
+    @example(g=SemanticGraph.from_json(MOD_ATTACH_GRAPH))
+    @settings(max_examples=150, deadline=None)
+    def test_every_run_verifies(self, heuristics, g):
+        """Each run the automaton accepts is a tree of the algebra that
+        evaluates back to its graph."""
+        d = decompose(g, heuristics)
+        if not isinstance(d, Decomposition):
+            return
+        a = build_automaton(d.tree, S3)
+        for run in enumerate_runs(a, limit=300):
+            assert is_isomorphic_mod_of(evaluate(reconstruct_tree(a, run)), g)
 
     def test_shape_matches_binarization(self, rel_decomp):
         a = build_automaton(rel_decomp.tree, S3)

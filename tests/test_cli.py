@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +12,10 @@ from amdep.cli import main
 from amdep.decompose import decompose
 from amdep.graph import SemanticGraph
 
-from conftest import two_error_tree
+from conftest import MOD_ATTACH_GRAPH, two_error_tree
 
 GOLDENS = Path(__file__).parent / "goldens"
+SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_EDGE = {"root": "a", "nodes": [{"id": "a", "label": "see"}, {"id": "b", "label": "boy"}],
             "edges": [{"src": "a", "tgt": "b", "label": "ARG0"}]}
 PARALLEL_EDGES = {"id": "twice", "root": "a",
@@ -41,6 +44,19 @@ def same_outputs(dir1, dir2):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def fresh(*argv, **env):
+    """Run a new interpreter with src/ on its path and env added to its
+    environment; return the completed process."""
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC), **env})
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +388,29 @@ class TestStatsAndPipeline:
         assert (tmp_path / "run/trees.json").is_file()
         assert (tmp_path / "run/skipped.json").is_file()
 
+    def test_mod_attach_graph_verifies(self, tmp_path, capsys):
+        # the Viterbi tree renames a modifier's attach slot and an APP source
+        # of the same head to one name
+        (tmp_path / "g.json").write_text(json.dumps([MOD_ATTACH_GRAPH]))
+        assert run("pipeline", "--graphs", tmp_path / "g.json", "--out", tmp_path / "run") == 0
+        assert capsys.readouterr().out == "verified 1/1 trees\n"
+
+    def test_pipeline_jobs_same_stderr(self, tmp_path):
+        # wide graphs give empty automata at 2 sources, each with two warnings
+        # from a worker; 'twice' is skipped by decompose
+        corpus = [{**WIDE, "id": f"wide{i}"} if i % 2 else {**ONE_EDGE, "id": f"one{i}"}
+                  for i in range(16)]
+        (tmp_path / "g.json").write_text(json.dumps(corpus + [PARALLEL_EDGES]))
+        errs = []
+        for jobs in (1, 2):
+            proc = fresh("-m", "amdep.cli", "pipeline", "--graphs", tmp_path / "g.json",
+                         "--sources", 2, "--iters", 2, "--jobs", jobs,
+                         "--out", tmp_path / f"run{jobs}")
+            assert proc.returncode == 2, proc.stderr
+            errs.append(proc.stderr)
+        assert "graph wide15: automaton accepts no trees" in errs[0]
+        assert errs[1] == errs[0]
+
     def test_manifest_digests_cover_outputs(self, workspace):
         manifest = json.loads((workspace / "run/manifest.json").read_text())
         assert set(manifest["outputs"]) == {"trees.json", "theta.json", "best-trees.json"}
@@ -387,3 +426,133 @@ def test_import_does_not_load_process_pool():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def _automata_copy(workspace, tmp_path):
+    shutil.copytree(workspace / "run/automata", tmp_path / "auto")
+    return tmp_path / "auto"
+
+
+def _malformed_index(workspace, tmp_path):
+    auto = _automata_copy(workspace, tmp_path)
+    (auto / "index.json").write_text('{"automata": [{"id": "g"}]}')
+    return ["count", "--automata", auto], auto / "index.json"
+
+
+def _index_lists_missing_file(workspace, tmp_path):
+    auto = _automata_copy(workspace, tmp_path)
+    first = json.loads((auto / "index.json").read_text())["automata"][0]["file"]
+    (auto / first).unlink()
+    return ["count", "--automata", auto], auto / first
+
+
+def _garbage_automaton_line(workspace, tmp_path):
+    auto = _automata_copy(workspace, tmp_path)
+    first = json.loads((auto / "index.json").read_text())["automata"][0]["file"]
+    with open(auto / first, "a", encoding="utf-8") as fh:
+        fh.write("garbage\n")
+    return ["count", "--automata", auto], auto / first
+
+
+def _malformed_weights(workspace, tmp_path):
+    (tmp_path / "w.json").write_text('{"weights": {}}')
+    return (["viterbi", "--automata", workspace / "run/automata", "--weights", tmp_path / "w.json",
+             "--out", tmp_path / "best.json"], tmp_path / "w.json")
+
+
+def _invalid_json_weights(workspace, tmp_path):
+    (tmp_path / "w.json").write_text('{"theta": ')
+    return (["viterbi", "--automata", workspace / "run/automata", "--weights", tmp_path / "w.json",
+             "--out", tmp_path / "best.json"], tmp_path / "w.json")
+
+
+MISSING = "missing.json"
+BAD_INPUTS = {
+    "verify --graphs": lambda ws, tmp: (
+        ["verify", "--graphs", tmp / MISSING, "--trees", ws / "gold.json"], tmp / MISSING),
+    "decompose --graphs": lambda ws, tmp: (
+        ["decompose", "--graphs", tmp / MISSING, "--out", tmp / "t.json",
+         "--report", tmp / "s.json"], tmp / MISSING),
+    "build-automata --trees": lambda ws, tmp: (
+        ["build-automata", "--trees", tmp / MISSING, "--out", tmp / "auto"], tmp / MISSING),
+    "stats --trees": lambda ws, tmp: (["stats", "--trees", tmp / MISSING], tmp / MISSING),
+    "train-joint --corpus": lambda ws, tmp: (
+        ["train-joint", "--automata", ws / "run/automata", "--corpus", tmp / MISSING,
+         "--out", tmp / "scorer.json"], tmp / MISSING),
+    "malformed index": _malformed_index,
+    "index lists a missing file": _index_lists_missing_file,
+    "garbage automaton line": _garbage_automaton_line,
+    "viterbi --weights missing": lambda ws, tmp: (
+        ["viterbi", "--automata", ws / "run/automata", "--weights", tmp / MISSING,
+         "--out", tmp / "best.json"], tmp / MISSING),
+    "viterbi --weights without theta or params": _malformed_weights,
+    "viterbi --weights invalid JSON": _invalid_json_weights,
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
+    argv, path = BAD_INPUTS[case](workspace, tmp_path)
+    assert run(*argv) == 1
+    assert str(path) in one_error_line(capsys)
+
+
+def test_unknown_log_level_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("AMD_LOG", "LOUD")
+    assert run("stats", "--trees", GOLDENS / "figures-trees.json") == 1
+    line = one_error_line(capsys)
+    assert "AMD_LOG" in line and "LOUD" in line
+
+
+LOADED_MODULES = ("import sys; from amdep.cli import main; main(sys.argv[1:]); "
+                  "print(*sorted(m for m in sys.modules if m.startswith('amdep.')))")
+
+
+@pytest.mark.parametrize("command, needed, unloaded", [
+    ("verify", {"amdep.algebra", "amdep.graph"},
+     {"amdep.automata", "amdep.decompose", "amdep.training", "amdep.generate"}),
+    ("count", {"amdep.automata"}, {"amdep.decompose", "amdep.training", "amdep.generate"}),
+    ("decompose", {"amdep.decompose"}, {"amdep.automata", "amdep.training", "amdep.generate"})])
+def test_command_loads_only_its_modules(workspace, tmp_path, command, needed, unloaded):
+    argv = {"verify": ["--graphs", workspace / "graphs.json", "--trees", workspace / "gold.json"],
+            "count": ["--automata", workspace / "run/automata"],
+            "decompose": ["--graphs", workspace / "graphs.json", "--out", tmp_path / "t.json",
+                          "--report", tmp_path / "s.json"]}[command]
+    proc = fresh("-c", LOADED_MODULES, command, *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert needed <= loaded
+    assert not loaded & unloaded
+
+
+PACKAGE_NAMES = {
+    "algebra": ["AMDepTree", "AMType", "DepEdge", "EMPTY_TYPE", "SGraph", "apply",
+                "check_well_typed", "evaluate", "modify", "term_type", "type_unify"],
+    "decompose": ["Decomposition", "NonDecomposable", "Theorem1Report", "canonical_tree",
+                  "check_resolvable", "decompose", "default_plan", "modify_swap", "resolve",
+                  "unroll"],
+    "graph": ["BlobHeuristics", "BlobPartition", "Edge", "NormalizedGraph", "SemanticGraph",
+              "is_isomorphic", "is_isomorphic_mod_of", "normalize_edges", "partition_blobs",
+              "read_corpus", "write_corpus"],
+}
+
+
+def test_package_names_are_their_submodules_objects():
+    """Each name amdep exports is its submodule's object, whatever was
+    imported first: the submodule amdep.decompose does not replace the
+    function amdep.decompose."""
+    code = """if True:
+        import importlib, json, sys
+        import amdep.decompose
+        from amdep import decompose
+        import amdep
+        bad = [f"{mod}.{name}" for mod, names in json.loads(sys.argv[1]).items()
+               for name in names
+               if getattr(amdep, name) is not getattr(importlib.import_module("amdep." + mod), name)]
+        from amdep import training
+        print(type(decompose).__name__, type(amdep.decompose).__name__, training.__name__,
+              hasattr(amdep, "no_such_name"), len(bad), *bad)
+    """
+    proc = fresh("-c", code, json.dumps(PACKAGE_NAMES))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["function", "function", "amdep.training", "False", "0"]
