@@ -167,6 +167,7 @@ class CompiledAutomaton:
             self.children.append(kids)
         self.finals: list[int] = [index[f] for f in a.finals if f in index]
         self.built_from = (a.rules, a.finals)
+        self.derived: dict = {}  # values other modules derive from the rules, such as event keys
 
 
 def bottom_up(c: CompiledAutomaton, weights, times, plus):
@@ -416,11 +417,19 @@ def write_automaton(a: TreeAutomaton, path, weights=None):
     line `<state> <- <label>(<children>) [# weight]`."""
     lines = [f"#! graph {a.graph_id}", f"#! sources {' '.join(a.sources)}",
              f"#! shape {json.dumps(a.shape, sort_keys=True, separators=(',', ':'))}"]
+    text: dict[State, str] = {}  # a state recurs as parent and child of many rules
+
+    def state(s):
+        t = text.get(s)
+        if t is None:
+            t = text[s] = str(s)
+        return t
+
     for f in a.finals:
-        lines.append(f"final: {f}")
+        lines.append(f"final: {state(f)}")
     for r in a.rules:
-        kids = ", ".join(str(c) for c in r.children)
-        line = f"{r.parent} <- {r.label}({kids})"
+        kids = ", ".join(map(state, r.children))
+        line = f"{state(r.parent)} <- {r.label}({kids})"
         if weights is not None:
             line += f" # {weights[r.rid]!r}"
         lines.append(line)
@@ -444,6 +453,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
             s = parsed[text] = _parse_state(text)
         return s
 
+    rule_lines = []  # the line of each rule, by rule id
     ln = 0
     try:
         with open_input(path) as fh:
@@ -488,13 +498,25 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                     children = tuple(state(p) for p in inner.split(", "))
                 rules.append(Rule(len(rules), parent, label, children, _event(label, children),
                                   ("",)))
+                rule_lines.append(ln)
     except ValueError as exc:
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
     try:
         aligns = _alignments(shape)
-        for r in rules:
-            r.align = aligns[r.parent.address]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: shape does not fit the rules: {exc!r}") from exc
+    kind = {addr: d["kind"] for addr, d in shape.items()}
+    for r, ln in zip(rules, rule_lines):
+        addr, kids = r.parent.address, r.children
+        if kids:
+            fits = (kind.get(addr) == "op" and len(kids) == 2
+                    and kids[0].address == addr + "0" and kids[1].address == addr + "1")
+        else:
+            fits = kind.get(addr) == "leaf"
+        if not fits:
+            raise MalformedInput(f"{path}, line {ln}: rule at address {addr or 'e'} with "
+                                 f"{len(kids)} children does not fit the shape's "
+                                 f"{kind.get(addr, 'missing')!r} entry there")
+        r.align = aligns[addr]
     a = TreeAutomaton(graph_id, sources, rules, finals, shape, empty=not finals)
     return a, (weights if saw_weight else None)

@@ -331,6 +331,16 @@ def cmd_viterbi(args):
     return _viterbi(args)[0]
 
 
+def _read_weights(path):
+    """The EventTable or Scorer of a weights file, parsed and checked once."""
+    from .training import weights_from_json
+
+    try:
+        return weights_from_json(_read_json(path))
+    except ValueError as exc:
+        raise MalformedInput(f"{path}: {exc}") from exc
+
+
 def _viterbi(args, automata=None):
     """viterbi; returns the exit code and the (id, tree) list. automata: as
     for cmd_train_em."""
@@ -340,17 +350,13 @@ def _viterbi(args, automata=None):
 
     if automata is None:
         automata = _read_automata_dir(args.automata)
-    weights_obj = None
-    if args.weights:
-        weights_obj = _read_json(args.weights)
-        if not isinstance(weights_obj, dict) or not weights_obj.keys() & {"theta", "params"}:
-            raise MalformedInput(f"{args.weights}: weights file must contain 'theta' or 'params'")
+    weights = _read_weights(args.weights) if args.weights else None
     best = []
     skipped = 0
     for tid, a in automata:
         try:
             if args.sample_seed is None:
-                tree = reconstruct_best(a, weights_obj)
+                tree = reconstruct_best(a, weights)
             else:
                 run = random_tree_baseline(a, seed=f"{args.sample_seed}:{tid}")
                 tree = reconstruct_tree(a, run)

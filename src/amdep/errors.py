@@ -30,8 +30,8 @@ class MissingInput(AmdepError):
 
 
 class MalformedInput(AmdepError):
-    """An automata index, automaton file or weights file is not in its
-    format."""
+    """An automata index, automaton file, weights file or blobs table is
+    not in its format."""
 
 
 def open_input(path):

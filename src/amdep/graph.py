@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import CorpusError, open_input
+from .errors import CorpusError, MalformedInput, open_input
 
 log = logging.getLogger("amdep.graph")
 
@@ -254,17 +254,23 @@ class BlobHeuristics:
 
     @classmethod
     def from_tsv(cls, path):
+        """The table of a TSV file; a file that cannot be read or is not
+        such a table raises an AmdepError naming it."""
         rules = []
-        with open(path, encoding="utf-8") as fh:
-            for ln, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{ln}: expected 'pattern<TAB>src|tgt'")
-                rules.append((parts[0], parts[1]))
-        return cls(rules)
+        try:
+            with open_input(path) as fh:
+                for ln, line in enumerate(fh, 1):
+                    line = line.rstrip("\n")
+                    if not line.strip() or line.lstrip().startswith("#"):
+                        continue
+                    parts = line.split("\t")
+                    if len(parts) != 2:
+                        raise MalformedInput(f"{path}, line {ln}: expected "
+                                             "'pattern<TAB>src|tgt'")
+                    rules.append((parts[0], parts[1]))
+            return cls(rules)
+        except ValueError as exc:  # undecodable bytes, a bad side or no default row
+            raise MalformedInput(f"{path}: {exc}") from exc
 
     @classmethod
     def default_table(cls):

@@ -211,6 +211,17 @@ def rule_event_key(rule) -> str:
     return f"edge {rule.event[1]} {rule.event[2]}"
 
 
+def event_keys(a: TreeAutomaton) -> list[str]:
+    """The event key of each rule of a, by rule id. Built once and kept
+    with the compiled automaton, so EM, its baseline and Viterbi share one
+    list per automaton."""
+    c = a.compiled()
+    keys = c.derived.get("event_keys")
+    if keys is None:
+        keys = c.derived["event_keys"] = [rule_event_key(r) for r in c.rules]
+    return keys
+
+
 def event_group_key(event_key: str) -> str:
     """Normalization group of an event: constants by name-erased skeleton,
     edges by operation kind."""
@@ -220,6 +231,23 @@ def event_group_key(event_key: str) -> str:
     return "skel " + skeleton_form(constant_from_canonical(form))
 
 
+def _leaf_group(form: str) -> str | None:
+    """The group shared by every constant event of a leaf whose placeholder
+    constant has canonical form ``form``; None when the constant also
+    carries reusable names, whose events are then grouped one by one.
+
+    A leaf rule's constant is the placeholder constant with its placeholders
+    renamed injectively to reusable sources. When every name is a
+    placeholder, that renaming is injective on all of the constant's names,
+    and the skeleton, which minimizes over every bijection of the names onto
+    positional slots, is unchanged by it. A reusable name, however, may
+    coincide with a placeholder's new name."""
+    c = constant_from_canonical(form)
+    if c.placeholders() == c.typ.all_names():
+        return "skel " + skeleton_form(c)
+    return None
+
+
 @dataclass
 class EventTable:
     theta: dict[str, float]
@@ -227,11 +255,9 @@ class EventTable:
     meta: dict = field(default_factory=dict)
     default: float = 1e-6
 
-    def weight(self, event_key):
-        return self.theta.get(event_key, self.default)
-
-    def rule_weights(self, a: TreeAutomaton):
-        return {r.rid: self.weight(rule_event_key(r)) for r in a.rules}
+    def rule_weights(self, a: TreeAutomaton) -> list[float]:
+        """The weight of each rule of a, by rule id."""
+        return [self.theta.get(k, self.default) for k in event_keys(a)]
 
     def to_json(self):
         return {"theta": dict(sorted(self.theta.items())),
@@ -240,20 +266,62 @@ class EventTable:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(dict(obj["theta"]), {k: list(v) for k, v in obj.get("groups", {}).items()},
-                   dict(obj.get("meta", {})), obj.get("default", 1e-6))
+        """The table of a theta.json object; ValueError names what is
+        malformed."""
+        theta, default = _json_object(obj, "theta"), obj.get("default", 1e-6)
+        groups, meta = _json_object(obj, "groups", {}), _json_object(obj, "meta", {})
+        for k, v in theta.items():
+            if not _positive_finite(v):
+                raise ValueError(f"theta[{k!r}] is {v!r}, not a positive finite number")
+        if not _positive_finite(default):
+            raise ValueError(f"default is {default!r}, not a positive finite number")
+        if not all(isinstance(v, list) for v in groups.values()):
+            raise ValueError("groups must map each group to a list of events")
+        return cls(dict(theta), {k: list(v) for k, v in groups.items()}, dict(meta), default)
+
+
+def _json_object(obj, key, missing=None):
+    value = obj.get(key, missing)
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} is {type(value).__name__}, not an object")
+    return value
+
+
+def _finite(x) -> bool:
+    """x is a finite JSON number (a bool is not)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _positive_finite(x) -> bool:
+    return _finite(x) and x > 0
 
 
 def discover_events(automata):
-    groups: dict[str, set[str]] = {}
+    """Every event of the corpus by normalization group, {group: sorted
+    event keys}. An edge event is grouped by its operation kind, a constant
+    event by the skeleton of its leaf's placeholder constant (see
+    _leaf_group), computed once per distinct placeholder constant."""
     group_of: dict[str, str] = {}  # events recur across rules and graphs
+    leaf_group: dict[str, str | None] = {}  # placeholder constant form -> _leaf_group
     for _tid, a in automata:
-        for r in a.rules:
-            key = rule_event_key(r)
-            group = group_of.get(key)
-            if group is None:
-                group = group_of[key] = event_group_key(key)
-            groups.setdefault(group, set()).add(key)
+        for r, key in zip(a.compiled().rules, event_keys(a)):
+            if key in group_of:
+                continue
+            group = None
+            if not r.children:
+                form = a.shape[r.parent.address]["const"]
+                if form not in leaf_group:
+                    leaf_group[form] = _leaf_group(form)
+                group = leaf_group[form]
+            group_of[key] = group or event_group_key(key)
+    groups: dict[str, list[str]] = {}
+    for key, group in group_of.items():
+        groups.setdefault(group, []).append(key)
     return {g: sorted(ks) for g, ks in sorted(groups.items())}
 
 
@@ -293,13 +361,7 @@ def em_fit(automata, iterations=25, seed=0, smoothing=SMOOTHING) -> EventTable:
     keys = [k for ks in groups.values() for k in ks]
     index = {k: e for e, k in enumerate(keys)}
     members = [[index[k] for k in ks] for ks in groups.values()]
-    # event index of each rule, by rule id, interned once per automaton
-    events = []
-    for _tid, a in usable:
-        by_rid = [0] * len(a.rules)
-        for r in a.rules:
-            by_rid[r.rid] = index[rule_event_key(r)]
-        events.append(by_rid)
+    events = [[index[k] for k in event_keys(a)] for _tid, a in usable]  # by rule id
     rng = random.Random(seed)
     theta = [rng.uniform(0.1, 1.0) for _ in keys]
     _normalize_groups(theta, members)
@@ -338,17 +400,25 @@ def random_tree_baseline(a: TreeAutomaton, seed=0) -> Run:
     return sample_run(a, random.Random(seed))
 
 
-def reconstruct_best(a: TreeAutomaton, weights_obj=None):
-    """Viterbi tree under a parsed weights file (an event table when it has
-    a "theta" key, a scorer when it has "params", unit weights when None)."""
-    if weights_obj is None:
-        w = None
-    elif "theta" in weights_obj:
-        w = EventTable.from_json(weights_obj).rule_weights(a)
-    elif "params" in weights_obj:
-        w = score_rules(Scorer.from_json(weights_obj), a)
-    else:
-        raise ValueError("weights file must contain 'theta' or 'params'")
+def weights_from_json(obj):
+    """The weights a weights file holds: an EventTable when it has a "theta"
+    key, a Scorer when it has "params". ValueError names what is
+    malformed."""
+    if isinstance(obj, dict):
+        if "theta" in obj:
+            return EventTable.from_json(obj)
+        if "params" in obj:
+            return Scorer.from_json(obj)
+    raise ValueError("weights file must contain 'theta' or 'params'")
+
+
+def reconstruct_best(a: TreeAutomaton, weights=None):
+    """Viterbi tree under an EventTable or Scorer, or a weights file's JSON
+    object (parsed here; parse it once with weights_from_json when scoring
+    many automata), unit weights when None."""
+    if isinstance(weights, dict):
+        weights = weights_from_json(weights)
+    w = None if weights is None else weights.rule_weights(a)
     return reconstruct_tree(a, viterbi(a, w))
 
 
@@ -373,12 +443,26 @@ class Scorer:
     def score(self, rule) -> float:
         return self.params.get(self.feature_key(rule), 0.0)
 
+    def rule_weights(self, a: TreeAutomaton) -> dict[int, float]:
+        return score_rules(self, a)
+
     def to_json(self):
         return {"params": dict(sorted(self.params.items())), "meta": self.meta}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(dict(obj["params"]), dict(obj.get("meta", {})))
+        """The scorer of a scorer.json object; ValueError names what is
+        malformed."""
+        params, meta = _json_object(obj, "params"), _json_object(obj, "meta", {})
+        for k, v in params.items():
+            try:
+                ok = _finite(v) and 0.0 < math.exp(v) < math.inf
+            except OverflowError:
+                ok = False
+            if not ok:
+                raise ValueError(f"params[{k!r}] is {v!r}, not a number whose exp is a "
+                                 "positive finite weight")
+        return cls(dict(params), dict(meta))
 
 
 def score_rules(scorer: Scorer, a: TreeAutomaton) -> dict[int, float]:

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from amdep.algebra import AMDepTree, AMType, SGraph, constant
 from amdep.graph import BlobHeuristics, SemanticGraph
@@ -22,6 +23,24 @@ MOD_ATTACH_GRAPH = {
               {"src": "v3", "tgt": "v2", "label": "ARG0"},
               {"src": "v3", "tgt": "v4", "label": "ARG2"},
               {"src": "v4", "tgt": "v5", "label": "mod"}]}
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected graphs of 2-6 nodes rooted at v0: a random spanning tree
+    plus extra edges, at most one edge per node pair, many of them mod."""
+    n = draw(st.integers(2, 6))
+    ids = [f"v{i}" for i in range(n)]
+    edge_labels = st.sampled_from(["ARG0", "ARG1", "ARG2", "op1", "mod", "mod"])
+    pairs = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
+    pairs += draw(st.lists(st.sampled_from([(a, b) for a in ids for b in ids if a < b]),
+                           max_size=n, unique=True))
+    edges = {}
+    for a, b in pairs:
+        if (a, b) not in edges:
+            edges[(a, b)] = (*((b, a) if draw(st.booleans()) else (a, b)), draw(edge_labels))
+    labels = st.sampled_from(["want", "go", "boy", "tiny", "see"])
+    return SemanticGraph({v: draw(labels) for v in ids}, edges.values(), "v0")
 
 
 @pytest.fixture(scope="session")

@@ -39,6 +39,8 @@ from amdep.graph import SemanticGraph, is_isomorphic
 from conftest import two_error_tree
 
 T = AMType
+# reusable and placeholder names a constant's names may be renamed to
+RENAMING_POOL = ["s1", "s2", "s3", "s4", "s5", "ps(a)", "ps(b)", "ps(n7)", "x"]
 
 
 def typ(spec):
@@ -315,6 +317,18 @@ class TestCanonicalForms:
                      typ({"s3": {}, "s1": {"s3": {}}}))
         assert canonical_constant_form(a) != canonical_constant_form(b)
         assert skeleton_form(a) == skeleton_form(b)
+
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_skeleton_unchanged_by_injective_renaming(self, seed, data):
+        tree = gen_random_tree(GeneratorConfig(max_nodes=6), seed=seed)
+        for node in sorted(tree.nodes):
+            c = tree.constant(node)
+            names = sorted(c.typ.all_names())
+            new = data.draw(st.lists(st.sampled_from(RENAMING_POOL), min_size=len(names),
+                                     max_size=len(names), unique=True))
+            renamed = c.rename_sources(dict(zip(names, new)))
+            assert skeleton_form(renamed) == skeleton_form(c)
 
     def test_skeleton_distinguishes_structure(self):
         a = constant("begin", "b", [("ARG0", "x"), ("ARG1", "y")],

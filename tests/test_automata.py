@@ -21,30 +21,13 @@ from amdep.automata import (
     write_automaton,
 )
 from amdep.decompose import Decomposition, decompose
+from amdep.errors import MalformedInput
 from amdep.generate import GeneratorConfig, gen_random_tree
 from amdep.graph import SemanticGraph, is_isomorphic, is_isomorphic_mod_of
 
-from conftest import MOD_ATTACH_GRAPH
+from conftest import MOD_ATTACH_GRAPH, small_graphs
 
 S3 = ("s1", "s2", "s3")
-
-
-@st.composite
-def small_graphs(draw):
-    """Connected graphs of 2-6 nodes rooted at v0: a random spanning tree
-    plus extra edges, at most one edge per node pair, many of them mod."""
-    n = draw(st.integers(2, 6))
-    ids = [f"v{i}" for i in range(n)]
-    edge_labels = st.sampled_from(["ARG0", "ARG1", "ARG2", "op1", "mod", "mod"])
-    pairs = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
-    pairs += draw(st.lists(st.sampled_from([(a, b) for a in ids for b in ids if a < b]),
-                           max_size=n, unique=True))
-    edges = {}
-    for a, b in pairs:
-        if (a, b) not in edges:
-            edges[(a, b)] = (*((b, a) if draw(st.booleans()) else (a, b)), draw(edge_labels))
-    labels = st.sampled_from(["want", "go", "boy", "tiny", "see"])
-    return SemanticGraph({v: draw(labels) for v in ids}, edges.values(), "v0")
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +348,30 @@ class TestSerialization:
         assert [(r.rid, r.parent, r.label, r.children, r.event, r.align) for r in a2.rules] \
             == [(r.rid, r.parent, r.label, r.children, r.event, r.align) for r in a.rules]
         assert w2 == weights
+
+    @pytest.mark.parametrize("misplace", ["leaf rule at op address", "op rule at leaf address",
+                                          "op rule with swapped children"])
+    def test_misplaced_rule_rejected_with_its_line(self, rel_decomp, tmp_path, misplace):
+        a = build_automaton(rel_decomp.tree, S3)
+        path = tmp_path / "m.auto"
+        write_automaton(a, path)
+        lines = path.read_text().splitlines()
+        leaf_addr = next(addr for addr, d in a.shape.items() if d["kind"] == "leaf")
+        want_leaf = misplace == "leaf rule at op address"
+        n, r = next((n, r) for n, r in enumerate(a.rules, len(lines) - len(a.rules))
+                    if (not r.children) == want_leaf)
+        head, rest = lines[n].split(" <- ", 1)
+        phi = head.split(":", 1)[1]
+        if misplace == "leaf rule at op address":
+            lines[n] = f"{r.parent.address[:-1] or 'e'}:{phi} <- {rest}"
+        elif misplace == "op rule at leaf address":
+            lines[n] = f"{leaf_addr or 'e'}:{phi} <- {rest}"
+        else:
+            left, right = (str(c) for c in r.children)
+            lines[n] = f"{head} <- {rest.replace(f'{left}, {right}', f'{right}, {left}')}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedInput, match=f"{path}, line {n + 1}: rule at address"):
+            read_automaton(path)
 
     def test_events_survive(self, rel_decomp, tmp_path):
         a = build_automaton(rel_decomp.tree, S3)

@@ -454,6 +454,20 @@ def _garbage_automaton_line(workspace, tmp_path):
     return ["count", "--automata", auto], auto / first
 
 
+def _misplaced_rule(workspace, tmp_path):
+    """A leaf rule moved to its parent's operation address: viterbi would
+    reconstruct a tree from it."""
+    auto = _automata_copy(workspace, tmp_path)
+    first = json.loads((auto / "index.json").read_text())["automata"][0]["file"]
+    lines = (auto / first).read_text().splitlines()
+    n = next(n for n, line in enumerate(lines)
+             if line.endswith("()") and not line.startswith(("e:", "#")))
+    addr, rest = lines[n].split(":", 1)
+    lines[n] = f"{addr[:-1] or 'e'}:{rest}"
+    (auto / first).write_text("\n".join(lines) + "\n")
+    return (["viterbi", "--automata", auto, "--out", tmp_path / "best.json"], auto / first)
+
+
 def _malformed_weights(workspace, tmp_path):
     (tmp_path / "w.json").write_text('{"weights": {}}')
     return (["viterbi", "--automata", workspace / "run/automata", "--weights", tmp_path / "w.json",
@@ -464,6 +478,43 @@ def _invalid_json_weights(workspace, tmp_path):
     (tmp_path / "w.json").write_text('{"theta": ')
     return (["viterbi", "--automata", workspace / "run/automata", "--weights", tmp_path / "w.json",
              "--out", tmp_path / "best.json"], tmp_path / "w.json")
+
+
+def _weights(text):
+    def case(workspace, tmp_path):
+        (tmp_path / "w.json").write_text(text)
+        return (["viterbi", "--automata", workspace / "run/automata",
+                 "--weights", tmp_path / "w.json", "--out", tmp_path / "best.json"],
+                tmp_path / "w.json")
+    return case
+
+
+# each parses as JSON with 'theta' or 'params', but holds no usable weights
+BAD_WEIGHTS = {
+    "theta not an object": '{"theta": 5}',
+    "zero default": '{"theta": {}, "default": 0}',
+    "text theta value": '{"theta": {"const x": "0.5"}}',
+    "negative theta value": '{"theta": {"const x": -0.5}}',
+    "infinite theta value": '{"theta": {"const x": Infinity}}',
+    "NaN default": '{"theta": {}, "default": NaN}',
+    "groups not an object": '{"theta": {}, "groups": []}',
+    "params not an object": '{"params": [1.0]}',
+    "boolean param": '{"params": {"n=a|const x": true}}',
+    "param whose exp overflows": '{"params": {"n=a|const x": 1000}}',
+}
+
+
+def _blobs(command, text=None):
+    """command run with --blobs naming a table holding text (str or bytes),
+    or a missing file when text is None."""
+    def case(workspace, tmp_path):
+        blobs = tmp_path / "blobs.tsv"
+        if text is not None:
+            blobs.write_bytes(text if isinstance(text, bytes) else text.encode())
+        outs = (["--out", tmp_path / "t.json", "--report", tmp_path / "s.json"]
+                if command == "decompose" else ["--out", tmp_path / "run"])
+        return [command, "--graphs", workspace / "graphs.json", "--blobs", blobs, *outs], blobs
+    return case
 
 
 MISSING = "missing.json"
@@ -487,6 +538,14 @@ BAD_INPUTS = {
          "--out", tmp / "best.json"], tmp / MISSING),
     "viterbi --weights without theta or params": _malformed_weights,
     "viterbi --weights invalid JSON": _invalid_json_weights,
+    **{f"viterbi --weights {name}": _weights(text) for name, text in BAD_WEIGHTS.items()},
+    "decompose --blobs missing": _blobs("decompose"),
+    "pipeline --blobs missing": _blobs("pipeline"),
+    "decompose --blobs line without a tab": _blobs("decompose", "ARG* src\n*\tsrc\n"),
+    "pipeline --blobs bad side": _blobs("pipeline", "ARG*\tboth\n*\tsrc\n"),
+    "decompose --blobs without default row": _blobs("decompose", "ARG*\tsrc\n"),
+    "decompose --blobs undecodable": _blobs("decompose", b"ARG*\tsrc\n*\t\xff\n"),
+    "misplaced automaton rule": _misplaced_rule,
 }
 
 

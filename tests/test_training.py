@@ -3,8 +3,9 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from amdep.algebra import constant, AMDepTree
+from amdep.algebra import AMType, constant, AMDepTree
 from amdep.automata import build_automaton, count_trees, enumerate_runs
 from amdep.decompose import Decomposition, decompose
 from amdep.errors import EmptyAutomaton
@@ -15,7 +16,9 @@ from amdep.training import (
     JointConfig,
     Scorer,
     constant_entropy,
+    discover_events,
     em_fit,
+    event_group_key,
     inside,
     joint_fit,
     log_inside_gradient,
@@ -29,6 +32,8 @@ from amdep.training import (
     viterbi,
 )
 from amdep.algebra import evaluate
+
+from conftest import small_graphs
 
 S3 = ("s1", "s2", "s3")
 
@@ -309,6 +314,43 @@ class TestEM:
             em_fit(empty, iterations=1)
         with pytest.raises(EmptyAutomaton, match=msg):
             joint_fit(empty, JointConfig(epochs=1))
+
+
+class TestEventGroups:
+    """discover_events groups a leaf's events by its placeholder constant's
+    skeleton; each event's own skeleton (event_group_key) is the oracle."""
+
+    @staticmethod
+    def assert_oracle_groups(automata):
+        groups = discover_events(automata)
+        assert sorted(k for ks in groups.values() for k in ks) == sorted(
+            {rule_event_key(r) for _tid, a in automata for r in a.rules})
+        for group, keys in groups.items():
+            for key in keys:
+                assert group == event_group_key(key), key
+        return groups
+
+    @given(graphs=st.lists(small_graphs(), min_size=1, max_size=3),
+           nsources=st.sampled_from([3, 4, 5]))
+    @settings(max_examples=50, deadline=None)
+    def test_every_group_equals_per_event_oracle(self, heuristics, graphs, nsources):
+        sources = [f"s{i + 1}" for i in range(nsources)]
+        decomposed = [d for d in (decompose(g, heuristics) for g in graphs)
+                      if isinstance(d, Decomposition)]
+        self.assert_oracle_groups([(f"g{i}", build_automaton(d.tree, sources))
+                                   for i, d in enumerate(decomposed)])
+
+    def test_constant_with_reusable_names_grouped_per_event(self):
+        # begin requests [s1] at its placeholder ps(g): renaming ps(g) to s1
+        # merges two names, to s2 keeps them apart, so the two events of one
+        # leaf fall into two groups
+        glow = constant("glow", "g", [("ARG0", "s1")])
+        begin = constant("begin", "b", [("ARG1", "ps(g)")], AMType({"ps(g)": {"s1": {}}}))
+        tree = AMDepTree({"b": begin, "g": glow}, "b", [("b", "g", "APP", "ps(g)")])
+        a = build_automaton(tree, ("s1", "s2"))
+        groups = self.assert_oracle_groups([("t", a)])
+        begin_groups = {g for g, keys in groups.items() for k in keys if '"begin"' in k}
+        assert len(begin_groups) == 2
 
 
 class TestBaselines:
