@@ -70,6 +70,9 @@ class AMType:
     def __setattr__(self, name, value):
         raise AttributeError("AMType is immutable")
 
+    def __reduce__(self):  # pickle through __init__, which __setattr__ leaves alone
+        return AMType, (self.entries,)
+
     def names(self):
         return tuple(k for k, _ in self.entries)
 

@@ -12,7 +12,8 @@ import json
 import logging
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .algebra import (
@@ -108,77 +109,73 @@ class Rule:
         return f"{self.parent} <- {self.label}({kids})"
 
 
-@dataclass
+def rule_event_key(rule) -> str:
+    if rule.event[0] == "const":
+        return "const " + rule.event[1]
+    return f"edge {rule.event[1]} {rule.event[2]}"
+
+
 class TreeAutomaton:
-    graph_id: str
-    sources: tuple[str, ...]
-    rules: list[Rule]
-    finals: list[State]
-    shape: dict[str, dict]  # address -> leaf/op descriptor (for reconstruction)
-    empty: bool = False
-    meta: dict = field(default_factory=dict)
-    _compiled: "CompiledAutomaton | None" = field(default=None, init=False, repr=False,
-                                                  compare=False)
+    """A graph's rules plus the bottom-up index every query runs on, built
+    once when the automaton is made; an automaton is immutable after that.
 
-    def compiled(self) -> "CompiledAutomaton":
-        """The integer-indexed form every query runs on, built on first use
-        and rebuilt only when ``rules`` or ``finals`` is replaced."""
-        c = self._compiled
-        if (c is None or c.built_from[0] is not self.rules or c.built_from[1] is not self.finals
-                or len(c.rules) != len(self.rules)):
-            c = self._compiled = CompiledAutomaton(self)
-        return c
-
-    def states(self):
-        return set(self.compiled().states)
-
-
-class CompiledAutomaton:
-    """A TreeAutomaton as lists indexed by integers.
-
-    States are numbered bottom-up: every child state of a rule has a smaller
-    index than the rule's parent, so one pass in index order visits children
-    before parents. Rules keep their ids: ``state_rules[q]`` holds the ids of
-    the rules with parent state q in ascending order, ``children[rid]`` the
-    child state indices of rule rid, and ``finals`` the indices of the final
-    states in the automaton's order.
+    ``rules`` lists the rules in id order, 0..n-1. ``state_list`` numbers
+    the states bottom-up: every child state of a rule has a smaller index
+    than the rule's parent, so one pass in index order visits children
+    before parents. ``state_rules[q]`` holds the ids of the rules with
+    parent state q in ascending order, ``children[rid]`` the child state
+    indices of rule rid, and ``accept`` the indices of the final states in
+    the order of ``finals``. ``shape`` maps each address of the binarized
+    tree to its leaf or operation descriptor (for reconstruction).
     """
 
-    def __init__(self, a: TreeAutomaton):
-        n = len(a.rules)
-        rules: list = [None] * n
-        for r in a.rules:
-            if not 0 <= r.rid < n or rules[r.rid] is not None:
-                raise ValueError(f"automaton {a.graph_id!r}: rule ids are not 0..{n - 1}")
-            rules[r.rid] = r
-        seen = dict.fromkeys(s for r in rules for s in (r.parent, *r.children))
-        self.states: list[State] = sorted(seen, key=lambda s: -len(s.address))
-        index = {s: i for i, s in enumerate(self.states)}
-        self.rules: list[Rule] = rules
-        self.state_rules: list[list[int]] = [[] for _ in self.states]
+    def __init__(self, graph_id: str, sources, rules, finals, shape: dict[str, dict]):
+        self.graph_id = graph_id
+        self.sources: tuple[str, ...] = tuple(sources)
+        self.rules: list[Rule] = list(rules)
+        self.finals: list[State] = list(finals)
+        self.shape = shape
+        if [r.rid for r in self.rules] != list(range(len(self.rules))):
+            raise ValueError(f"automaton {graph_id!r}: rule ids are not "
+                             f"0..{len(self.rules) - 1} in order")
+        seen = dict.fromkeys(s for r in self.rules for s in (r.parent, *r.children))
+        self.state_list: list[State] = sorted(seen, key=lambda s: -len(s.address))
+        index = {s: i for i, s in enumerate(self.state_list)}
+        self.state_rules: list[list[int]] = [[] for _ in self.state_list]
         self.children: list[tuple[int, ...]] = []
-        for r in rules:
+        for r in self.rules:
             parent = index[r.parent]
             kids = tuple(index[c] for c in r.children)
             if any(k >= parent for k in kids):
-                raise ValueError(f"automaton {a.graph_id!r}: rule {r.rid} has a child "
+                raise ValueError(f"automaton {graph_id!r}: rule {r.rid} has a child "
                                  "state no deeper than its parent")
             self.state_rules[parent].append(r.rid)
             self.children.append(kids)
-        self.finals: list[int] = [index[f] for f in a.finals if f in index]
-        self.built_from = (a.rules, a.finals)
-        self.derived: dict = {}  # values other modules derive from the rules, such as event keys
+        self.accept: list[int] = [index[f] for f in self.finals if f in index]
+
+    @property
+    def empty(self) -> bool:
+        return not self.finals
+
+    def states(self):
+        return set(self.state_list)
+
+    @cached_property
+    def event_keys(self) -> list[str]:
+        """The event key of each rule, by rule id: EM, its baseline and
+        Viterbi share this one list per automaton."""
+        return [rule_event_key(r) for r in self.rules]
 
 
-def bottom_up(c: CompiledAutomaton, weights, times, plus):
+def bottom_up(a: TreeAutomaton, weights, times, plus):
     """Value of every state (a list by state index) in one bottom-up pass
     over a semiring: ``plus`` over the state's rules, in id order, of the
     rule's weight ``times`` its children's values, left to right. Counting
     is (sum, *) on integers, inside scores (logsumexp, +) on log weights and
     Viterbi (max, +)."""
-    value: list = [None] * len(c.states)
-    children = c.children
-    for q, rids in enumerate(c.state_rules):
+    value: list = [None] * len(a.state_list)
+    children = a.children
+    for q, rids in enumerate(a.state_rules):
         terms = []
         for rid in rids:
             t = weights[rid]
@@ -219,8 +216,10 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
     """One leaf rule per injective assignment of a constant's placeholders
     (nested request names included) to reusable sources; operation rules
     percolate the head-side assignment upward when the two child assignments
-    agree on their shared placeholders. graph_id names the automaton and
-    its warnings."""
+    agree on their shared placeholders. A leaf renaming that would give one
+    level of the constant's type a name twice, a placeholder renamed onto a
+    source name the constant already carries, is skipped with a warning.
+    graph_id names the automaton and its warnings."""
     sources = tuple(sources)
     where = f"graph {graph_id}: " if graph_id else ""
     for ch in "(){}=,:# ":
@@ -241,14 +240,22 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
         shape[node.address] = {"kind": "leaf", "node": node.tree_node,
                                "const": canonical_constant_form(node.const)}
         lst = []
+        clashes = 0
         if len(ph) <= len(sources):
             for combo in permutations(sources, len(ph)):
                 phi = tuple(zip(ph, combo))
-                renamed = node.const.rename_sources(dict(phi))
+                try:
+                    renamed = node.const.rename_sources(dict(phi))
+                except ValueError:  # a placeholder renamed onto a name its level already has
+                    clashes += 1
+                    continue
                 lst.append((State(node.address, phi), canonical_constant_form(renamed), ()))
         rules_at[node.address] = lst
         states_at[node.address] = sorted({st for st, _, _ in lst})
-        if not lst:
+        if clashes:
+            log.warning("%sconstant at %s: skipped %d renamings of its placeholders onto "
+                        "source names it already carries", where, node.tree_node, clashes)
+        elif not lst:
             log.warning("%sconstant at %s has %d placeholders but only %d sources",
                         where, node.tree_node, len(ph), len(sources))
 
@@ -290,9 +297,7 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
                 continue
             rules.append(Rule(len(rules), parent, lbl, children, _event(lbl, children),
                               aligns[addr]))
-    fa = TreeAutomaton(graph_id=graph_id, sources=sources, rules=rules,
-                       finals=[f for f in finals if f in useful], shape=shape,
-                       empty=not finals)
+    fa = TreeAutomaton(graph_id, sources, rules, [f for f in finals if f in useful], shape)
     if fa.empty:
         log.warning("%sautomaton accepts no trees (source inventory too small?)", where)
     return fa
@@ -309,16 +314,15 @@ def _event(label, children):
 # counting / enumeration / reconstruction
 
 
-def subtree_counts(c: CompiledAutomaton) -> list[int]:
+def subtree_counts(a: TreeAutomaton) -> list[int]:
     """Number of runs below each state: the bottom-up pass over integers."""
-    return bottom_up(c, [1] * len(c.rules), operator.mul, sum)
+    return bottom_up(a, [1] * len(a.rules), operator.mul, sum)
 
 
 def count_trees(a: TreeAutomaton) -> int:
     """Exact number of accepted trees (unit-weight inside with integers)."""
-    c = a.compiled()
-    counts = subtree_counts(c)
-    return sum(counts[f] for f in c.finals)
+    counts = subtree_counts(a)
+    return sum(counts[f] for f in a.accept)
 
 
 @dataclass(frozen=True)
@@ -341,10 +345,9 @@ def enumerate_runs(a: TreeAutomaton, limit=None):
     that order."""
     if limit is not None and limit <= 0:
         return []
-    c = a.compiled()
 
     def runs_for_rule(rid):
-        kids = c.children[rid]
+        kids = a.children[rid]
         if not kids:
             yield Run(rid)
             return
@@ -353,10 +356,10 @@ def enumerate_runs(a: TreeAutomaton, limit=None):
                 yield Run(rid, (lc, rc))
 
     def runs_for(q):
-        for rid in c.state_rules[q]:
+        for rid in a.state_rules[q]:
             yield from runs_for_rule(rid)
 
-    top_rules = sorted(rid for f in c.finals for rid in c.state_rules[f])
+    top_rules = sorted(rid for f in a.accept for rid in a.state_rules[f])
     out = []
     for rid in top_rules:
         for run in runs_for_rule(rid):
@@ -369,13 +372,12 @@ def enumerate_runs(a: TreeAutomaton, limit=None):
 def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
     """De-binarize an accepted run into a dependency tree whose constants and
     operations carry the run's reusable source names."""
-    rules = a.compiled().rules
     nodes: dict[str, SGraph] = {}
     edges: list[DepEdge] = []
     root_of: dict[str, str] = {}  # address -> dep tree node id of head side
 
     def walk(run_node: Run):
-        r = rules[run_node.rule]
+        r = a.rules[run_node.rule]
         addr = r.parent.address
         desc = a.shape[addr]
         if desc["kind"] == "leaf":
@@ -384,7 +386,7 @@ def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
             return desc["node"]
         left = walk(run_node.children[0])
         right = walk(run_node.children[1])
-        kind, name = r.label.split("_", 1)
+        _edge, kind, name = r.event
         edges.append(DepEdge(left, right, kind, name))
         root_of[addr] = left
         return left
@@ -417,19 +419,12 @@ def write_automaton(a: TreeAutomaton, path, weights=None):
     line `<state> <- <label>(<children>) [# weight]`."""
     lines = [f"#! graph {a.graph_id}", f"#! sources {' '.join(a.sources)}",
              f"#! shape {json.dumps(a.shape, sort_keys=True, separators=(',', ':'))}"]
-    text: dict[State, str] = {}  # a state recurs as parent and child of many rules
-
-    def state(s):
-        t = text.get(s)
-        if t is None:
-            t = text[s] = str(s)
-        return t
-
+    text = {s: str(s) for s in a.state_list}  # a state recurs in many rules
     for f in a.finals:
-        lines.append(f"final: {state(f)}")
+        lines.append(f"final: {f}")
     for r in a.rules:
-        kids = ", ".join(map(state, r.children))
-        line = f"{state(r.parent)} <- {r.label}({kids})"
+        kids = ", ".join(text[c] for c in r.children)
+        line = f"{text[r.parent]} <- {r.label}({kids})"
         if weights is not None:
             line += f" # {weights[r.rid]!r}"
         lines.append(line)
@@ -518,5 +513,4 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                                  f"{len(kids)} children does not fit the shape's "
                                  f"{kind.get(addr, 'missing')!r} entry there")
         r.align = aligns[addr]
-    a = TreeAutomaton(graph_id, sources, rules, finals, shape, empty=not finals)
-    return a, (weights if saw_weight else None)
+    return TreeAutomaton(graph_id, sources, rules, finals, shape), (weights if saw_weight else None)

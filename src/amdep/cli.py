@@ -143,22 +143,21 @@ def cmd_gen(args):
 
 
 def _decompose_one(payload):
-    from .decompose import Decomposition, decompose, enumerate_candidate_trees
-    from .graph import BlobHeuristics, SemanticGraph
+    """(id, trees, None) for a graph that decomposes, (id, [], the
+    NonDecomposable) for one that does not."""
+    from .decompose import Decomposition, NonDecomposable, decompose, enumerate_candidate_trees
 
-    gid, gobj, blobs_rules, tie_break, enumerate_all = payload
-    g = SemanticGraph.from_json(gobj, graph_id=gid)
-    heuristics = BlobHeuristics(blobs_rules)
+    gid, g, heuristics, tie_break, enumerate_all = payload
     if not enumerate_all:
         d = decompose(g, heuristics, tie_break)
         if isinstance(d, Decomposition):
-            return gid, [d.tree.to_json()], None
-        return gid, [], d.to_json()
+            return gid, [d.tree], None
+        return gid, [], d
     trees = enumerate_candidate_trees(g, heuristics, tie_break, with_swaps=False,
                                       include_invalid_entries=False)
     if trees:
-        return gid, [t.to_json() for t in trees], None
-    return gid, [], {"reason": "no resolvable unrolling", "report": None}
+        return gid, trees, None
+    return gid, [], NonDecomposable("no resolvable unrolling")
 
 
 def cmd_decompose(args):
@@ -168,23 +167,22 @@ def cmd_decompose(args):
 def _decompose(args):
     """decompose; returns the exit code, the corpus, the (id, tree) list and
     the skip list."""
-    from .algebra import AMDepTree, write_trees
+    from .algebra import write_trees
     from .graph import read_corpus
 
     corpus = read_corpus(args.graphs)
     heuristics = _load_blobs(args.blobs)
-    payloads = [(gid, g.to_json(), heuristics.rules, args.tie_break, args.enumerate_unrollings)
+    payloads = [(gid, g, heuristics, args.tie_break, args.enumerate_unrollings)
                 for gid, g in corpus]
     t0 = time.time()
     results = _map(_decompose_one, payloads, args.jobs)
     trees = []
     skipped = []
-    for gid, tree_objs, failure in results:
+    for gid, found, failure in results:
         if failure is not None:
-            skipped.append({"id": gid, **failure})
-        for k, tobj in enumerate(tree_objs):
-            tid = gid if len(tree_objs) == 1 else f"{gid}#{k}"
-            trees.append((tid, AMDepTree.from_json(tobj)))
+            skipped.append({"id": gid, **failure.to_json()})
+        for k, tree in enumerate(found):
+            trees.append((gid if len(found) == 1 else f"{gid}#{k}", tree))
     write_trees(trees, args.out)
     _write_json(skipped, args.report)
     log.info("decomposed %d/%d graphs in %.2fs", len(corpus) - len(skipped),
@@ -200,11 +198,10 @@ def _decompose(args):
 
 
 def _build_one(payload):
-    from .algebra import AMDepTree
     from .automata import build_automaton
 
-    tid, tobj, sources = payload
-    return tid, build_automaton(AMDepTree.from_json(tobj), sources, graph_id=tid)
+    tid, tree, sources = payload
+    return tid, build_automaton(tree, sources, graph_id=tid)
 
 
 def _automaton_files(ids):
@@ -241,7 +238,7 @@ def _build_automata(args, trees=None):
     sources = tuple(f"s{i + 1}" for i in range(args.sources))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = _map(_build_one, [(tid, t.to_json(), sources) for tid, t in trees], args.jobs)
+    results = _map(_build_one, [(tid, t, sources) for tid, t in trees], args.jobs)
     index = []
     outputs = []
     empty = 0
@@ -250,7 +247,7 @@ def _build_automata(args, trees=None):
         outputs.append(outdir / fname)
         empty += 1 if a.empty else 0
         index.append({"id": tid, "file": fname, "rules": len(a.rules),
-                      "states": len(a.states()), "empty": a.empty,
+                      "states": len(a.state_list), "empty": a.empty,
                       "trees": str(count_trees(a))})
     _write_json({"sources": list(sources), "automata": index}, outdir / "index.json")
     write_manifest(outdir / "manifest.json", "build-automata",

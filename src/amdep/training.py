@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import canonical_constant_form, constant_from_canonical, skeleton_form
-from .automata import (CompiledAutomaton, Run, TreeAutomaton, bottom_up, reconstruct_tree,
+from .automata import (Run, TreeAutomaton, bottom_up, reconstruct_tree, rule_event_key,
                        subtree_counts)
 from .errors import EmptyAutomaton, NonFiniteGradient, first_ids
 
@@ -35,7 +35,7 @@ def logsumexp(values):
 
 @dataclass
 class InsideOutsideResult:
-    log_inside: list  # log inside score per state, indexed as a.compiled().states
+    log_inside: list  # log inside score per state, indexed as a.state_list
     log_total: float  # log I
     log_alpha: list | None = None  # log outer weight per rule, indexed by rule id
     lin_total: float | None = None  # linear-domain I when it did not under/overflow
@@ -67,21 +67,21 @@ def _vmax(terms):
     return max(terms, default=NEG_INF)
 
 
-def _log_inside(c: CompiledAutomaton, lw):
-    log_in = bottom_up(c, lw, operator.add, logsumexp)
-    return log_in, logsumexp([log_in[f] for f in c.finals])
+def _log_inside(a: TreeAutomaton, lw):
+    log_in = bottom_up(a, lw, operator.add, logsumexp)
+    return log_in, logsumexp([log_in[f] for f in a.accept])
 
 
-def _log_outer(c: CompiledAutomaton, lw, log_in):
+def _log_outer(a: TreeAutomaton, lw, log_in):
     """Top-down pass: the log outer weight of every rule, by rule id."""
-    log_out: list[list[float]] = [[] for _ in c.states]
-    for f in c.finals:
+    log_out: list[list[float]] = [[] for _ in a.state_list]
+    for f in a.accept:
         log_out[f] = [0.0]
     log_alpha = [NEG_INF] * len(lw)
-    for q in reversed(range(len(c.states))):
+    for q in reversed(range(len(a.state_list))):
         out_q = logsumexp(log_out[q])
-        for rid in c.state_rules[q]:
-            kids = c.children[rid]
+        for rid in a.state_rules[q]:
+            kids = a.children[rid]
             t = out_q
             for k in kids:
                 t += log_in[k]
@@ -98,11 +98,10 @@ def _log_outer(c: CompiledAutomaton, lw, log_in):
 def _posteriors(a: TreeAutomaton, w, lw):
     """(log I, posterior of each rule in a.rules order): the expected number
     of uses of the rule in an accepted tree, alpha(r) * w(r) / I."""
-    c = a.compiled()
-    log_in, total = _log_inside(c, lw)
+    log_in, total = _log_inside(a, lw)
     if total == NEG_INF:
         raise EmptyAutomaton("no accepted trees")
-    log_alpha = _log_outer(c, lw, log_in)
+    log_alpha = _log_outer(a, lw, log_in)
     return total, [math.exp(log_alpha[r.rid] + lw[r.rid] - total) for r in a.rules]
 
 
@@ -112,13 +111,12 @@ def inside(a: TreeAutomaton, weights=None) -> InsideOutsideResult:
     weights and tighter at desk scale, with the log values as the
     underflow-safe reference. weights maps rule id -> positive weight (unit
     when None)."""
-    if a.empty or not a.finals:
+    if a.empty:
         return InsideOutsideResult([], NEG_INF)
-    c = a.compiled()
     w, lw = _rule_weights(a, weights)
-    log_in, total = _log_inside(c, lw)
-    lin_in = bottom_up(c, w, operator.mul, math.fsum)
-    lin_total = math.fsum(lin_in[f] for f in c.finals)
+    log_in, total = _log_inside(a, lw)
+    lin_in = bottom_up(a, w, operator.mul, math.fsum)
+    lin_total = math.fsum(lin_in[f] for f in a.accept)
     return InsideOutsideResult(log_in, total, lin_total=lin_total)
 
 
@@ -130,7 +128,7 @@ def outer_weights(a: TreeAutomaton, weights=None) -> InsideOutsideResult:
     if res.log_total == NEG_INF:
         raise EmptyAutomaton("no accepted trees")
     _w, lw = _rule_weights(a, weights)
-    res.log_alpha = _log_outer(a.compiled(), lw, res.log_inside)
+    res.log_alpha = _log_outer(a, lw, res.log_inside)
     return res
 
 
@@ -140,25 +138,24 @@ def viterbi(a: TreeAutomaton, weights=None) -> Run:
     and start with distinct rule ids, so that order is the order of their
     first rule id: the (max, +) pass keeps best scores and the backtrace
     takes the first rule, in id order, that reaches its state's best."""
-    if a.empty or not a.finals:
+    if a.empty:
         raise EmptyAutomaton("no accepted trees")
-    c = a.compiled()
     _w, lw = _rule_weights(a, weights)
-    best = bottom_up(c, lw, operator.add, _vmax)
+    best = bottom_up(a, lw, operator.add, _vmax)
 
     def best_rule(q):
-        for rid in c.state_rules[q]:
+        for rid in a.state_rules[q]:
             t = lw[rid]
-            for k in c.children[rid]:
+            for k in a.children[rid]:
                 t += best[k]
             if t == best[q]:
                 return rid
         raise AssertionError("no rule reaches the state's best score")
 
     def run(rid):
-        return Run(rid, tuple(run(best_rule(k)) for k in c.children[rid]))
+        return Run(rid, tuple(run(best_rule(k)) for k in a.children[rid]))
 
-    tops = [(-best[f], best_rule(f)) for f in c.finals if best[f] != NEG_INF]
+    tops = [(-best[f], best_rule(f)) for f in a.accept if best[f] != NEG_INF]
     if not tops:
         raise EmptyAutomaton("no accepted trees")
     return run(min(tops)[1])
@@ -167,22 +164,21 @@ def viterbi(a: TreeAutomaton, weights=None) -> Run:
 def sample_run(a: TreeAutomaton, rng: random.Random) -> Run:
     """Exact uniform sample over accepted trees: integer subtree counts drive
     a top-down categorical walk."""
-    c = a.compiled()
-    counts = subtree_counts(c)
-    grand = sum(counts[f] for f in c.finals)
+    counts = subtree_counts(a)
+    grand = sum(counts[f] for f in a.accept)
     if grand == 0:
         raise EmptyAutomaton("no accepted trees")
     pick = rng.randrange(grand)
     final = None
-    for f in c.finals:
+    for f in a.accept:
         if pick < counts[f]:
             final = f
             break
         pick -= counts[f]
 
     def descend(q, idx):
-        for rid in c.state_rules[q]:
-            kids = c.children[rid]
+        for rid in a.state_rules[q]:
+            kids = a.children[rid]
             prod = 1
             for k in kids:
                 prod *= counts[k]
@@ -203,23 +199,6 @@ def sample_run(a: TreeAutomaton, rng: random.Random) -> Run:
 
 # ---------------------------------------------------------------------------
 # events and EM
-
-
-def rule_event_key(rule) -> str:
-    if rule.event[0] == "const":
-        return "const " + rule.event[1]
-    return f"edge {rule.event[1]} {rule.event[2]}"
-
-
-def event_keys(a: TreeAutomaton) -> list[str]:
-    """The event key of each rule of a, by rule id. Built once and kept
-    with the compiled automaton, so EM, its baseline and Viterbi share one
-    list per automaton."""
-    c = a.compiled()
-    keys = c.derived.get("event_keys")
-    if keys is None:
-        keys = c.derived["event_keys"] = [rule_event_key(r) for r in c.rules]
-    return keys
 
 
 def event_group_key(event_key: str) -> str:
@@ -257,7 +236,7 @@ class EventTable:
 
     def rule_weights(self, a: TreeAutomaton) -> list[float]:
         """The weight of each rule of a, by rule id."""
-        return [self.theta.get(k, self.default) for k in event_keys(a)]
+        return [self.theta.get(k, self.default) for k in a.event_keys]
 
     def to_json(self):
         return {"theta": dict(sorted(self.theta.items())),
@@ -309,7 +288,7 @@ def discover_events(automata):
     group_of: dict[str, str] = {}  # events recur across rules and graphs
     leaf_group: dict[str, str | None] = {}  # placeholder constant form -> _leaf_group
     for _tid, a in automata:
-        for r, key in zip(a.compiled().rules, event_keys(a)):
+        for r, key in zip(a.rules, a.event_keys):
             if key in group_of:
                 continue
             group = None
@@ -351,8 +330,8 @@ def em_fit(automata, iterations=25, seed=0, smoothing=SMOOTHING) -> EventTable:
     so the per-iteration corpus log-likelihood (sum of log inside totals) is
     non-decreasing up to floating point noise.
     """
-    usable = [(tid, a) for tid, a in automata if not a.empty and a.finals]
-    skipped = [tid for tid, a in automata if a.empty or not a.finals]
+    usable = [(tid, a) for tid, a in automata if not a.empty]
+    skipped = [tid for tid, a in automata if a.empty]
     if skipped:
         log.warning("EM skipping %d empty automata: %s", len(skipped), skipped[:5])
     if not usable:
@@ -361,7 +340,7 @@ def em_fit(automata, iterations=25, seed=0, smoothing=SMOOTHING) -> EventTable:
     keys = [k for ks in groups.values() for k in ks]
     index = {k: e for e, k in enumerate(keys)}
     members = [[index[k] for k in ks] for ks in groups.values()]
-    events = [[index[k] for k in event_keys(a)] for _tid, a in usable]  # by rule id
+    events = [[index[k] for k in a.event_keys] for _tid, a in usable]  # by rule id
     rng = random.Random(seed)
     theta = [rng.uniform(0.1, 1.0) for _ in keys]
     _normalize_groups(theta, members)
@@ -389,7 +368,7 @@ def em_fit(automata, iterations=25, seed=0, smoothing=SMOOTHING) -> EventTable:
 
 def random_weights_baseline(automata, seed=0) -> EventTable:
     """One weight per graph constant and edge event, drawn once globally."""
-    usable = [(tid, a) for tid, a in automata if not a.empty and a.finals]
+    usable = [(tid, a) for tid, a in automata if not a.empty]
     groups = discover_events(usable)
     rng = random.Random(seed)
     theta = {k: rng.uniform(0.1, 1.0) for keys in sorted(groups.values()) for k in keys}
@@ -499,7 +478,7 @@ def joint_fit(automata, cfg: JointConfig) -> Scorer:
     """Gradient ascent on the summed log inside scores (minus optional L2).
     Deterministic given the config: instances are shuffled per epoch with the
     seeded generator and gradients accumulated in corpus order."""
-    usable = [(tid, a) for tid, a in automata if not a.empty and a.finals]
+    usable = [(tid, a) for tid, a in automata if not a.empty]
     if not usable:
         raise _no_usable_automata([tid for tid, _a in automata])
     scorer = Scorer(meta={"epochs": cfg.epochs, "lr": cfg.lr, "batch": cfg.batch,

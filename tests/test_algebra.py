@@ -36,7 +36,7 @@ from amdep.errors import (
 from amdep.generate import GeneratorConfig, gen_random_tree
 from amdep.graph import SemanticGraph, is_isomorphic
 
-from conftest import two_error_tree
+from conftest import MOD_ATTACH_GRAPH, two_error_tree
 
 T = AMType
 # reusable and placeholder names a constant's names may be renamed to
@@ -348,6 +348,17 @@ def test_tree_file_round_trip(tmp_path):
     assert tid == "c" and t2 == coordination_tree()
 
 
+def test_tree_pickle_round_trip():
+    # worker processes receive and return trees by pickle; AMType, nested
+    # requests included, must survive although it refuses attribute writes
+    import pickle
+
+    tree = coordination_tree()
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    t = typ({"x": {}, "y": {"x": {}}})
+    assert pickle.loads(pickle.dumps(t)) == t and hash(pickle.loads(pickle.dumps(t))) == hash(t)
+
+
 def test_order_invariance_on_random_trees():
     from itertools import islice
 
@@ -374,6 +385,47 @@ def test_order_invariance_on_random_trees():
             assert is_isomorphic(results[0], r)
         checked += 1
     assert checked >= 10
+
+
+def test_order_invariance_on_renamed_trees():
+    """Confluence on the trees an automaton accepts: decompose random
+    graphs, build automata at 3 and 4 sources, and reconstruct enumerated
+    runs and the Viterbi run. At every node with several children, every
+    admissible order evaluates to the same graph, and there is one."""
+    from itertools import islice
+
+    from amdep.algebra import admissible_orders, evaluate_with_orders, term_type
+    from amdep.automata import build_automaton, enumerate_runs, reconstruct_tree
+    from amdep.decompose import Decomposition, decompose
+    from amdep.generate import GeneratorConfig, gen_random_tree
+    from amdep.training import viterbi
+
+    cfg = GeneratorConfig(max_nodes=6, reentrancy_prob=0.6, mod_prob=0.5)
+    graphs = [SemanticGraph.from_json(MOD_ATTACH_GRAPH)]
+    graphs += [evaluate(gen_random_tree(cfg, seed=seed + 8800)) for seed in range(40)]
+    checked = 0
+    for g in graphs:
+        d = decompose(g)
+        if not isinstance(d, Decomposition):
+            continue
+        for sources in (("s1", "s2", "s3"), ("s1", "s2", "s3", "s4")):
+            a = build_automaton(d.tree, sources)
+            if a.empty:
+                continue
+            for run in enumerate_runs(a, limit=6) + [viterbi(a)]:
+                tree = reconstruct_tree(a, run)
+                types = {n: term_type(tree, n) for n in tree.nodes}
+                for node in tree.nodes:
+                    if not 2 <= len(tree.children(node)) <= 6:
+                        continue
+                    orders = admissible_orders(tree, node, types)
+                    assert orders, node
+                    results = [evaluate_with_orders(tree, {node: o}).graph
+                               for o in islice(orders, 24)]
+                    for r in results[1:]:
+                        assert is_isomorphic(results[0], r)
+                    checked += len(orders) >= 2
+    assert checked >= 200
 
 
 def test_label_merge_rules():

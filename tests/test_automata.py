@@ -12,6 +12,9 @@ from amdep.algebra import (
     placeholder_target,
 )
 from amdep.automata import (
+    Rule,
+    State,
+    TreeAutomaton,
     binarize,
     build_automaton,
     count_trees,
@@ -161,6 +164,24 @@ class TestBuildAutomaton:
         assert a2.empty and count_trees(a2) == 0
         a3 = build_automaton(d.tree, S3)
         assert not a3.empty and count_trees(a3) > 0
+
+    def test_constructor_rejects_misnumbered_or_upward_rules(self):
+        top, left, right = State("", ()), State("0", ()), State("1", ())
+
+        def rule(rid, parent, children=()):
+            return Rule(rid, parent, "APP_s1" if children else "{}", children,
+                        ("edge", "APP", "s1") if children else ("const", "{}"), ("",))
+
+        leaves = [rule(0, left), rule(1, right)]
+        TreeAutomaton("ok", S3, leaves + [rule(2, top, (left, right))], [top], {})
+        with pytest.raises(ValueError, match="rule ids are not 0..2 in order"):
+            TreeAutomaton("swapped", S3, [rule(2, top, (left, right))] + leaves, [top], {})
+        with pytest.raises(ValueError, match="rule ids are not 0..1 in order"):
+            TreeAutomaton("gap", S3, [rule(0, left), rule(2, right)], [top], {})
+        with pytest.raises(ValueError, match="rule 0 has a child state no deeper"):
+            TreeAutomaton("upward", S3, [rule(0, left, (top, right))], [left], {})
+        with pytest.raises(ValueError, match="rule 2 has a child state no deeper"):
+            TreeAutomaton("loop", S3, leaves + [rule(2, top, (top, right))], [top], {})
 
     def test_determinism(self, rel_decomp):
         a1 = build_automaton(rel_decomp.tree, S3)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from amdep.algebra import write_trees
+from amdep.algebra import AMDepTree, constant, write_trees
 from amdep.cli import main
 from amdep.decompose import decompose
 from amdep.graph import SemanticGraph
@@ -190,6 +191,26 @@ class TestAutomataCommands:
         assert idx["automata"][0]["empty"] is True
         assert run("build-automata", "--trees", tmp_path / "t.json",
                    "--sources", 3, "--out", tmp_path / "auto3") == 0
+
+    def test_renaming_onto_a_carried_name_skipped(self, tmp_path, caplog):
+        # see carries s1 next to its placeholder ps(b): renaming ps(b) to s1
+        # would name two slots s1, so that renaming is skipped with a warning
+        see = constant("see", "a", [("ARG0", "ps(b)"), ("ARG1", "s1")])
+        tree = AMDepTree({"a": see, "b": constant("boy", "b")}, "a",
+                         [("a", "b", "APP", "ps(b)")])
+        write_trees([("g1", tree)], tmp_path / "t.json")
+        with caplog.at_level(logging.WARNING, logger="amdep.automata"):
+            assert run("build-automata", "--trees", tmp_path / "t.json", "--sources", 2,
+                       "--out", tmp_path / "auto2") == 0
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "graph g1: constant at a: skipped 1 renamings of its placeholders onto source "
+            "names it already carries"]
+        [item] = json.loads((tmp_path / "auto2/index.json").read_text())["automata"]
+        assert item["trees"] == "1" and not item["empty"]
+        assert run("build-automata", "--trees", tmp_path / "t.json", "--sources", 1,
+                   "--out", tmp_path / "auto1") == 2
+        [item] = json.loads((tmp_path / "auto1/index.json").read_text())["automata"]
+        assert item["empty"]
 
     def test_colliding_file_names_kept_apart(self, tmp_path, capsys):
         # a#0 and a_0 both map to a_0.auto: each needs its own file
