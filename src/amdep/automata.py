@@ -4,6 +4,17 @@ A decomposed tree (placeholder sources) is binarized; the automaton's states
 pair a node address in the binarized tree with a partial map from placeholder
 names to reusable names, and its runs are exactly the consistent renamings
 that stay well-typed.
+
+``build_automaton`` works on integers until the end. Every state at an
+address assigns the placeholders of the address's leftmost leaf, so it is
+held as the tuple of its names and numbered by their sorted order there. A
+leaf's rules render the canonical label of each renaming from one layout of
+its constant; an operation's rules join its children's states on their
+names at the placeholders both sides share; pruning sets flags on the
+numbers. The kept states and rules then become ``State`` and ``Rule`` views
+once, numbered by first appearance, and ``TreeAutomaton`` turns that
+numbering into its index, as it does for the numbering ``read_automaton``
+gives the state texts it reads.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ from .algebra import (
     AMDepTree,
     DepEdge,
     SGraph,
-    canonical_constant_form,
     constant_from_canonical,
     fold,
     placeholder,
@@ -54,10 +64,13 @@ class BinNode:
         return self.const is not None
 
     def walk(self):
-        yield self
-        if not self.is_leaf:
-            yield from self.left.walk()
-            yield from self.right.walk()
+        """The nodes in preorder, without nesting a generator per level."""
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            yield node
+            if not node.is_leaf:
+                todo += (node.right, node.left)
 
 
 def binarize(tree: AMDepTree) -> BinNode:
@@ -127,9 +140,16 @@ class TreeAutomaton:
     indices of rule rid, and ``accept`` the indices of the final states in
     the order of ``finals``. ``shape`` maps each address of the binarized
     tree to its leaf or operation descriptor (for reconstruction).
+
+    ``numbered`` is ``(states, links, accept)`` when the caller has already
+    numbered the states: ``states`` in order of first appearance over each
+    rule's parent and children, rules in id order, ``links[rid]`` rule rid's
+    ``(parent, *children)`` and ``accept`` its finals, all by that number.
+    Without it the rules' states are numbered here, hashing each one.
     """
 
-    def __init__(self, graph_id: str, sources, rules, finals, shape: dict[str, dict]):
+    def __init__(self, graph_id: str, sources, rules, finals, shape: dict[str, dict],
+                 numbered=None):
         self.graph_id = graph_id
         self.sources: tuple[str, ...] = tuple(sources)
         self.rules: list[Rule] = list(rules)
@@ -138,20 +158,29 @@ class TreeAutomaton:
         if [r.rid for r in self.rules] != list(range(len(self.rules))):
             raise ValueError(f"automaton {graph_id!r}: rule ids are not "
                              f"0..{len(self.rules) - 1} in order")
-        seen = dict.fromkeys(s for r in self.rules for s in (r.parent, *r.children))
-        self.state_list: list[State] = sorted(seen, key=lambda s: -len(s.address))
-        index = {s: i for i, s in enumerate(self.state_list)}
-        self.state_rules: list[list[int]] = [[] for _ in self.state_list]
+        if numbered is None:
+            number: dict[State, int] = {}
+            links = [tuple(number.setdefault(s, len(number)) for s in (r.parent, *r.children))
+                     for r in self.rules]
+            numbered = list(number), links, [number[f] for f in self.finals if f in number]
+        states, links, accept = numbered
+        # deepest addresses first; a stable sort keeps first appearance within a depth
+        order = sorted(range(len(states)), key=lambda i: -len(states[i].address))
+        rank = [0] * len(order)
+        for q, i in enumerate(order):
+            rank[i] = q
+        self.state_list: list[State] = [states[i] for i in order]
+        self.state_rules: list[list[int]] = [[] for _ in order]
         self.children: list[tuple[int, ...]] = []
-        for r in self.rules:
-            parent = index[r.parent]
-            kids = tuple(index[c] for c in r.children)
-            if any(k >= parent for k in kids):
+        for r, (parent, *kids) in zip(self.rules, links):
+            parent = rank[parent]
+            kids = tuple([rank[k] for k in kids])
+            if kids and max(kids) >= parent:
                 raise ValueError(f"automaton {graph_id!r}: rule {r.rid} has a child "
                                  "state no deeper than its parent")
             self.state_rules[parent].append(r.rid)
             self.children.append(kids)
-        self.accept: list[int] = [index[f] for f in self.finals if f in index]
+        self.accept: list[int] = [rank[f] for f in accept]
 
     @property
     def empty(self) -> bool:
@@ -186,13 +215,11 @@ def bottom_up(a: TreeAutomaton, weights, times, plus):
     return value
 
 
-def _alignments(shape):
+def _alignments(shape, label):
     """Alignment anchor of the rules at each address of a shape: a leaf's
-    constant's root label, or for an operation the root labels of the
-    leftmost leaves of its head and dependent sides. Each leaf constant is
-    parsed once."""
-    label = {addr: constant_from_canonical(d["const"]).root_label()
-             for addr, d in shape.items() if d["kind"] == "leaf"}
+    constant's root label (``label`` maps each leaf address to it), or for
+    an operation the root labels of the leftmost leaves of its head and
+    dependent sides."""
     depth = max(map(len, shape), default=0)
 
     def leftmost(addr):
@@ -207,9 +234,56 @@ def _alignments(shape):
             for addr, d in shape.items()}
 
 
-def _phi_consistent(phi1, phi2):
-    d2 = dict(phi2)
-    return all(d2.get(k, v) == v for k, v in phi1)
+class _LeafLayout:
+    """A leaf constant laid out once for every renaming of its placeholders.
+    ``label(names)`` equals ``canonical_constant_form`` of the constant with
+    its placeholders renamed per ``names``: only the nodes a source marks
+    change their canonical id (``s:<name>``), so the root and the anonymous
+    slot ids, the edges and the type are kept and renamed in place.
+    ``clashes(combo)`` tells whether ``AMType`` would reject the renaming of
+    the placeholders ``ph`` to ``combo`` for naming one level of the type
+    twice: a placeholder renamed onto a name its level already carries."""
+
+    def __init__(self, c: SGraph, ph):
+        nodes = c.graph.nodes
+        src_of = {v: k for k, v in c.sources.items()}
+        anon = sorted((n for n in nodes if n != c.root and n not in src_of),
+                      key=lambda n: str(nodes[n]))
+        self.ids = {c.root: "r", **{n: f"x{i}" for i, n in enumerate(anon)}}
+        self.named = [(n, src_of[n]) for n in nodes if n not in self.ids]
+        self.nodes = list(nodes.items())
+        self.edges = [(e.src, e.tgt, e.label) for e in c.graph.edges]
+        self.sources = list(c.sources.items())
+        self.typ = c.typ
+        position = {p: i for i, p in enumerate(ph)}
+        self.levels = []  # (placeholder positions, other names) of each level with both
+        todo = [c.typ]
+        while todo:
+            t = todo.pop()
+            todo.extend(sub for _k, sub in t.entries)
+            at = [position[k] for k, _sub in t.entries if k in position]
+            others = {k for k, _sub in t.entries if k not in position}
+            if at and others:
+                self.levels.append((at, others))
+
+    def clashes(self, combo) -> bool:
+        return any(combo[i] in others for at, others in self.levels for i in at)
+
+    def label(self, names) -> str:
+        ids = dict(self.ids)
+        for n, k in self.named:
+            ids[n] = "s:" + names.get(k, k)
+        edges = sorted((ids[s], ids[t], lbl) for s, t, lbl in self.edges)
+        payload = {"root": "r",
+                   "nodes": {ids[n]: lbl for n, lbl in self.nodes},
+                   "edges": [[s, lbl, t] for s, t, lbl in edges],
+                   "sources": {names.get(k, k): ids[n] for k, n in self.sources},
+                   "type": _renamed_json(self.typ, names)}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _renamed_json(typ, names):
+    return {names.get(k, k): _renamed_json(sub, names) for k, sub in typ.entries}
 
 
 def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
@@ -226,78 +300,118 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
         if any(ch in s for s in sources):
             raise UnsupportedName(f"source name containing {ch!r} unsupported")
     b = binarize(tree)
-    rules_at: dict[str, list] = {}
-    states_at: dict[str, list] = {}
+    keys: dict[str, tuple] = {}  # the placeholders every state at an address assigns
+    names: dict[str, list] = {}  # each state's names at an address, sorted: its number there
+    rules_at: dict[str, list] = {}  # (parent, label[, left, right]) by those numbers
     shape: dict[str, dict] = {}
+    root_label: dict[str, str] = {}
 
     for node in b.walk():
         if not node.is_leaf:
             continue
-        ph = sorted(node.const.placeholders())
+        ph = tuple(sorted(node.const.placeholders()))
         if any(ch in node.tree_node for ch in "(){}=,:# "):
             raise UnsupportedName(f"{where}node id {node.tree_node!r} unsupported "
                                   "in automaton files")
+        layout = _LeafLayout(node.const, ph)
         shape[node.address] = {"kind": "leaf", "node": node.tree_node,
-                               "const": canonical_constant_form(node.const)}
-        lst = []
+                               "const": layout.label({})}
+        root_label[node.address] = node.const.root_label()
+        renamed = []
         clashes = 0
-        if len(ph) <= len(sources):
-            for combo in permutations(sources, len(ph)):
-                phi = tuple(zip(ph, combo))
-                try:
-                    renamed = node.const.rename_sources(dict(phi))
-                except ValueError:  # a placeholder renamed onto a name its level already has
-                    clashes += 1
-                    continue
-                lst.append((State(node.address, phi), canonical_constant_form(renamed), ()))
-        rules_at[node.address] = lst
-        states_at[node.address] = sorted({st for st, _, _ in lst})
+        for combo in permutations(sources, len(ph)):
+            if layout.levels and layout.clashes(combo):
+                clashes += 1
+                continue
+            renamed.append((combo, layout.label(dict(zip(ph, combo)))))
+        keys[node.address] = ph
+        names[node.address] = sorted(combo for combo, _lbl in renamed)
+        local = {combo: q for q, combo in enumerate(names[node.address])}
+        rules_at[node.address] = [(local[combo], lbl) for combo, lbl in renamed]
         if clashes:
             log.warning("%sconstant at %s: skipped %d renamings of its placeholders onto "
                         "source names it already carries", where, node.tree_node, clashes)
-        elif not lst:
+        elif not renamed:
             log.warning("%sconstant at %s has %d placeholders but only %d sources",
                         where, node.tree_node, len(ph), len(sources))
 
     for node in sorted((n for n in b.walk() if not n.is_leaf),
                        key=lambda n: -len(n.address)):
-        shape[node.address] = {"kind": "op", "op": node.op, "source": node.source,
-                               "parent": node.dep_parent, "child": node.dep_child}
-        lst = []
-        for s1 in states_at[node.address + "0"]:
-            for s2 in states_at[node.address + "1"]:
-                if not _phi_consistent(s1.phi, s2.phi):
-                    continue
-                phi1, phi2 = dict(s1.phi), dict(s2.phi)
-                if node.op == "APP":
-                    if node.source not in phi1:
-                        continue
-                    name = phi1[node.source]
-                else:
-                    if node.source not in phi2:
-                        continue
-                    name = phi2[node.source]
-                parent = State(node.address, s1.phi)
-                lst.append((parent, f"{node.op}_{name}", (s1, s2)))
-        rules_at[node.address] = lst
-        states_at[node.address] = sorted({st for st, _, _ in lst})
-
-    finals = states_at.get("", [])
-    # prune: keep states that reach a final state top-down
-    useful: set[State] = set(finals)
-    for addr in sorted(rules_at, key=len):
-        for parent, _lbl, children in rules_at[addr]:
-            if parent in useful:
-                useful.update(children)
-    rules: list[Rule] = []
-    aligns = _alignments(shape)
-    for addr in sorted(rules_at):
-        for parent, lbl, children in rules_at[addr]:
-            if parent not in useful or any(c not in useful for c in children):
+        addr = node.address
+        shape[addr] = {"kind": "op", "op": node.op, "source": node.source,
+                       "parent": node.dep_parent, "child": node.dep_child}
+        lkeys, rkeys = keys[addr + "0"], keys[addr + "1"]
+        left, right = names[addr + "0"], names[addr + "1"]
+        shared = [k for k in lkeys if k in rkeys]
+        lshared = [lkeys.index(k) for k in shared]
+        rshared = [rkeys.index(k) for k in shared]
+        matches: dict[tuple, list[int]] = {}
+        for j, r in enumerate(right):
+            matches.setdefault(tuple([r[i] for i in rshared]), []).append(j)
+        keys[addr] = lkeys
+        names[addr] = kept = []
+        rules_at[addr] = lst = []
+        # APP takes its reusable name from the head side, MOD from the modifier
+        side = lkeys if node.op == "APP" else rkeys
+        if node.source not in side:
+            continue
+        at = side.index(node.source)
+        mod_label = [f"MOD_{r[at]}" for r in right] if node.op == "MOD" else None
+        for i, l in enumerate(left):
+            js = matches.get(tuple([l[k] for k in lshared]))
+            if not js:
                 continue
-            rules.append(Rule(len(rules), parent, lbl, children, _event(lbl, children),
-                              aligns[addr]))
-    fa = TreeAutomaton(graph_id, sources, rules, [f for f in finals if f in useful], shape)
+            parent = len(kept)  # the parent state keeps the head side's names
+            kept.append(l)
+            if mod_label is None:
+                lbl = f"APP_{l[at]}"
+                lst.extend([(parent, lbl, i, j) for j in js])
+            else:
+                lst.extend([(parent, mod_label[j], i, j) for j in js])
+
+    # number the kept states by first appearance over the kept rules in id order
+    states: list[State] = []
+    number_at = {addr: [-1] * len(v) for addr, v in names.items()}
+
+    def number(addr, q):
+        at = number_at[addr]
+        if at[q] < 0:
+            at[q] = len(states)
+            states.append(State(addr, tuple(zip(keys[addr], names[addr][q]))))
+        return at[q]
+
+    # rule ids follow the addresses sorted as strings, where a parent sorts
+    # before its children: the same pass prunes, top-down from the finals, the
+    # states no final state reaches
+    useful = {addr: bytearray(len(v)) for addr, v in names.items()}
+    useful[""] = bytearray([1]) * len(names[""])
+    rules: list[Rule] = []
+    links: list[tuple] = []
+    events: dict[str, tuple] = {}
+    aligns = _alignments(shape, root_label)
+    for addr in sorted(rules_at):
+        up, align = useful[addr], aligns[addr]
+        if shape[addr]["kind"] == "leaf":
+            for parent, lbl in rules_at[addr]:
+                if up[parent]:
+                    q = number(addr, parent)
+                    links.append((q,))
+                    rules.append(Rule(len(rules), states[q], lbl, (), ("const", lbl), align))
+            continue
+        left, right = addr + "0", addr + "1"
+        useful_left, useful_right = useful[left], useful[right]
+        for parent, lbl, i, j in rules_at[addr]:
+            if not up[parent]:
+                continue
+            useful_left[i] = useful_right[j] = 1
+            link = (number(addr, parent), number(left, i), number(right, j))
+            event = events.get(lbl) or events.setdefault(lbl, _event(lbl, link[1:]))
+            links.append(link)
+            rules.append(Rule(len(rules), states[link[0]], lbl,
+                              (states[link[1]], states[link[2]]), event, align))
+    accept = number_at[""]
+    fa = TreeAutomaton(graph_id, sources, rules, [states[f] for f in accept], shape,
+                       numbered=(states, links, accept))
     if fa.empty:
         log.warning("%sautomaton accepts no trees (source inventory too small?)", where)
     return fa
@@ -419,12 +533,15 @@ def write_automaton(a: TreeAutomaton, path, weights=None):
     line `<state> <- <label>(<children>) [# weight]`."""
     lines = [f"#! graph {a.graph_id}", f"#! sources {' '.join(a.sources)}",
              f"#! shape {json.dumps(a.shape, sort_keys=True, separators=(',', ':'))}"]
-    text = {s: str(s) for s in a.state_list}  # a state recurs in many rules
+    text = [str(s) for s in a.state_list]  # a state recurs in many rules
+    parent = [0] * len(a.rules)
+    for q, rids in enumerate(a.state_rules):
+        for rid in rids:
+            parent[rid] = q
     for f in a.finals:
         lines.append(f"final: {f}")
-    for r in a.rules:
-        kids = ", ".join(text[c] for c in r.children)
-        line = f"{text[r.parent]} <- {r.label}({kids})"
+    for r, q, kids in zip(a.rules, parent, a.children):
+        line = f"{text[q]} <- {r.label}({', '.join([text[k] for k in kids])})"
         if weights is not None:
             line += f" # {weights[r.rid]!r}"
         lines.append(line)
@@ -440,13 +557,21 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     rules = []
     weights: dict[int, float] = {}
     saw_weight = False
-    parsed: dict[str, State] = {}  # a state recurs as parent and child of many rules
+    # a state recurs as parent and child of many rules: each distinct text is
+    # parsed once and numbered by its first appearance in the rules
+    by_text: dict[str, int] = {}
+    by_state: dict[State, int] = {}  # two texts may spell one state
+    states: list[State] = []
+    links = []
 
     def state(text):
-        s = parsed.get(text)
-        if s is None:
-            s = parsed[text] = _parse_state(text)
-        return s
+        q = by_text.get(text)
+        if q is None:
+            s = _parse_state(text)
+            q = by_text[text] = by_state.setdefault(s, len(states))
+            if q == len(states):
+                states.append(s)
+        return q
 
     rule_lines = []  # the line of each rule, by rule id
     ln = 0
@@ -468,7 +593,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                 if line.startswith("#"):
                     continue
                 if line.startswith("final:"):
-                    finals.append(state(line[len("final:"):]))
+                    finals.append(_parse_state(line[len("final:"):]))
                     continue
                 body = line
                 if " # " in line:
@@ -485,19 +610,21 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                 head, rest = body.split(" <- ", 1)
                 parent = state(head)
                 if rest.endswith("()"):
-                    label, children = rest[:-2], ()
+                    label, kids = rest[:-2], ()
                 else:
                     open_idx = rest.index("(")
                     label = rest[:open_idx]
-                    inner = rest[open_idx + 1:-1]
-                    children = tuple(state(p) for p in inner.split(", "))
-                rules.append(Rule(len(rules), parent, label, children, _event(label, children),
-                                  ("",)))
+                    kids = tuple(state(p) for p in rest[open_idx + 1:-1].split(", "))
+                links.append((parent, *kids))
+                children = tuple(states[k] for k in kids)
+                rules.append(Rule(len(rules), states[parent], label, children,
+                                  _event(label, children), ("",)))
                 rule_lines.append(ln)
     except ValueError as exc:
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
     try:
-        aligns = _alignments(shape)
+        aligns = _alignments(shape, {addr: constant_from_canonical(d["const"]).root_label()
+                                     for addr, d in shape.items() if d["kind"] == "leaf"})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{path}: shape does not fit the rules: {exc!r}") from exc
     kind = {addr: d["kind"] for addr, d in shape.items()}
@@ -513,4 +640,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                                  f"{len(kids)} children does not fit the shape's "
                                  f"{kind.get(addr, 'missing')!r} entry there")
         r.align = aligns[addr]
-    return TreeAutomaton(graph_id, sources, rules, finals, shape), (weights if saw_weight else None)
+    accept = [by_state[f] for f in finals if f in by_state]
+    return (TreeAutomaton(graph_id, sources, rules, finals, shape,
+                          numbered=(states, links, accept)),
+            weights if saw_weight else None)

@@ -197,6 +197,13 @@ def _decompose(args):
     return (EXIT_PARTIAL if skipped else EXIT_OK), corpus, trees, skipped
 
 
+def _source_names(k):
+    """The reusable source names s1..sk of --sources k."""
+    if k < 0:
+        raise AmdepError(f"--sources {k}: the number of source names cannot be negative")
+    return tuple(f"s{i + 1}" for i in range(k))
+
+
 def _build_one(payload):
     from .automata import build_automaton
 
@@ -233,27 +240,29 @@ def _build_automata(args, trees=None):
     from .algebra import read_trees
     from .automata import count_trees, write_automaton
 
+    sources = _source_names(args.sources)
     if trees is None:
         trees = read_trees(args.trees)
-    sources = tuple(f"s{i + 1}" for i in range(args.sources))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     results = _map(_build_one, [(tid, t, sources) for tid, t in trees], args.jobs)
     index = []
     outputs = []
-    empty = 0
     for (tid, a), fname in zip(results, _automaton_files([tid for tid, _a in results])):
         write_automaton(a, outdir / fname)
         outputs.append(outdir / fname)
-        empty += 1 if a.empty else 0
         index.append({"id": tid, "file": fname, "rules": len(a.rules),
                       "states": len(a.state_list), "empty": a.empty,
                       "trees": str(count_trees(a))})
     _write_json({"sources": list(sources), "automata": index}, outdir / "index.json")
+    empty = [tid for tid, a in results if a.empty]
+    if empty:
+        log.warning("%d/%d automata empty at %d sources: %s", len(empty), len(results),
+                    len(sources), first_ids(empty))
     write_manifest(outdir / "manifest.json", "build-automata",
                    {"sources": args.sources, "jobs": args.jobs},
                    [args.trees], [str(p) for p in outputs] + [str(outdir / "index.json")],
-                   {"automata": len(index), "empty": empty})
+                   {"automata": len(index), "empty": len(empty)})
     return (EXIT_PARTIAL if empty else EXIT_OK), results
 
 
@@ -427,6 +436,7 @@ def cmd_stats(args):
 def cmd_pipeline(args):
     from .training import constant_entropy
 
+    _source_names(args.sources)  # before any stage runs
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ns = argparse.Namespace(**vars(args))

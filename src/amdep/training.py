@@ -333,7 +333,7 @@ def em_fit(automata, iterations=25, seed=0, smoothing=SMOOTHING) -> EventTable:
     usable = [(tid, a) for tid, a in automata if not a.empty]
     skipped = [tid for tid, a in automata if a.empty]
     if skipped:
-        log.warning("EM skipping %d empty automata: %s", len(skipped), skipped[:5])
+        log.warning("EM skipping %d empty automata: %s", len(skipped), first_ids(skipped))
     if not usable:
         raise _no_usable_automata(skipped)
     groups = discover_events(usable)

@@ -1,4 +1,5 @@
 import logging
+import random
 from itertools import permutations
 
 import pytest
@@ -6,7 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from amdep.algebra import (
     AMDepTree,
+    AMType,
+    SGraph,
+    canonical_constant_form,
     check_well_typed,
+    constant,
     evaluate,
     is_placeholder,
     placeholder_target,
@@ -15,6 +20,7 @@ from amdep.automata import (
     Rule,
     State,
     TreeAutomaton,
+    _LeafLayout,
     binarize,
     build_automaton,
     count_trees,
@@ -25,7 +31,7 @@ from amdep.automata import (
 )
 from amdep.decompose import Decomposition, decompose
 from amdep.errors import MalformedInput
-from amdep.generate import GeneratorConfig, gen_random_tree
+from amdep.generate import GeneratorConfig, gen_corpus, gen_random_tree
 from amdep.graph import SemanticGraph, is_isomorphic, is_isomorphic_mod_of
 
 from conftest import MOD_ATTACH_GRAPH, small_graphs
@@ -370,6 +376,29 @@ class TestSerialization:
             == [(r.rid, r.parent, r.label, r.children, r.event, r.align) for r in a.rules]
         assert w2 == weights
 
+    @given(g=small_graphs(), gold_seed=st.integers(0, 10_000), gold=st.booleans(),
+           nsources=st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_built_and_reread_index_agree(self, heuristics, tmp_path_factory, g, gold_seed,
+                                          gold, nsources):
+        # the build numbers its states itself and read_automaton numbers
+        # them from the file: both must give one index and one file
+        if gold:
+            [(gid, _g, tree)] = gen_corpus(1, gold_seed, GeneratorConfig(max_nodes=6))
+        else:
+            d = decompose(g, heuristics)
+            if not isinstance(d, Decomposition):
+                return
+            gid, tree = "g", d.tree
+        a = build_automaton(tree, [f"s{i + 1}" for i in range(nsources)], graph_id=gid)
+        path = tmp_path_factory.mktemp("idx") / "a.auto"
+        write_automaton(a, path)
+        a2, _ = read_automaton(path)
+        assert a2.state_list == a.state_list and a2.accept == a.accept
+        assert a2.state_rules == a.state_rules and a2.children == a.children
+        write_automaton(a2, path.with_suffix(".again"))
+        assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+
     @pytest.mark.parametrize("misplace", ["leaf rule at op address", "op rule at leaf address",
                                           "op rule with swapped children"])
     def test_misplaced_rule_rejected_with_its_line(self, rel_decomp, tmp_path, misplace):
@@ -401,6 +430,56 @@ class TestSerialization:
         a2, _ = read_automaton(path)
         assert [r.event for r in a2.rules] == [r.event for r in a.rules]
         assert [r.align for r in a2.rules] == [r.align for r in a.rules]
+
+
+def check_leaf_layout(c):
+    """Every renaming of c's placeholders onto S3: the layout's label is the
+    canonical form of the renamed constant, and the layout reports a clash
+    exactly when AMType rejects the renaming."""
+    ph = tuple(sorted(c.placeholders()))
+    layout = _LeafLayout(c, ph)
+    for combo in permutations(S3, len(ph)):
+        names = dict(zip(ph, combo))
+        try:
+            want = canonical_constant_form(c.rename_sources(names))
+        except (ValueError, TypeError):  # one level of the type would name a source twice
+            want = None
+        assert layout.clashes(combo) == (want is None), (c.typ, names)
+        if want is not None:
+            assert layout.label(names) == want
+
+
+@given(g=small_graphs(), seed=st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_leaf_layout_matches_renamed_canonical_form(heuristics, g, seed):
+    # leaves of decomposed trees, some placeholders first renamed to a
+    # reusable name so that later renamings can clash with it
+    d = decompose(g, heuristics)
+    if not isinstance(d, Decomposition):
+        return
+    rng = random.Random(seed)
+    for n in sorted(d.tree.nodes):
+        c = d.tree.constant(n)
+        fixed = {p: rng.choice(S3) for p in sorted(c.placeholders()) if rng.random() < 0.3}
+        try:
+            c = c.rename_sources(fixed)
+        except (ValueError, TypeError):
+            continue
+        check_leaf_layout(c)
+
+
+def test_leaf_layout_on_hand_built_constants():
+    # a clash inside a request, with equal and with different requests;
+    # anonymous nodes; a source on the root of a one-node constant
+    for nested in ({"ps(a)": {}, "s1": {}}, {"ps(a)": {}, "s1": {"s2": {}}}):
+        check_leaf_layout(constant("see", "h", [("ARG0", "ps(a)"), ("ARG1", "ps(b)")],
+                                   typ=AMType({"ps(a)": {}, "ps(b)": nested})))
+    g = SemanticGraph({"h": "see", "h@a": None, "k": "cat", "k2": None, "k3": "cat"},
+                      [("h", "h@a", "ARG0"), ("h", "k", "ARG1"), ("h", "k2", "mod"),
+                       ("h", "k3", "ARG2"), ("k", "h@a", "ARG0")], "h")
+    check_leaf_layout(SGraph(g, "h", {"ps(a)": "h@a"}, AMType({"ps(a)": {"s1": {}}})))
+    check_leaf_layout(SGraph(SemanticGraph({"r": None}, [], "r"), "r", {"ps(r)": "r"},
+                             AMType({"ps(r)": {}})))
 
 
 def test_rule_locality_factorization(rel_decomp):

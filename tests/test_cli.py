@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from amdep.algebra import AMDepTree, constant, write_trees
+from amdep.algebra import AMDepTree, AMType, constant, write_trees
 from amdep.cli import main
 from amdep.decompose import decompose
 from amdep.graph import SemanticGraph
@@ -211,6 +211,40 @@ class TestAutomataCommands:
                    "--out", tmp_path / "auto1") == 2
         [item] = json.loads((tmp_path / "auto1/index.json").read_text())["automata"]
         assert item["empty"]
+
+    def test_renaming_onto_a_carried_name_with_its_own_request_skipped(self, tmp_path, caplog):
+        # as above, but the carried s1 requests [s2] while ps(b) requests
+        # nothing: that renaming is skipped the same way, not a traceback
+        see = constant("see", "a", [("ARG0", "ps(b)"), ("ARG1", "s1")],
+                       typ=AMType({"ps(b)": {}, "s1": {"s2": {}}}))
+        tree = AMDepTree({"a": see, "b": constant("boy", "b")}, "a",
+                         [("a", "b", "APP", "ps(b)")])
+        write_trees([("g1", tree)], tmp_path / "t.json")
+        with caplog.at_level(logging.WARNING, logger="amdep.automata"):
+            assert run("build-automata", "--trees", tmp_path / "t.json", "--sources", 2,
+                       "--out", tmp_path / "auto2") == 0
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "graph g1: constant at a: skipped 1 renamings of its placeholders onto source "
+            "names it already carries"]
+        [item] = json.loads((tmp_path / "auto2/index.json").read_text())["automata"]
+        assert item["trees"] == "1"
+
+    def test_empty_automata_summarised_in_one_line(self, tmp_path, caplog):
+        corpus = [{**WIDE, "id": f"wide{i}"} if i % 2 else {**ONE_EDGE, "id": f"one{i}"}
+                  for i in range(14)]
+        (tmp_path / "g.json").write_text(json.dumps(corpus))
+        assert run("decompose", "--graphs", tmp_path / "g.json", "--out", tmp_path / "t.json",
+                   "--report", tmp_path / "s.json") == 0
+        with caplog.at_level(logging.WARNING, logger="amdep.cli"):
+            assert run("build-automata", "--trees", tmp_path / "t.json", "--sources", 2,
+                       "--out", tmp_path / "auto") == 2
+        assert [rec.getMessage() for rec in caplog.records if rec.name == "amdep.cli"] == [
+            "7/14 automata empty at 2 sources: wide1, wide3, wide5, wide7, wide9 and 2 more"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="amdep.cli"):
+            assert run("build-automata", "--trees", tmp_path / "t.json", "--sources", 3,
+                       "--out", tmp_path / "auto3") == 0
+        assert [rec for rec in caplog.records if rec.name == "amdep.cli"] == []
 
     def test_colliding_file_names_kept_apart(self, tmp_path, capsys):
         # a#0 and a_0 both map to a_0.auto: each needs its own file
@@ -575,6 +609,15 @@ def test_bad_input_file_exits_1_naming_it(workspace, tmp_path, capsys, case):
     argv, path = BAD_INPUTS[case](workspace, tmp_path)
     assert run(*argv) == 1
     assert str(path) in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["build-automata", "pipeline"])
+def test_negative_sources_exits_1_naming_it(workspace, tmp_path, capsys, command):
+    inputs = (["--trees", workspace / "run/trees.json"] if command == "build-automata"
+              else ["--graphs", workspace / "graphs.json"])
+    assert run(command, *inputs, "--sources", -1, "--out", tmp_path / "out") == 1
+    assert "--sources -1" in one_error_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_log_level_exits_1(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 from collections import Counter
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amdep.algebra import AMType, constant, AMDepTree
-from amdep.automata import build_automaton, count_trees, enumerate_runs
+from amdep.automata import (build_automaton, count_trees, enumerate_runs, read_automaton,
+                            write_automaton)
 from amdep.decompose import Decomposition, decompose
 from amdep.errors import EmptyAutomaton
 from amdep.generate import GeneratorConfig, gen_random_tree
@@ -127,6 +129,50 @@ class TestInside:
         assert res.log_total == pytest.approx(base.log_total, abs=1e-12)
         for r in rel_automaton.rules:
             assert res.alpha(r.rid) == pytest.approx(base.alpha(r.rid), rel=1e-12)
+
+
+@given(g=small_graphs(), seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_rule_order_invariance_on_permuted_file(heuristics, tmp_path_factory, g, seed):
+    # the rule lines of an automaton file carry no ids: shuffling them
+    # renumbers the rules and reorders the states, and must change no
+    # outer weight and no Viterbi run of any rule, told apart by its text
+    d = decompose(g, heuristics)
+    if not isinstance(d, Decomposition):
+        return
+    a = build_automaton(d.tree, S3, graph_id="p")
+    if a.empty:
+        return
+    rng = random.Random(seed)
+    path = tmp_path_factory.mktemp("perm") / "a.auto"
+    write_automaton(a, path)
+    lines = path.read_text().splitlines()
+    head = [line for line in lines if line.startswith(("#", "final:"))]
+    perm = list(range(len(a.rules)))
+    rng.shuffle(perm)
+    body = lines[len(head):]
+    path.write_text("\n".join(head + [body[i] for i in perm]) + "\n")
+    b, _ = read_automaton(path)
+    assert [str(r) for r in b.rules] == [str(a.rules[i]) for i in perm]
+    wa = {r.rid: rng.uniform(0.1, 1.0) for r in a.rules}
+    wb = {k: wa[i] for k, i in enumerate(perm)}
+    base, res = outer_weights(a, wa), outer_weights(b, wb)
+    assert res.log_total == pytest.approx(base.log_total, abs=1e-12)
+    for k, i in enumerate(perm):
+        assert res.alpha(k) == pytest.approx(base.alpha(i), rel=1e-9)
+    assert [str(b.rules[k]) for k in viterbi(b, wb).rule_ids()] \
+        == [str(a.rules[i]) for i in viterbi(a, wa).rule_ids()]
+
+
+def test_em_skip_warning_names_the_first_empty_ids(heuristics, caplog):
+    wide = SemanticGraph({"a": "give", "b": "cat", "c": "dog", "d": "bone"},
+                         [("a", "b", "ARG0"), ("a", "c", "ARG1"), ("a", "d", "ARG2")], "a")
+    empty = automaton_for(wide, heuristics, ("s1", "s2"))
+    automata = [(f"e{i}", empty) for i in range(7)] + [("ok", automaton_for(wide, heuristics))]
+    with caplog.at_level(logging.WARNING, logger="amdep.training"):
+        em_fit(automata, iterations=1)
+    assert "EM skipping 7 empty automata: e0, e1, e2, e3, e4 and 2 more" in [
+        rec.getMessage() for rec in caplog.records]
 
 
 class TestOuterWeights:
