@@ -253,73 +253,157 @@ def _merge_label(a, b):
     raise LabelClash(a, b)
 
 
-def _merge(host: SGraph, guest: SGraph, mapping):
-    """Union of two s-graph graphs with guest nodes remapped per mapping;
-    unmapped guest nodes get fresh ids. Returns (graph nodes, edges, id map)."""
-    nodes = dict(host.graph.nodes)
-    idmap = dict(mapping)
-    for n, lbl in guest.graph.nodes.items():
-        if n in idmap:
-            tgt = idmap[n]
-            nodes[tgt] = _merge_label(nodes[tgt], lbl)
-        else:
-            nid = n
-            k = 0
-            while nid in nodes:
-                k += 1
-                nid = f"{n}~{k}"
-            idmap[n] = nid
-            nodes[nid] = lbl
-    edges = set(host.graph.edges)
-    for e in guest.graph.edges:
-        edges.add(Edge(idmap[e.src], idmap[e.tgt], e.label))
-    return nodes, edges, idmap
-
-
 def apply(head: SGraph, arg: SGraph, source: str) -> SGraph:
     """Plug the root of arg into the named source slot of head. Shared source
     names denote one merged node afterwards; the result keeps head's root."""
-    if source not in head.sources:
-        raise MissingSource(source)
-    req = head.typ.request(source)
-    if req != arg.typ:
-        raise RequestMismatch(source, req, arg.typ)
-    result_type = type_unify(head.typ.without(source), arg.typ)
-    mapping = {arg.root: head.sources[source]}
-    for name, nid in arg.sources.items():
-        if name in head.sources and name != source:
-            mapping.setdefault(nid, head.sources[name])
-    nodes, edges, idmap = _merge(head, arg, mapping)
-    sources = {}
-    for name in result_type.names():
-        if name in head.sources and name != source:
-            sources[name] = head.sources[name]
-        else:
-            sources[name] = idmap[arg.sources[name]]
-    return SGraph(SemanticGraph(nodes, edges, head.root), head.root, sources, result_type)
+    cells = _Cells()
+    value = cells.value(head)
+    cells.apply(value, cells.value(arg), source)
+    return cells.sgraph(value)
 
 
 def modify(head: SGraph, mod: SGraph, source: str) -> SGraph:
     """Plug head's root into the named slot of the modifier; the modifier's
     remaining sources must already be in head's type and merge by name. The
     result keeps head's root and type."""
-    if source not in mod.sources:
-        raise MissingSource(source)
-    if not mod.typ.request(source).is_empty:
-        raise NonEmptyModRequest(source)
-    leftover = mod.typ.without(source)
-    extra = [n for n in leftover.names() if n not in head.typ]
-    if extra:
-        raise ModAddsSources(extra)
-    for name in leftover.names():
-        if head.typ.request(name) != leftover.request(name):
-            raise RequestClash(name, head.typ.request(name), leftover.request(name))
-    mapping = {mod.sources[source]: head.root}
-    for name in leftover.names():
-        mapping.setdefault(mod.sources[name], head.sources[name])
-    nodes, edges, _ = _merge(head, mod, mapping)
-    return SGraph(SemanticGraph(nodes, edges, head.root), head.root,
-                  dict(head.sources), head.typ)
+    cells = _Cells()
+    value = cells.value(head)
+    cells.modify(value, cells.value(mod), source)
+    return cells.sgraph(value)
+
+
+class _Value:
+    """An s-graph while it is being evaluated: its node ids in node order,
+    each with its cell, the cells of its root and sources, and its type.
+    A merge changes the host value in place and uses up the guest."""
+
+    __slots__ = ("nodes", "root", "sources", "typ")
+
+    def __init__(self, nodes, root, sources, typ):
+        self.nodes = nodes  # node id -> cell
+        self.root = root
+        self.sources = sources  # source name -> cell
+        self.typ = typ
+
+
+class _Cells:
+    """The node cells of one evaluation, where apply and modify merge values
+    in place. Every node of every constant is a cell holding a label and a
+    union-find parent (Tarjan 1975), and each constant's edges are recorded
+    once, as (cell, cell, label). A merge links each mapped guest cell to
+    its host cell and gives each other guest cell an id in the host, so no
+    graph is built until the end. Every value made here must end up merged
+    into the one that is finally turned into a graph."""
+
+    __slots__ = ("parent", "label", "edges")
+
+    def __init__(self):
+        self.parent = []
+        self.label = []
+        self.edges = []
+
+    def value(self, c: SGraph) -> _Value:
+        """A fresh value of c, one new cell per node in c's node order."""
+        base = len(self.parent)
+        cell = {n: base + i for i, n in enumerate(c.graph.nodes)}
+        self.parent.extend(cell.values())
+        self.label.extend(c.graph.nodes.values())
+        self.edges.extend((cell[e.src], cell[e.tgt], e.label) for e in c.graph.edges)
+        return _Value(cell, cell[c.root], {k: cell[v] for k, v in c.sources.items()}, c.typ)
+
+    def _merge(self, host: _Value, guest: _Value, mapping):
+        """Move guest's nodes into host in guest order. A cell in mapping
+        (guest cell -> host cell) merges its label into its host cell; any
+        other keeps its id, or takes the first of id~1, id~2... that the
+        host does not hold yet."""
+        nodes, label, parent = host.nodes, self.label, self.parent
+        for n, c in guest.nodes.items():
+            tgt = mapping.get(c)
+            if tgt is None:
+                nid, k = n, 0
+                while nid in nodes:
+                    k += 1
+                    nid = f"{n}~{k}"
+                nodes[nid] = c
+            else:
+                label[tgt] = _merge_label(label[tgt], label[c])
+                parent[c] = tgt
+
+    def apply(self, head: _Value, arg: _Value, source, typ=None):
+        """apply(head, arg, source) in place on head. typ, the result type,
+        is computed here unless the caller has it already."""
+        sources = head.sources
+        if source not in sources:
+            raise MissingSource(source)
+        req = head.typ.request(source)
+        if req != arg.typ:
+            raise RequestMismatch(source, req, arg.typ)
+        if typ is None:
+            typ = type_unify(head.typ.without(source), arg.typ)
+        mapping = {arg.root: sources[source]}
+        for name, c in arg.sources.items():
+            if name in sources and name != source:
+                mapping.setdefault(c, sources[name])
+        self._merge(head, arg, mapping)
+        head.sources = {
+            name: sources[name] if name in sources and name != source
+            else mapping.get(arg.sources[name], arg.sources[name])
+            for name in typ.names()}
+        head.typ = typ
+
+    def modify(self, head: _Value, mod: _Value, source):
+        """modify(head, mod, source) in place on head."""
+        if source not in mod.sources:
+            raise MissingSource(source)
+        if not mod.typ.request(source).is_empty:
+            raise NonEmptyModRequest(source)
+        leftover = [(name, req) for name, req in mod.typ.entries if name != source]
+        extra = [name for name, _req in leftover if name not in head.typ]
+        if extra:
+            raise ModAddsSources(extra)
+        for name, req in leftover:
+            if head.typ.request(name) != req:
+                raise RequestClash(name, head.typ.request(name), req)
+        mapping = {mod.sources[source]: head.root}
+        for name, _req in leftover:
+            mapping.setdefault(mod.sources[name], head.sources[name])
+        self._merge(head, mod, mapping)
+
+    def step(self, n, head: _Value, edge: DepEdge, child: _Value, typ: AMType) -> _Value:
+        """fold's step at tree node n: merge child into head in place. typ
+        is head's type after the step, as typing computed it."""
+        try:
+            if edge.op == "APP":
+                self.apply(head, child, edge.source, typ)
+            else:
+                self.modify(head, child, edge.source)
+        except (MissingSource, RequestMismatch, NonEmptyModRequest,
+                ModAddsSources, RequestClash, LabelClash) as exc:
+            raise NotWellTyped(n, str(exc)) from exc
+        return head
+
+    def graph(self, value: _Value) -> SemanticGraph:
+        """The graph of value, with each recorded edge between the ids of
+        its cells' representatives."""
+        parent = self.parent
+        name = {c: n for n, c in value.nodes.items()}
+
+        def find(c):
+            while parent[c] != c:
+                parent[c] = parent[parent[c]]
+                c = parent[c]
+            return c
+
+        label = self.label
+        return SemanticGraph({n: label[c] for n, c in value.nodes.items()},
+                             [Edge(name[find(s)], name[find(t)], lbl) for s, t, lbl in self.edges],
+                             name[value.root])
+
+    def sgraph(self, value: _Value) -> SGraph:
+        graph = self.graph(value)
+        name = {c: n for n, c in value.nodes.items()}
+        return SGraph(graph, graph.root, {k: name[c] for k, c in value.sources.items()},
+                      value.typ)
 
 
 # ---------------------------------------------------------------------------
@@ -539,15 +623,19 @@ def _given_order(head_type, sequence, types):
         yield edge, head_type
 
 
-def fold(tree: AMDepTree, node=None, leaf=None, step=None, orders=None):
+def fold(tree: AMDepTree, node=None, leaf=None, step=None, orders=None, replay=None):
     """The one bottom-up pass over the subtree at node (default: the root).
 
     Each node consumes its children in the greedy admissible order of
-    _fold_order, or in orders[n] where given. leaf(n) is n's starting value
-    and step(n, value, edge, child_value) the value after consuming one
-    child; step runs as soon as the child is chosen, so an evaluation error
-    surfaces before the search looks at later children. Without leaf and
-    step only types are computed. Returns node's (term type, value).
+    _fold_order, or in orders[n] where given, or as replay[n] lists them:
+    the (edge, head type after it) pairs an earlier fold chose, taken as
+    they are. leaf(n) is n's starting value and step(n, value, edge,
+    child_value, head_type) the value after consuming one child, where
+    head_type is the node's type after it; step runs as soon as the child
+    is chosen, so an evaluation error surfaces before the search looks at
+    later children. Evaluation passes one mutable value per node that step
+    merges each child into (see _Cells). Without leaf and step only types
+    are computed. Returns node's (term type, value).
     """
     node = tree.root if node is None else node
     types: dict[str, AMType] = {}
@@ -555,13 +643,15 @@ def fold(tree: AMDepTree, node=None, leaf=None, step=None, orders=None):
     for n in tree.depth_order(node):
         head = tree.constant(n).typ
         value = leaf(n) if leaf else None
-        if orders is not None and n in orders:
+        if replay is not None:
+            sequence = replay[n]
+        elif orders is not None and n in orders:
             sequence = _given_order(head, orders[n], types)
         else:
             sequence = _fold_order(n, head, [(e, types[e.child]) for e in tree.children(n)])
         for edge, head in sequence:
             if step:
-                value = step(n, value, edge, values[edge.child])
+                value = step(n, value, edge, values.pop(edge.child), head)
         types[n] = head
         values[n] = value
     return types[node], values[node]
@@ -577,30 +667,23 @@ def term_type(tree: AMDepTree, node: str) -> AMType:
     return fold(tree, node)[0]
 
 
-def _evaluate_step(n, head: SGraph, edge: DepEdge, child: SGraph) -> SGraph:
-    try:
-        if edge.op == "APP":
-            return apply(head, child, edge.source)
-        return modify(head, child, edge.source)
-    except (MissingSource, RequestMismatch, NonEmptyModRequest,
-            ModAddsSources, RequestClash, LabelClash) as exc:
-        raise NotWellTyped(n, str(exc)) from exc
-
-
 def evaluate(tree: AMDepTree) -> SemanticGraph:
     """Type the tree, then evaluate it to a plain graph. The errors, in the
     order they are looked for: the first typing error, an open root type
     (NonEmptyRootType), the first apply/modify error, a node left
-    unlabeled. Evaluation replays the child orders typing chose."""
-    orders = {n: [] for n in tree.nodes}
-    typ = fold(tree, step=lambda n, _value, edge, _child: orders[n].append(edge))[0]
+    unlabeled. Evaluation replays the child orders and head types typing
+    chose, merging every subtree into one mutable value (_Cells), and
+    builds one graph at the end."""
+    steps = {n: [] for n in tree.nodes}
+    typ = fold(tree, step=lambda n, _value, edge, _child, head: steps[n].append((edge, head)))[0]
     if not typ.is_empty:
         raise NonEmptyRootType(typ)
-    result = fold(tree, None, tree.constant, _evaluate_step, orders)[1]
-    for n, lbl in result.graph.nodes.items():
-        if lbl is None:
+    cells = _Cells()
+    value = fold(tree, None, lambda n: cells.value(tree.constant(n)), cells.step, replay=steps)[1]
+    for n, c in value.nodes.items():
+        if cells.label[c] is None:
             raise NotWellTyped(None, f"evaluation leaves node {n!r} unlabeled")
-    return result.graph
+    return cells.graph(value)
 
 
 def admissible_orders(tree: AMDepTree, node, types, max_children=8):
@@ -633,7 +716,9 @@ def admissible_orders(tree: AMDepTree, node, types, max_children=8):
 def evaluate_with_orders(tree: AMDepTree, orders: dict[str, list]) -> SGraph:
     """Evaluate with an explicit child order at selected nodes (each must be
     admissible); other nodes fold in the default greedy order."""
-    return fold(tree, None, tree.constant, _evaluate_step, orders)[1]
+    cells = _Cells()
+    value = fold(tree, None, lambda n: cells.value(tree.constant(n)), cells.step, orders)[1]
+    return cells.sgraph(value)
 
 
 # ---------------------------------------------------------------------------

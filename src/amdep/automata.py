@@ -79,7 +79,7 @@ def binarize(tree: AMDepTree) -> BinNode:
     _typ, root = fold(
         tree,
         leaf=lambda n: BinNode("", const=tree.constant(n), tree_node=n),
-        step=lambda _n, left, edge, right: BinNode(
+        step=lambda _n, left, edge, right, _head: BinNode(
             "", op=edge.op, source=edge.source, dep_parent=edge.parent,
             dep_child=edge.child, left=left, right=right))
     _assign_addresses(root, "")

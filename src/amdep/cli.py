@@ -127,6 +127,12 @@ def cmd_gen(args):
     from .generate import GeneratorConfig, gen_corpus
     from .graph import write_corpus
 
+    for flag, value, least, why in (
+            ("n", args.n, 0, "the number of graphs cannot be negative"),
+            ("max-nodes", args.max_nodes, 1, "a graph needs at least one node"),
+            ("sources", args.sources, 1, "gen needs at least one source name")):
+        if value < least:
+            raise AmdepError(f"--{flag} {value}: {why}")
     cfg = GeneratorConfig(max_nodes=args.max_nodes,
                           sources=tuple(f"s{i + 1}" for i in range(args.sources)),
                           max_sources_per_constant=min(3, args.sources))
@@ -185,6 +191,9 @@ def _decompose(args):
             trees.append((gid if len(found) == 1 else f"{gid}#{k}", tree))
     write_trees(trees, args.out)
     _write_json(skipped, args.report)
+    if skipped:
+        log.warning("%d/%d graphs not decomposable: %s", len(skipped), len(corpus),
+                    first_ids(s["id"] for s in skipped))
     log.info("decomposed %d/%d graphs in %.2fs", len(corpus) - len(skipped),
              len(corpus), time.time() - t0)
     write_manifest(args.manifest or args.out + ".manifest.json", "decompose",
@@ -380,11 +389,27 @@ def _viterbi(args, automata=None):
     return (EXIT_PARTIAL if skipped else EXIT_OK), best
 
 
+def verify_tree(tree, graph):
+    """verify's verdict on one tree: None when it evaluates to a graph
+    isomorphic to graph, else why not."""
+    from .algebra import evaluate
+    from .graph import is_isomorphic_mod_of
+
+    try:
+        if is_isomorphic_mod_of(evaluate(tree), graph):
+            return None
+        return "evaluation not isomorphic to graph"
+    except NonEmptyRootType as exc:
+        return f"open sources {exc.typ}"
+    except AmdepError as exc:
+        return str(exc)
+
+
 def cmd_verify(args, corpus=None, trees=None):
     """corpus, trees: the (id, graph) and (id, tree) lists of args.graphs and
     args.trees when the caller already holds them; read when None."""
-    from .algebra import evaluate, read_trees
-    from .graph import is_isomorphic_mod_of, read_corpus
+    from .algebra import read_trees
+    from .graph import read_corpus
 
     corpus = dict(read_corpus(args.graphs) if corpus is None else corpus)
     if trees is None:
@@ -392,25 +417,15 @@ def cmd_verify(args, corpus=None, trees=None):
     report = []
     for tid, tree in trees:
         gid = tid.split("#")[0]
-        entry = {"id": tid}
-        if gid not in corpus:
-            entry["error"] = "no matching graph"
-        else:
-            try:
-                if is_isomorphic_mod_of(evaluate(tree), corpus[gid]):
-                    entry["ok"] = True
-                else:
-                    entry["error"] = "evaluation not isomorphic to graph"
-            except NonEmptyRootType as exc:
-                entry["error"] = f"open sources {exc.typ}"
-            except AmdepError as exc:
-                entry["error"] = str(exc)
-        report.append(entry)
+        error = verify_tree(tree, corpus[gid]) if gid in corpus else "no matching graph"
+        report.append({"id": tid, "ok": True} if error is None else {"id": tid, "error": error})
     if args.out:
         _write_json(report, args.out)
-    failures = sum("error" in entry for entry in report)
-    print(f"verified {len(trees) - failures}/{len(trees)} trees")
-    return EXIT_FAIL if failures else EXIT_OK
+    failed = [entry["id"] for entry in report if "error" in entry]
+    if failed:
+        log.warning("%d/%d trees failed verify: %s", len(failed), len(trees), first_ids(failed))
+    print(f"verified {len(trees) - len(failed)}/{len(trees)} trees")
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 def cmd_stats(args):

@@ -36,7 +36,7 @@ from amdep.errors import (
 from amdep.generate import GeneratorConfig, gen_random_tree
 from amdep.graph import SemanticGraph, is_isomorphic
 
-from conftest import MOD_ATTACH_GRAPH, two_error_tree
+from conftest import MOD_ATTACH_GRAPH, small_graphs, two_error_tree
 
 T = AMType
 # reusable and placeholder names a constant's names may be renamed to
@@ -454,13 +454,27 @@ def _relabeled(c: SGraph, node, label):
     return SGraph(SemanticGraph(nodes, c.graph.edges, c.root), c.root, dict(c.sources), c.typ)
 
 
+MUTATED_CFG = GeneratorConfig(max_nodes=6, reentrancy_prob=0.6, mod_prob=0.5)
+
+
 @st.composite
 def mutated_trees(draw):
     """A generated tree with a few op flips, source swaps, dropped leaves,
     relabelled roots or slots and changed requests; mostly ill-typed, open
     or clashing."""
-    cfg = GeneratorConfig(max_nodes=6, reentrancy_prob=0.6, mod_prob=0.5)
-    tree = gen_random_tree(cfg, draw(st.integers(0, 100_000)))
+    return _mutated(draw, gen_random_tree(MUTATED_CFG, draw(st.integers(0, 100_000))))
+
+
+@st.composite
+def mutated_trees_and_graphs(draw):
+    """A tree of mutated_trees with the graph of the tree it was mutated
+    from."""
+    tree = gen_random_tree(MUTATED_CFG, draw(st.integers(0, 100_000)))
+    return _mutated(draw, tree), evaluate(tree)
+
+
+def _mutated(draw, tree):
+    cfg = MUTATED_CFG
     nodes, edges = dict(tree.nodes), list(tree.edges)
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["op", "source", "drop", "label", "slot", "request"]))
@@ -520,3 +534,133 @@ def _outcome(f, tree):
 @given(mutated_trees())
 def test_evaluate_matches_typed_then_evaluated(tree):
     assert _outcome(evaluate, tree) == _outcome(_typed_then_evaluated, tree)
+
+
+def _oracle_values(tree, node):
+    """Every s-graph the subtree at node evaluates to when each node
+    consumes its children in some order, by the public apply and modify
+    alone: no typing rule is consulted."""
+    from itertools import permutations, product
+
+    kids = tree.children(node)
+    found = {}
+    for child_values in product(*(_oracle_values(tree, e.child) for e in kids)):
+        for order in permutations(range(len(kids))):
+            value = tree.constant(node)
+            try:
+                for i in order:
+                    step = apply if kids[i].op == "APP" else modify
+                    value = step(value, child_values[i], kids[i].source)
+            except AmdepError:
+                continue
+            found.setdefault(json.dumps(value.to_json(), sort_keys=True), value)
+    return list(found.values())
+
+
+def oracle_accepts(tree, graph):
+    """A tree is good when some child order at each node evaluates, leaves
+    the root with no open sources and gives a graph isomorphic to graph."""
+    from amdep.graph import is_isomorphic_mod_of
+
+    return any(v.typ.is_empty and is_isomorphic_mod_of(v.graph, graph)
+               for v in _oracle_values(tree, tree.root))
+
+
+def _control_tree():
+    """begin -APP_o-> glow and begin -APP_s-> fairy, where begin's o
+    requests s: only the order o, s fills begin's s slot through glow's."""
+    begin = constant("begin", "b", [("ARG0", "s"), ("ARG1", "o")], typ({"s": {}, "o": {"s": {}}}))
+    glow = constant("glow", "g", [("ARG0", "s")])
+    fairy = constant("fairy", "f")
+    return AMDepTree({"b": begin, "g": glow, "f": fairy}, "b",
+                     [DepEdge("b", "g", "APP", "o"), DepEdge("b", "f", "APP", "s")])
+
+
+def test_oracle_on_hand_built_trees():
+    g = SemanticGraph({"b": "begin", "g": "glow", "f": "fairy"},
+                      [("b", "f", "ARG0"), ("b", "g", "ARG1"), ("g", "f", "ARG0")], "b")
+    assert oracle_accepts(_control_tree(), g)
+    # an open root, a label clash, and a graph it does not evaluate to
+    assert not oracle_accepts(two_error_tree(True), g)
+    assert not oracle_accepts(two_error_tree(False), g)
+    other = SemanticGraph({"b": "begin", "g": "glow", "f": "elf"},
+                          [("b", "f", "ARG0"), ("b", "g", "ARG1"), ("g", "f", "ARG0")], "b")
+    assert not oracle_accepts(_control_tree(), other)
+
+
+def _assert_verdicts_agree(tree, graph):
+    from amdep.cli import verify_tree
+
+    if all(len(tree.children(n)) <= 4 for n in tree.nodes):  # else too many orders
+        assert (verify_tree(tree, graph) is None) == oracle_accepts(tree, graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_trees_and_graphs())
+def test_verify_agrees_with_oracle_on_mutated_trees(tree_and_graph):
+    _assert_verdicts_agree(*tree_and_graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_verify_agrees_with_oracle_on_enumerated_runs(g):
+    """Every enumerated run of a small graph's automaton at 3 and 4 sources
+    is accepted by verify exactly when the oracle accepts it."""
+    assume(_runs_agree(g, limit=20))
+
+
+def _runs_agree(g, limit):
+    """Whether g decomposes; if it does, every run checked agrees."""
+    from amdep.automata import build_automaton, enumerate_runs, reconstruct_tree
+    from amdep.decompose import Decomposition, decompose
+
+    d = decompose(g)
+    if not isinstance(d, Decomposition):
+        return False
+    for sources in (("s1", "s2", "s3"), ("s1", "s2", "s3", "s4")):
+        a = build_automaton(d.tree, sources)
+        for run in enumerate_runs(a, limit=limit):
+            _assert_verdicts_agree(reconstruct_tree(a, run), g)
+    return True
+
+
+def test_verify_agrees_with_oracle_on_mod_attach_graph():
+    # some runs rename a modifier's attach slot and an APP source of the
+    # same head to one name
+    assert _runs_agree(SemanticGraph.from_json(MOD_ATTACH_GRAPH), limit=None)
+
+
+def test_colliding_node_ids_renamed_in_merge_order():
+    # every constant names its root x: each merged-in node keeps its id or
+    # takes the first free x~k, checked in the order the host meets it
+    see = constant("see", "x", [("ARG0", "s")])
+    tree = AMDepTree(
+        {"a": see, "b": constant("boy", "x"), "c": constant("tiny", "x", [("mod", "m")]),
+         "d": constant("old", "x", [("mod", "m")]), "e": constant("red", "x", [("mod", "m")])},
+        "a", [("a", "b", "APP", "s"), ("b", "c", "MOD", "m"), ("a", "d", "MOD", "m"),
+              ("d", "e", "MOD", "m")])
+    g = evaluate(tree)
+    assert list(g.nodes.items()) == [("x", "see"), ("x@s", "boy"), ("x~1", "tiny"),
+                                     ("x~2", "old"), ("x~1~1", "red")]
+    assert [(e.src, e.label, e.tgt) for e in g.edges] == [
+        ("x", "ARG0", "x@s"), ("x~1", "mod", "x@s"), ("x~1~1", "mod", "x~2"),
+        ("x~2", "mod", "x")]
+    assert evaluate_with_orders(tree, {}).graph == g
+
+
+def test_evaluation_errors_name_their_node():
+    # a label clash names the tree node, the host's label and then the
+    # guest's; a node left unlabeled is named by its id in the result
+    g = SemanticGraph({"h": "see", "h@x": "dog"}, [("h", "h@x", "ARG0")], "h")
+    head = SGraph(g, "h", {"x": "h@x"}, typ({"x": {}}))
+    clash = AMDepTree({"h": head, "c": constant("cat", "c")}, "h", [("h", "c", "APP", "x")])
+    with pytest.raises(NotWellTyped) as exc:
+        evaluate(clash)
+    assert str(exc.value) == "at node 'h': cannot merge nodes labeled 'dog' and 'cat'"
+    dangling = SemanticGraph({"t": "tiny", "t@m": None, "t.d": None},
+                             [("t", "t@m", "mod"), ("t", "t.d", "ARG9")], "t")
+    tiny = SGraph(dangling, "t", {"m": "t@m"}, typ({"m": {}}))
+    tree = AMDepTree({"b": constant("boy", "b"), "t": tiny}, "b", [("b", "t", "MOD", "m")])
+    with pytest.raises(NotWellTyped) as exc:
+        evaluate(tree)
+    assert str(exc.value) == "at node None: evaluation leaves node 't.d' unlabeled"

@@ -86,6 +86,15 @@ class TestGen:
                    "--trees", tmp_path / "t.json") == 0
         assert json.loads((tmp_path / "g.json").read_text()) == []
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--sources", 0), ("--sources", -1), ("--n", -2), ("--max-nodes", 0)])
+    def test_bad_count_exits_1_naming_it(self, tmp_path, capsys, flag, value):
+        argv = {"--n": 3, flag: value}
+        assert run("gen", *(x for kv in argv.items() for x in kv),
+                   "--graphs", tmp_path / "g.json", "--trees", tmp_path / "t.json") == 1
+        assert one_error_line(capsys).startswith(f"error: {flag} {value}: ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDecompose:
     def test_figures(self, tmp_path):
@@ -129,6 +138,16 @@ class TestDecompose:
         [skip] = json.loads((tmp_path / "s.json").read_text())
         assert skip["id"] == "twice" and skip["reason"]
         assert json.loads((tmp_path / "t.json").read_text()) == []
+
+    def test_nondecomposable_summarised_in_one_line(self, tmp_path, caplog):
+        corpus = [{**ONE_EDGE, "id": f"one{i}"} for i in range(3)]
+        corpus += [{**PARALLEL_EDGES, "id": f"twice{i}"} for i in range(7)]
+        (tmp_path / "g.json").write_text(json.dumps(corpus))
+        with caplog.at_level(logging.WARNING, logger="amdep.cli"):
+            assert run("decompose", "--graphs", tmp_path / "g.json", "--out", tmp_path / "t.json",
+                       "--report", tmp_path / "s.json") == 2
+        assert [rec.getMessage() for rec in caplog.records if rec.name == "amdep.cli"] == [
+            "7/10 graphs not decomposable: twice0, twice1, twice2, twice3, twice4 and 2 more"]
 
     def test_enumerate_unrollings_variants(self, tmp_path):
         assert run("decompose", "--graphs", GOLDENS / "figures-graphs.json",
@@ -323,6 +342,17 @@ class TestVerify:
                    "--trees", bad, "--out", tmp_path / "report.json") == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert any("error" in item for item in report)
+
+    def test_failures_summarised_in_one_line(self, workspace, tmp_path, caplog, capsys):
+        gold = json.loads((workspace / "gold.json").read_text())
+        trees = gold + [{"id": "stray", "tree": gold[0]["tree"]}]
+        (tmp_path / "t.json").write_text(json.dumps(trees))
+        with caplog.at_level(logging.WARNING, logger="amdep.cli"):
+            assert run("verify", "--graphs", workspace / "graphs.json",
+                       "--trees", tmp_path / "t.json") == 1
+        assert [rec.getMessage() for rec in caplog.records if rec.name == "amdep.cli"] == [
+            f"1/{len(trees)} trees failed verify: stray"]
+        assert capsys.readouterr().out == f"verified {len(gold)}/{len(trees)} trees\n"
 
     def test_empty_inputs_pass(self, tmp_path):
         (tmp_path / "g.json").write_text("[]")
