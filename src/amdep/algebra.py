@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import (
-    AmdepError,
     LabelClash,
     MissingSource,
     ModAddsSources,
@@ -21,10 +20,9 @@ from .errors import (
     NotWellTyped,
     RequestClash,
     RequestMismatch,
-    TreesError,
     TypeDepthExceeded,
-    open_input,
 )
+from .files import TREES_ITEM, read_items, write_json
 from .graph import Edge, SemanticGraph
 
 MAX_TYPE_DEPTH = 10
@@ -512,31 +510,12 @@ class AMDepTree:
 
 def read_trees(path):
     """Read a trees file into (id, AMDepTree) pairs; a malformed file or item
-    raises TreesError naming the path and the item's id (or #index)."""
-    with open_input(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise TreesError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise TreesError(f"{path}: trees file must be a top-level array")
-    out = []
-    for i, item in enumerate(data):
-        tid = item.get("id", f"#{i}") if isinstance(item, dict) else f"#{i}"
-        try:
-            out.append((item["id"], AMDepTree.from_json(item["tree"])))
-        except KeyError as exc:
-            raise TreesError(f"{path}: item {tid!r} has no {exc} key") from exc
-        except (TypeError, ValueError, AmdepError) as exc:
-            raise TreesError(f"{path}: item {tid!r} is malformed: {exc}") from exc
-    return out
+    raises MalformedInput naming the path and the item's id (or #index)."""
+    return read_items(path, TREES_ITEM, lambda item: AMDepTree.from_json(item["tree"]))
 
 
 def write_trees(trees, path):
-    data = [{"id": tid, "tree": t.to_json()} for tid, t in trees]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json([{"id": tid, "tree": t.to_json()} for tid, t in trees], path)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +567,8 @@ def _fold_order(node, head_type, pending):
 
     pending: list of (DepEdge, child term type), pre-sorted by the
     deterministic tie-break (op kind APP < MOD, source, child id).
-    Yields (edge, head_type_after). Raises NotWellTyped when stuck.
+    Yields (edge, head_type_after). Raises NotWellTyped when stuck, and
+    RequestClash when an APP clashes, which fold names node in.
     """
     remaining = list(pending)
     while remaining:
@@ -608,10 +588,7 @@ def _fold_order(node, head_type, pending):
             raise NotWellTyped(node, "no admissible child; " + "; ".join(reasons))
         edge, ctype = remaining.pop(chosen)
         if edge.op == "APP":
-            try:
-                head_type = type_unify(head_type.without(edge.source), ctype)
-            except RequestClash as exc:
-                raise NotWellTyped(node, str(exc)) from exc
+            head_type = type_unify(head_type.without(edge.source), ctype)
         yield edge, head_type
 
 
@@ -649,9 +626,12 @@ def fold(tree: AMDepTree, node=None, leaf=None, step=None, orders=None, replay=N
             sequence = _given_order(head, orders[n], types)
         else:
             sequence = _fold_order(n, head, [(e, types[e.child]) for e in tree.children(n)])
-        for edge, head in sequence:
-            if step:
-                value = step(n, value, edge, values.pop(edge.child), head)
+        try:
+            for edge, head in sequence:
+                if step:
+                    value = step(n, value, edge, values.pop(edge.child), head)
+        except RequestClash as exc:  # from typing a step: _Cells.step wraps its own
+            raise NotWellTyped(n, str(exc)) from exc
         types[n] = head
         values[n] = value
     return types[node], values[node]

@@ -36,7 +36,8 @@ from .algebra import (
     placeholder,
     placeholder_target,
 )
-from .errors import MalformedInput, UnsupportedName, open_input
+from .errors import AmdepError, MalformedInput, UnsupportedName
+from .files import SHAPE, check, open_input
 
 log = logging.getLogger("amdep.automata")
 
@@ -146,7 +147,12 @@ class TreeAutomaton:
     rule's parent and children, rules in id order, ``links[rid]`` rule rid's
     ``(parent, *children)`` and ``accept`` its finals, all by that number.
     Without it the rules' states are numbered here, hashing each one.
+
+    ``path`` is the file ``read_automaton`` read the automaton from, which
+    errors found later name.
     """
+
+    path = None
 
     def __init__(self, graph_id: str, sources, rules, finals, shape: dict[str, dict],
                  numbered=None):
@@ -483,30 +489,53 @@ def enumerate_runs(a: TreeAutomaton, limit=None):
     return out
 
 
+# what constant_from_canonical raises on a string that is not a canonical form
+_NOT_A_CONSTANT = (ValueError, LookupError, TypeError, AttributeError, RecursionError,
+                   AmdepError)
+
+
+def _named(a: TreeAutomaton) -> str:
+    """a as errors name it: its file, when it was read from one, and its id."""
+    return f"{a.path}: automaton {a.graph_id!r}" if a.path else f"automaton {a.graph_id!r}"
+
+
+def leaf_constant(a: TreeAutomaton, rule) -> SGraph:
+    """The graph constant of a leaf rule of a, parsed from its label. Labels
+    are parsed when they are needed, not when an automaton is read; one that
+    is not a canonical constant raises MalformedInput naming the automaton
+    and the rule."""
+    try:
+        return constant_from_canonical(rule.label)
+    except _NOT_A_CONSTANT as exc:
+        raise MalformedInput(f"{_named(a)}: rule {rule.rid}: label is not a graph constant: "
+                             f"{exc!r}") from exc
+
+
 def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
     """De-binarize an accepted run into a dependency tree whose constants and
-    operations carry the run's reusable source names."""
+    operations carry the run's reusable source names. Rules that do not
+    give a tree, as a corrupt automaton file's may not, raise
+    MalformedInput."""
     nodes: dict[str, SGraph] = {}
     edges: list[DepEdge] = []
-    root_of: dict[str, str] = {}  # address -> dep tree node id of head side
 
     def walk(run_node: Run):
         r = a.rules[run_node.rule]
-        addr = r.parent.address
-        desc = a.shape[addr]
+        desc = a.shape[r.parent.address]
         if desc["kind"] == "leaf":
-            nodes[desc["node"]] = constant_from_canonical(r.label)
-            root_of[addr] = desc["node"]
+            nodes[desc["node"]] = leaf_constant(a, r)
             return desc["node"]
         left = walk(run_node.children[0])
         right = walk(run_node.children[1])
         _edge, kind, name = r.event
         edges.append(DepEdge(left, right, kind, name))
-        root_of[addr] = left
         return left
 
     root = walk(run)
-    return AMDepTree(nodes, root, edges)
+    try:
+        return AMDepTree(nodes, root, edges)
+    except ValueError as exc:
+        raise MalformedInput(f"{_named(a)}: the run gives no tree: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +585,6 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     finals = []
     rules = []
     weights: dict[int, float] = {}
-    saw_weight = False
     # a state recurs as parent and child of many rules: each distinct text is
     # parsed once and numbered by its first appearance in the rules
     by_text: dict[str, int] = {}
@@ -598,15 +626,11 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                 body = line
                 if " # " in line:
                     cut = line.rfind(" # ")
-                    wtext = line[cut + 3:]
                     try:
-                        weight = float(wtext)
-                    except ValueError:
-                        weight = None  # a label containing " # ", not a weight
-                    if weight is not None:
+                        weights[len(rules)] = float(line[cut + 3:])
                         body = line[:cut]
-                        weights[len(rules)] = weight
-                        saw_weight = True
+                    except ValueError:
+                        pass  # a label containing " # ", not a weight
                 head, rest = body.split(" <- ", 1)
                 parent = state(head)
                 if rest.endswith("()"):
@@ -620,12 +644,13 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                 rules.append(Rule(len(rules), states[parent], label, children,
                                   _event(label, children), ("",)))
                 rule_lines.append(ln)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: a deeply nested shape
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
+    check(shape, SHAPE, f"{path}: shape")
     try:
         aligns = _alignments(shape, {addr: constant_from_canonical(d["const"]).root_label()
                                      for addr, d in shape.items() if d["kind"] == "leaf"})
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except _NOT_A_CONSTANT as exc:  # a bad constant, or no leaf below an address
         raise MalformedInput(f"{path}: shape does not fit the rules: {exc!r}") from exc
     kind = {addr: d["kind"] for addr, d in shape.items()}
     for r, ln in zip(rules, rule_lines):
@@ -641,6 +666,6 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                                  f"{kind.get(addr, 'missing')!r} entry there")
         r.align = aligns[addr]
     accept = [by_state[f] for f in finals if f in by_state]
-    return (TreeAutomaton(graph_id, sources, rules, finals, shape,
-                          numbered=(states, links, accept)),
-            weights if saw_weight else None)
+    a = TreeAutomaton(graph_id, sources, rules, finals, shape, numbered=(states, links, accept))
+    a.path = path
+    return a, weights or None

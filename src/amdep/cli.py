@@ -12,7 +12,6 @@ such as verify does not pay for loading the training code.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -20,53 +19,14 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import (AmdepError, EmptyAutomaton, MalformedInput, MissingInput, NonEmptyRootType,
-                     first_ids, open_input)
+from .errors import AmdepError, EmptyAutomaton, NonEmptyRootType, first_ids
+from .files import write_json, write_manifest
 
 log = logging.getLogger("amdep.cli")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARTIAL = 2
-
-
-def _sha256(path):
-    import hashlib
-
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_json(path):
-    with open_input(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise MalformedInput(f"{path}: invalid JSON: {exc}") from exc
-
-
-def write_manifest(path, command, config, inputs, outputs, counts):
-    """Deterministic run manifest. Wall time is deliberately logged instead
-    of stored so reruns with equal seeds and inputs are bit-identical."""
-    manifest = {
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "inputs": {Path(p).name: _sha256(p) for p in inputs},
-        "outputs": {Path(p).name: _sha256(p) for p in outputs},
-        "counts": counts,
-    }
-    _write_json(manifest, path)
-    return manifest
 
 
 def _load_blobs(path):
@@ -190,7 +150,7 @@ def _decompose(args):
         for k, tree in enumerate(found):
             trees.append((gid if len(found) == 1 else f"{gid}#{k}", tree))
     write_trees(trees, args.out)
-    _write_json(skipped, args.report)
+    write_json(skipped, args.report)
     if skipped:
         log.warning("%d/%d graphs not decomposable: %s", len(skipped), len(corpus),
                     first_ids(s["id"] for s in skipped))
@@ -223,7 +183,11 @@ def _build_one(payload):
 def _automaton_files(ids):
     """One file name per id: the id with '#' replaced by '_'. When that name
     is already taken (a#0 and a_0 both give a_0), the later id gets the
-    first '<name>_<k>' that is neither taken nor any other id's own name."""
+    first '<name>_<k>' that is neither taken nor any other id's own name.
+    An id holding '/' or NUL, which no file name can, is an error."""
+    for tid in ids:
+        if "/" in tid or "\0" in tid:
+            raise AmdepError(f"id {tid!r} cannot name an automaton file: it holds '/' or NUL")
     stems = [tid.replace("#", "_") for tid in ids]
     reserved = set(stems)
     used: set[str] = set()
@@ -263,7 +227,7 @@ def _build_automata(args, trees=None):
         index.append({"id": tid, "file": fname, "rules": len(a.rules),
                       "states": len(a.state_list), "empty": a.empty,
                       "trees": str(count_trees(a))})
-    _write_json({"sources": list(sources), "automata": index}, outdir / "index.json")
+    write_json({"sources": list(sources), "automata": index}, outdir / "index.json")
     empty = [tid for tid, a in results if a.empty]
     if empty:
         log.warning("%d/%d automata empty at %d sources: %s", len(empty), len(results),
@@ -277,15 +241,10 @@ def _build_automata(args, trees=None):
 
 def _read_automata_dir(path):
     from .automata import read_automaton
+    from .files import INDEX, read_json
 
-    index = Path(path) / "index.json"
-    if not index.is_file():
-        raise MissingInput(f"{index}: no such file (build-automata writes it)")
-    try:
-        items = [(item["id"], Path(path) / item["file"]) for item in _read_json(index)["automata"]]
-    except (KeyError, TypeError) as exc:
-        raise MalformedInput(f"{index}: not an automata index: {exc!r}") from exc
-    return [(tid, read_automaton(file)[0]) for tid, file in items]
+    return [(item["id"], read_automaton(Path(path) / item["file"])[0])
+            for item in read_json(Path(path) / "index.json", INDEX)["automata"]]
 
 
 def cmd_count(args):
@@ -314,7 +273,7 @@ def cmd_train_em(args, automata=None):
     else:
         table = em_fit(automata, iterations=args.iters, seed=args.seed,
                        smoothing=smoothing)
-    _write_json(table.to_json(), args.out)
+    write_json(table.to_json(), args.out)
     write_manifest(args.manifest or args.out + ".manifest.json", "train-em",
                    {"iters": args.iters, "seed": args.seed, "smoothing": smoothing},
                    [str(Path(args.automata) / "index.json")], [args.out],
@@ -333,7 +292,7 @@ def cmd_train_joint(args):
     cfg = JointConfig(epochs=args.epochs, lr=args.lr, batch=args.batch,
                       seed=args.seed, l2=args.l2)
     scorer = joint_fit(automata, cfg)
-    _write_json(scorer.to_json(), args.out)
+    write_json(scorer.to_json(), args.out)
     write_manifest(args.manifest or args.out + ".manifest.json", "train-joint",
                    {"epochs": args.epochs, "lr": args.lr, "batch": args.batch,
                     "seed": args.seed, "l2": args.l2},
@@ -346,28 +305,19 @@ def cmd_viterbi(args):
     return _viterbi(args)[0]
 
 
-def _read_weights(path):
-    """The EventTable or Scorer of a weights file, parsed and checked once."""
-    from .training import weights_from_json
-
-    try:
-        return weights_from_json(_read_json(path))
-    except ValueError as exc:
-        raise MalformedInput(f"{path}: {exc}") from exc
-
-
 def _viterbi(args, automata=None):
     """viterbi; returns the exit code and the (id, tree) list. automata: as
     for cmd_train_em."""
     from .algebra import write_trees
     from .automata import reconstruct_tree
-    from .training import random_tree_baseline, reconstruct_best
+    from .files import WEIGHTS, read_json
+    from .training import random_tree_baseline, reconstruct_best, weights_from_json
 
     if automata is None:
         automata = _read_automata_dir(args.automata)
-    weights = _read_weights(args.weights) if args.weights else None
+    weights = weights_from_json(read_json(args.weights, WEIGHTS)) if args.weights else None
     best = []
-    skipped = 0
+    skipped = []
     for tid, a in automata:
         try:
             if args.sample_seed is None:
@@ -376,16 +326,19 @@ def _viterbi(args, automata=None):
                 run = random_tree_baseline(a, seed=f"{args.sample_seed}:{tid}")
                 tree = reconstruct_tree(a, run)
         except EmptyAutomaton:
-            skipped += 1
+            skipped.append(tid)
             continue
         best.append((tid, tree))
     write_trees(best, args.out)
+    if skipped:
+        log.warning("%d/%d automata empty, no tree: %s", len(skipped), len(automata),
+                    first_ids(skipped))
     write_manifest(args.manifest or args.out + ".manifest.json", "viterbi",
                    {"weights": Path(args.weights).name if args.weights else None,
                     "sample_seed": args.sample_seed},
                    [str(Path(args.automata) / "index.json")]
                    + ([args.weights] if args.weights else []),
-                   [args.out], {"trees": len(best), "skipped": skipped})
+                   [args.out], {"trees": len(best), "skipped": len(skipped)})
     return (EXIT_PARTIAL if skipped else EXIT_OK), best
 
 
@@ -420,7 +373,7 @@ def cmd_verify(args, corpus=None, trees=None):
         error = verify_tree(tree, corpus[gid]) if gid in corpus else "no matching graph"
         report.append({"id": tid, "ok": True} if error is None else {"id": tid, "error": error})
     if args.out:
-        _write_json(report, args.out)
+        write_json(report, args.out)
     failed = [entry["id"] for entry in report if "error" in entry]
     if failed:
         log.warning("%d/%d trees failed verify: %s", len(failed), len(trees), first_ids(failed))

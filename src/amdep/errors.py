@@ -14,37 +14,16 @@ def first_ids(ids, limit=5):
     return shown if len(ids) <= limit else f"{shown} and {len(ids) - limit} more"
 
 
-class CorpusError(AmdepError):
-    """A graph in a corpus file failed validation.
-
-    Carries the offending graph id (or None when the file itself is bad).
-    """
-
-    def __init__(self, message, graph_id=None):
-        super().__init__(message if graph_id is None else f"graph {graph_id!r}: {message}")
-        self.graph_id = graph_id
-
-
 class MissingInput(AmdepError):
     """A required input file does not exist."""
 
 
 class MalformedInput(AmdepError):
-    """An automata index, automaton file, weights file or blobs table is
-    not in its format."""
+    """An input file, or an item in it, is not in its format."""
 
 
-def open_input(path):
-    """open(path) for reading text; a file that cannot be opened raises
-    MissingInput naming the path."""
-    try:
-        return open(path, encoding="utf-8")
-    except OSError as exc:
-        raise MissingInput(f"{path}: {exc.strerror}") from exc
-
-
-class TreesError(AmdepError):
-    """A trees file, or one of its items, is malformed."""
+class CorpusError(MalformedInput):
+    """A corpus file, or a graph in it, is malformed."""
 
 
 class UnsupportedName(AmdepError, ValueError):

@@ -1,0 +1,174 @@
+"""The package's data files: the schema of each JSON file kind, the one
+reader, which checks a file against its schema once, the one writer, and
+run manifests. A value that departs from its schema raises MalformedInput
+naming the file, the item and the field path, as in
+``trees.json: item 'g': tree.nodes.a.type is str, not an object``, so the
+readers in graph, algebra, training and cli only construct.
+
+A schema is ``str`` or ``dict`` for a string or any object; ``{"key": schema,
+"key?": schema}`` for an object with those keys, ``?`` marking optional ones
+(other keys are ignored); ``{str: schema}`` for an object whose values each
+follow schema; ``[schema]`` for a list; a ``Number``; or a function of the
+value that returns the schema it must follow.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+from .errors import AmdepError, MalformedInput, MissingInput
+
+
+def open_input(path):
+    """open(path) for reading text; a file that cannot be opened raises
+    MissingInput naming the path."""
+    try:
+        return open(path, encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise MissingInput(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def read_json(path, schema, error=MalformedInput):
+    """The JSON value of a file, checked against schema; a file that is not
+    JSON or departs from schema raises error naming it."""
+    with open_input(path) as fh:
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # undecodable bytes too
+            raise error(f"{path}: invalid JSON: {exc}") from exc
+    check(data, schema, path, error)
+    return data
+
+
+def read_items(path, schema, build, error=MalformedInput):
+    """(id, build(item)) for each item of a file that lists objects that
+    each follow schema, which requires a string "id". An item that departs
+    from it, or that build rejects, raises error naming the file and the
+    item, by its id or else by #index."""
+    out = []
+    for i, item in enumerate(read_json(path, [dict], error)):
+        tid = item.get("id")
+        where = f"{path}: item {tid!r}" if isinstance(tid, str) else f"{path}: item #{i}"
+        check(item, schema, where, error)
+        try:
+            out.append((tid, build(item)))
+        except (ValueError, AmdepError, RecursionError) as exc:  # RecursionError: a deep type
+            raise error(f"{where}: {exc}") from exc
+    return out
+
+
+def write_json(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, ensure_ascii=False, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def sha256(path):
+    import hashlib  # loads OpenSSL: only commands that write a manifest need it
+
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_manifest(path, command, config, inputs, outputs, counts):
+    """Deterministic run manifest. Wall time is deliberately logged instead
+    of stored so reruns with equal seeds and inputs are bit-identical."""
+    from . import __version__
+
+    manifest = {
+        "version": __version__,
+        "command": command,
+        "config": config,
+        "inputs": {Path(p).name: sha256(p) for p in inputs},
+        "outputs": {Path(p).name: sha256(p) for p in outputs},
+        "counts": counts,
+    }
+    write_json(manifest, path)
+
+
+# ---------------------------------------------------------------------------
+# schemas
+
+
+class Number:
+    """A JSON number (not a bool), finite as a float, that passes test;
+    what describes it."""
+
+    def __init__(self, test, what):
+        self.test, self.what = test, what
+
+
+NODE = {"id": str, "label?": str}  # a constant's slot nodes have no label
+GRAPH = {"nodes": [NODE], "edges": [{"src": str, "tgt": str, "label": str}], "root": str}
+CORPUS_ITEM = {"id": str, **GRAPH}
+TYPE = {}
+TYPE[str] = TYPE  # a type maps each source name to its request, itself a type
+CONSTANT = {**GRAPH, "sources?": {str: str}, "type?": TYPE}
+TREES_ITEM = {"id": str, "tree": {"root": str, "nodes": {str: CONSTANT},
+                                  "edges": [{"parent": str, "child": str, "op": str,
+                                             "source": str}]}}
+INDEX = {"automata": [{"id": str, "file": str}]}
+# the leaf or operation at each address of an automaton file's binarized tree
+SHAPE = {str: lambda d: {"node": str, "const": str} if isinstance(d, dict)
+         and d.get("kind") == "leaf" else {"kind": str}}
+POSITIVE = Number(lambda x: x > 0, "a positive finite number")
+THETA = {"theta": {str: POSITIVE}, "groups?": {str: [str]}, "meta?": dict, "default?": POSITIVE}
+SCORER = {"params": {str: Number(lambda x: 0 < math.exp(x) < math.inf,
+                                 "a number whose exp is a positive finite weight")},
+          "meta?": dict}
+# a weights file is theta.json when it has "theta", else scorer.json
+WEIGHTS = lambda obj: THETA if isinstance(obj, dict) and "theta" in obj else SCORER
+
+
+class _Mismatch(Exception):
+    pass
+
+
+_KIND = {type(None): "null", bool: "bool", int: "int", float: "float", str: "str",
+         list: "a list", dict: "an object"}
+_WANT = {str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(field, key):
+    if key.isidentifier():
+        return f"{field}.{key}" if field else key
+    return f"{field}[{key!r}]"
+
+
+def check(value, schema, name, error=MalformedInput):
+    """Raise error naming name and the field path where value first
+    departs from schema."""
+    try:
+        _check(value, schema, "")
+    except (_Mismatch, RecursionError) as exc:
+        raise error(f"{name}: {exc}") from None
+
+
+def _check(value, schema, field):
+    if callable(schema) and not isinstance(schema, type):
+        schema = schema(value)
+    if isinstance(schema, Number):
+        try:
+            ok = type(value) in (int, float) and math.isfinite(value) and schema.test(value)
+        except OverflowError:  # an int too large for a float, or its exp
+            ok = False
+        if not ok:
+            raise _Mismatch(f"{field} is {value!r}, not {schema.what}")
+        return
+    want = schema if schema in (str, dict) else list if isinstance(schema, list) else dict
+    if not isinstance(value, want):
+        raise _Mismatch(f"{field or 'the top level'} is {_KIND[type(value)]}, not {_WANT[want]}")
+    if isinstance(schema, list):
+        for i, v in enumerate(value):
+            _check(v, schema[0], f"{field}[{i}]")
+    elif isinstance(schema, dict) and str in schema:
+        for key, v in value.items():
+            _check(v, schema[str], _field(field, key))
+    elif isinstance(schema, dict):
+        for key, sub in schema.items():
+            name = key.rstrip("?")
+            if name in value:
+                _check(value[name], sub, _field(field, name))
+            elif name == key:
+                raise _Mismatch(f"{_field(field, name)} is missing")

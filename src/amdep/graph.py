@@ -3,13 +3,13 @@ edge normalization and exact isomorphism checking."""
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import CorpusError, MalformedInput, open_input
+from .errors import CorpusError, MalformedInput
+from .files import CORPUS_ITEM, open_input, read_items, write_json
 
 log = logging.getLogger("amdep.graph")
 
@@ -112,13 +112,13 @@ class SemanticGraph:
                     stack.append(e.tgt)
         return seen
 
-    def validate(self, graph_id=None, require_labels=True):
+    def validate(self, require_labels=True):
         if require_labels:
             for n, lbl in self.nodes.items():
                 if lbl is None:
-                    raise CorpusError(f"node {n!r} has no label", graph_id)
+                    raise CorpusError(f"node {n!r} has no label")
         if not self.is_connected():
-            raise CorpusError("graph is not connected", graph_id)
+            raise CorpusError("graph is not connected")
         return self
 
     def renamed(self, mapping):
@@ -154,21 +154,15 @@ class SemanticGraph:
         }
 
     @classmethod
-    def from_json(cls, obj, graph_id=None):
-        try:
-            nodes = {nd["id"]: nd.get("label") for nd in obj["nodes"]}
-            if len(nodes) != len(obj["nodes"]):
-                raise CorpusError("duplicate node id", graph_id)
-            edges = [Edge(e["src"], e["tgt"], e["label"]) for e in obj["edges"]]
-            if len(edges) != len(set(edges)):
-                raise CorpusError("duplicate (src, tgt, label) edge", graph_id)
-            root = obj["root"]
-        except (KeyError, TypeError) as exc:
-            raise CorpusError(f"malformed graph object: {exc}", graph_id) from exc
-        try:
-            return cls(nodes, edges, root)
-        except CorpusError as exc:
-            raise CorpusError(str(exc), graph_id) from exc
+    def from_json(cls, obj):
+        """The graph of a corpus item or constant that follows files.GRAPH."""
+        nodes = {nd["id"]: nd.get("label") for nd in obj["nodes"]}
+        if len(nodes) != len(obj["nodes"]):
+            raise CorpusError("duplicate node id")
+        edges = [Edge(e["src"], e["tgt"], e["label"]) for e in obj["edges"]]
+        if len(edges) != len(set(edges)):
+            raise CorpusError("duplicate (src, tgt, label) edge")
+        return cls(nodes, edges, obj["root"])
 
 
 # ---------------------------------------------------------------------------
@@ -177,41 +171,26 @@ class SemanticGraph:
 
 def read_corpus(path):
     """Read a JSON corpus file into a list of (id, SemanticGraph) pairs.
-    Ids must be present, distinct and free of '#', which tree ids use to
-    number the trees of one graph."""
-    with open_input(path) as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:
-            raise CorpusError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise CorpusError(f"{path}: corpus must be a top-level array")
-    out = []
+    Ids must be distinct and free of '#', which tree ids use to number the
+    trees of one graph. A malformed file or graph raises CorpusError naming
+    the path and the graph's id."""
     seen = set()
-    for i, obj in enumerate(data):
-        gid = obj.get("id", f"#{i}") if isinstance(obj, dict) else f"#{i}"
-        g = SemanticGraph.from_json(obj, graph_id=gid)
-        g.validate(graph_id=gid)
-        if not isinstance(gid, str) or "#" in gid:
-            raise CorpusError("id is missing, not a string or contains '#'", gid)
+
+    def build(obj):
+        gid = obj["id"]
+        if "#" in gid:
+            raise CorpusError("id contains '#'")
         if gid in seen:
-            raise CorpusError("id repeats an earlier graph's id", gid)
+            raise CorpusError("id repeats an earlier graph's id")
         seen.add(gid)
-        for e in g.edges:
-            if e.label.endswith("-of"):
-                log.debug("graph %s: edge label %r already ends in -of; if reversed, "
-                          "normalization strips rather than doubles the suffix", gid, e.label)
-                break
-        out.append((gid, g))
-    return out
+        return SemanticGraph.from_json(obj).validate()
+
+    return read_items(path, CORPUS_ITEM, build, CorpusError)
 
 
 def write_corpus(graphs, path):
     """Write (id, SemanticGraph) pairs as corpus JSON. read(write(x)) == x."""
-    data = [{"id": gid, **g.to_json()} for gid, g in graphs]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json([{"id": gid, **g.to_json()} for gid, g in graphs], path)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +233,9 @@ class BlobHeuristics:
 
     @classmethod
     def from_tsv(cls, path):
-        """The table of a TSV file; a file that cannot be read or is not
-        such a table raises an AmdepError naming it."""
+        """The table of a TSV file of pattern<TAB>src|tgt rows, blank lines
+        and # comments skipped; a file that cannot be read or is not such a
+        table raises an AmdepError naming it."""
         rules = []
         try:
             with open_input(path) as fh:
@@ -276,10 +256,7 @@ class BlobHeuristics:
     def default_table(cls):
         from importlib import resources
 
-        with resources.files("amdep.data").joinpath("blobs.tsv").open("r") as fh:
-            rules = [tuple(line.split("\t")) for line in fh.read().splitlines()
-                     if line.strip() and not line.startswith("#")]
-        return cls(rules)
+        return cls.from_tsv(resources.files("amdep.data") / "blobs.tsv")
 
 
 @dataclass

@@ -12,8 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .algebra import canonical_constant_form, constant_from_canonical, skeleton_form
-from .automata import (Run, TreeAutomaton, bottom_up, reconstruct_tree, rule_event_key,
-                       subtree_counts)
+from .automata import (Run, TreeAutomaton, bottom_up, leaf_constant, reconstruct_tree,
+                       rule_event_key, subtree_counts)
 from .errors import EmptyAutomaton, NonFiniteGradient, first_ids
 
 log = logging.getLogger("amdep.training")
@@ -243,42 +243,6 @@ class EventTable:
                 "groups": {k: sorted(v) for k, v in sorted(self.groups.items())},
                 "meta": self.meta, "default": self.default}
 
-    @classmethod
-    def from_json(cls, obj):
-        """The table of a theta.json object; ValueError names what is
-        malformed."""
-        theta, default = _json_object(obj, "theta"), obj.get("default", 1e-6)
-        groups, meta = _json_object(obj, "groups", {}), _json_object(obj, "meta", {})
-        for k, v in theta.items():
-            if not _positive_finite(v):
-                raise ValueError(f"theta[{k!r}] is {v!r}, not a positive finite number")
-        if not _positive_finite(default):
-            raise ValueError(f"default is {default!r}, not a positive finite number")
-        if not all(isinstance(v, list) for v in groups.values()):
-            raise ValueError("groups must map each group to a list of events")
-        return cls(dict(theta), {k: list(v) for k, v in groups.items()}, dict(meta), default)
-
-
-def _json_object(obj, key, missing=None):
-    value = obj.get(key, missing)
-    if not isinstance(value, dict):
-        raise ValueError(f"{key!r} is {type(value).__name__}, not an object")
-    return value
-
-
-def _finite(x) -> bool:
-    """x is a finite JSON number (a bool is not)."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _positive_finite(x) -> bool:
-    return _finite(x) and x > 0
-
 
 def discover_events(automata):
     """Every event of the corpus by normalization group, {group: sorted
@@ -291,13 +255,13 @@ def discover_events(automata):
         for r, key in zip(a.rules, a.event_keys):
             if key in group_of:
                 continue
-            group = None
-            if not r.children:
-                form = a.shape[r.parent.address]["const"]
-                if form not in leaf_group:
-                    leaf_group[form] = _leaf_group(form)
-                group = leaf_group[form]
-            group_of[key] = group or event_group_key(key)
+            if r.children:
+                group_of[key] = event_group_key(key)
+                continue
+            form = a.shape[r.parent.address]["const"]
+            if form not in leaf_group:
+                leaf_group[form] = _leaf_group(form)
+            group_of[key] = leaf_group[form] or "skel " + skeleton_form(leaf_constant(a, r))
     groups: dict[str, list[str]] = {}
     for key, group in group_of.items():
         groups.setdefault(group, []).append(key)
@@ -380,15 +344,13 @@ def random_tree_baseline(a: TreeAutomaton, seed=0) -> Run:
 
 
 def weights_from_json(obj):
-    """The weights a weights file holds: an EventTable when it has a "theta"
-    key, a Scorer when it has "params". ValueError names what is
-    malformed."""
-    if isinstance(obj, dict):
-        if "theta" in obj:
-            return EventTable.from_json(obj)
-        if "params" in obj:
-            return Scorer.from_json(obj)
-    raise ValueError("weights file must contain 'theta' or 'params'")
+    """The weights of a weights file's JSON object, which follows
+    files.WEIGHTS: an EventTable when it has a "theta" key, else a
+    Scorer."""
+    if "theta" in obj:
+        return EventTable(obj["theta"], obj.get("groups", {}), obj.get("meta", {}),
+                          obj.get("default", 1e-6))
+    return Scorer(obj["params"], obj.get("meta", {}))
 
 
 def reconstruct_best(a: TreeAutomaton, weights=None):
@@ -427,21 +389,6 @@ class Scorer:
 
     def to_json(self):
         return {"params": dict(sorted(self.params.items())), "meta": self.meta}
-
-    @classmethod
-    def from_json(cls, obj):
-        """The scorer of a scorer.json object; ValueError names what is
-        malformed."""
-        params, meta = _json_object(obj, "params"), _json_object(obj, "meta", {})
-        for k, v in params.items():
-            try:
-                ok = _finite(v) and 0.0 < math.exp(v) < math.inf
-            except OverflowError:
-                ok = False
-            if not ok:
-                raise ValueError(f"params[{k!r}] is {v!r}, not a number whose exp is a "
-                                 "positive finite weight")
-        return cls(dict(params), dict(meta))
 
 
 def score_rules(scorer: Scorer, a: TreeAutomaton) -> dict[int, float]:

@@ -664,3 +664,16 @@ def test_evaluation_errors_name_their_node():
     with pytest.raises(NotWellTyped) as exc:
         evaluate(tree)
     assert str(exc.value) == "at node None: evaluation leaves node 't.d' unlabeled"
+
+
+def test_explicit_order_clash_names_its_node():
+    # in the reverse order the APP at x comes second, and cat's type [z[w]]
+    # clashes with the head's own z: the explicit order names h, as the
+    # greedy order names the node it is stuck at
+    head = constant("see", "h", [("ARG0", "x"), ("ARG1", "y"), ("ARG2", "z")])
+    cat = constant("cat", "c", [("ARG0", "z")], typ({"z": {"w": {}}}))
+    tree = AMDepTree({"h": head, "c": cat, "b": constant("boy", "b")}, "h",
+                     [("h", "c", "APP", "x"), ("h", "b", "APP", "y")])
+    with pytest.raises(NotWellTyped) as exc:
+        evaluate_with_orders(tree, {"h": tree.children("h")[::-1]})
+    assert exc.value.node == "h" and isinstance(exc.value.__cause__, RequestClash)

@@ -319,6 +319,24 @@ class TestTrainAndViterbi:
         assert run("verify", "--graphs", workspace / "graphs.json",
                    "--trees", tmp_path / "sampled.json") == 0
 
+    @pytest.mark.parametrize("mode", [[], ["--sample-seed", 5]])
+    def test_empty_automata_summarised_in_one_line(self, tmp_path, caplog, capsys, mode):
+        # wide has three arguments: its automaton at 2 sources is empty
+        (tmp_path / "g.json").write_text(json.dumps([{**ONE_EDGE, "id": "one"}, WIDE]))
+        assert run("decompose", "--graphs", tmp_path / "g.json", "--out", tmp_path / "t.json",
+                   "--report", tmp_path / "s.json") == 0
+        assert run("build-automata", "--trees", tmp_path / "t.json", "--sources", 2,
+                   "--out", tmp_path / "auto") == 2
+        capsys.readouterr()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="amdep.cli"):
+            assert run("viterbi", "--automata", tmp_path / "auto", *mode,
+                       "--out", tmp_path / "best.json") == 2
+        assert [rec.getMessage() for rec in caplog.records if rec.name == "amdep.cli"] == [
+            "1/2 automata empty, no tree: wide"]
+        assert capsys.readouterr().out == ""
+        assert [item["id"] for item in json.loads((tmp_path / "best.json").read_text())] == ["one"]
+
 
 class TestVerify:
     def test_gold_trees_pass(self, workspace):
