@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Literal
 
 from .errors import (
     LabelClash,
@@ -406,9 +405,6 @@ class _Cells:
 
 # ---------------------------------------------------------------------------
 # dependency trees
-
-OpKind = Literal["APP", "MOD"]
-
 
 @dataclass(frozen=True, order=True)
 class DepEdge:

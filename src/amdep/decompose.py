@@ -4,6 +4,7 @@ sources, then resolve the reentrancies through the type system."""
 
 from __future__ import annotations
 
+import functools
 import logging
 import random
 from dataclasses import dataclass, field
@@ -37,6 +38,8 @@ from .graph import (
 )
 
 log = logging.getLogger("amdep.decompose")
+
+MAX_UNROLLINGS = 64  # unrollings tried per graph, lazily, best-first
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,7 @@ def unroll(n: NormalizedGraph, tie_break="sorted") -> UnrolledTree:
     return _run_unroll(n, tie_break)
 
 
-def iter_unrollings(n: NormalizedGraph, tie_break="sorted", limit=64,
+def iter_unrollings(n: NormalizedGraph, tie_break="sorted", limit=MAX_UNROLLINGS,
                     include_invalid=False):
     """Lazily yield unrollings, varying the backward entry choices. Variants
     are explored best-first by the number of deviations from the greedy
@@ -259,7 +262,7 @@ def iter_unrollings(n: NormalizedGraph, tie_break="sorted", limit=64,
                 heapq.heappush(heap, (devs + 1, counter, child))
 
 
-def enumerate_unrollings(n: NormalizedGraph, tie_break="sorted", limit=64,
+def enumerate_unrollings(n: NormalizedGraph, tie_break="sorted", limit=MAX_UNROLLINGS,
                          include_invalid=False):
     """All unrollings reachable by varying the backward entry choices."""
     return list(iter_unrollings(n, tie_break, limit, include_invalid))
@@ -298,11 +301,6 @@ def is_ref_node(tree: AMDepTree, node) -> bool:
     c = tree.constant(node)
     return (len(c.graph.nodes) == 1 and c.root_label() is None
             and not c.sources and c.typ.is_empty)
-
-
-def ref_target(tree: AMDepTree, node) -> str:
-    edge = tree.parent_edge(node)
-    return placeholder_target(edge.source)
 
 
 # ---------------------------------------------------------------------------
@@ -345,36 +343,18 @@ class Theorem1Report:
 
 def _ancestors(tree: AMDepTree, node):
     chain = [node]
-    e = tree.parent_edge(node)
-    while e is not None:
+    while (e := tree.parent_edge(chain[-1])) is not None:
         chain.append(e.parent)
-        e = tree.parent_edge(e.parent)
     return chain  # node first, root last
 
 
-def _lca(tree: AMDepTree, nodes):
-    chains = [_ancestors(tree, n) for n in nodes]
-    common = set(chains[0])
-    for c in chains[1:]:
-        common &= set(c)
+def _lca(chains):
+    """Lowest node on every one of the ancestor chains."""
+    common = set(chains[0]).intersection(*chains[1:])
     for n in chains[0]:
         if n in common:
             return n
     raise ValueError("no common ancestor")
-
-
-def _path_down(tree: AMDepTree, top, bottom):
-    """Edges from top down to bottom (top must be an ancestor of bottom)."""
-    edges = []
-    cur = bottom
-    while cur != top:
-        e = tree.parent_edge(cur)
-        if e is None:
-            raise ValueError(f"{top!r} is not an ancestor of {bottom!r}")
-        edges.append(e)
-        cur = e.parent
-    edges.reverse()
-    return edges
 
 
 def _ref_positions(tree: AMDepTree) -> dict[str, list[str]]:
@@ -382,14 +362,15 @@ def _ref_positions(tree: AMDepTree) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     for node in tree.nodes:
         if is_ref_node(tree, node):
-            out.setdefault(ref_target(tree, node), []).append(node)
+            out.setdefault(placeholder_target(tree.parent_edge(node).source), []).append(node)
     return out
 
 
 def _lca_targets(tree: AMDepTree) -> dict[str, str]:
     """Each referenced node -> the lowest common ancestor of the node and
     all its reference leaves."""
-    return {y: _lca(tree, [y] + refs) for y, refs in _ref_positions(tree).items()}
+    return {y: _lca([_ancestors(tree, p) for p in [y] + refs])
+            for y, refs in _ref_positions(tree).items()}
 
 
 def default_plan(tree: AMDepTree) -> ResolutionPlan:
@@ -400,20 +381,27 @@ def default_plan(tree: AMDepTree) -> ResolutionPlan:
 
 def build_plan(tree: AMDepTree, targets: dict[str, str]) -> ResolutionPlan:
     """Plan with explicit resolution targets (each at least as high as the
-    default lowest common ancestor); may include nodes without references."""
+    default lowest common ancestor); may include nodes without references.
+
+    Every fact of a node's plan is a slice of one ancestor chain per
+    position (the node and each of its reference leaves): the lowest common
+    ancestor is the lowest node on all of them, the target must lie on them
+    at or above it, and the path to a position is the parent edges of its
+    chain below the target, top down."""
     ref_positions = _ref_positions(tree)
     for y in ref_positions:
         if y not in targets:
             raise ValueError(f"plan must cover referenced node {y!r}")
     plan = ResolutionPlan(set(), {}, {})
     for y, rt in sorted(targets.items()):
-        positions = sorted([y] + ref_positions.get(y, []))
-        lca = _lca(tree, positions)
-        if rt not in _ancestors(tree, lca):
+        chains = [_ancestors(tree, p) for p in sorted([y] + ref_positions.get(y, []))]
+        lca = _lca(chains)
+        if rt not in chains[0][chains[0].index(lca):]:
             raise ValueError(f"target {rt!r} for {y!r} is below the common ancestor {lca!r}")
         plan.resolve_set.add(y)
         plan.targets[y] = rt
-        plan.paths[y] = [_path_down(tree, rt, p) for p in positions]
+        plan.paths[y] = [[tree.parent_edge(n) for n in reversed(c[:c.index(rt)])]
+                         for c in chains]
     return plan
 
 
@@ -423,19 +411,16 @@ def check_resolvable(tree: AMDepTree, plan: ResolutionPlan,
     bottom-most edge of every resolution path must not be a modify edge, and
     every interior modify edge (not incident to the resolved node) needs a
     directed graph path from its parent to the resolved node."""
-    desc = {v: normalized.graph.reachable_from(v) for v in normalized.graph.nodes}
+    reachable_from = functools.cache(normalized.graph.reachable_from)
     violations = []
     for y in sorted(plan.resolve_set):
         for path in plan.paths[y]:
-            if not path:
-                continue
-            bottom = path[-1]
-            if bottom.op == "MOD":
-                violations.append(Violation(y, path, 1, bottom))
+            if path and path[-1].op == "MOD":
+                violations.append(Violation(y, path, 1, path[-1]))
             for e in path:
-                if e.op == "MOD" and e.parent != y and e.child != y:
-                    if y not in desc[e.parent]:
-                        violations.append(Violation(y, path, 2, e))
+                if (e.op == "MOD" and e.parent != y and e.child != y
+                        and y not in reachable_from(e.parent)):
+                    violations.append(Violation(y, path, 2, e))
     return Theorem1Report(not violations, violations)
 
 
@@ -458,30 +443,30 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
 
     Nodes are processed so that a node is only handled once no other pending
     node's resolution path runs through it; within each step the edge order
-    is immaterial. With debug=True the tree is re-typechecked after every
-    step (the intermediate trees, references included, must stay well-typed).
+    is immaterial. The steps edit one child -> parent edge map and read the
+    paths and the reference leaves off the input tree, which stays exact by
+    the invariant stated below. A tree is built only to type a subtree that
+    moves, and once at the end. With debug=True the tree is re-typechecked
+    after every step (the intermediate trees, references included, must stay
+    well-typed).
     """
     if plan is None:
         plan = default_plan(tree)
     nodes = dict(tree.nodes)
-    edges = list(tree.edges)
     root = tree.root
+    # A step moves only its own node and deletes only that node's reference
+    # leaves, so every other node keeps its input parent edge until its own
+    # step.
+    parent = {e.child: e for e in tree.edges}
+    ref_positions = _ref_positions(tree)
 
     def current_tree():
-        return AMDepTree(nodes, root, edges)
+        return AMDepTree(nodes, root, parent.values())
 
-    # Neither the plan nor the set of reference leaves changes while
-    # resolving: a reference leaf is never a path's parent, so its constant
-    # keeps its empty type, and no other constant's type becomes empty.
-    path_nodes = {}
-    for y in plan.resolve_set:
-        out = {plan.targets[y]}
-        for path in plan.paths[y]:
-            for e in path:
-                out.add(e.parent)
-                out.add(e.child)
-        path_nodes[y] = out
-    ref_leaves = [n for n in tree.nodes if is_ref_node(tree, n)]
+    # each path chains down from its target, so its nodes are the target and
+    # every edge's child
+    path_nodes = {y: {plan.targets[y]}.union(*({e.child for e in p} for p in plan.paths[y]))
+                  for y in plan.resolve_set}
 
     pending = set(plan.resolve_set)
     while pending:
@@ -491,7 +476,6 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
             raise ResolutionFailed(sorted(pending)[0],
                                    "circular resolution paths; no eligible node")
         y = eligible[0]
-        snapshot = current_tree()
         rt = plan.targets[y]
         # The request recorded along a resolution path is the type of
         # whatever ultimately occupies the merged slot. At or above y that is
@@ -503,7 +487,7 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
             tt = EMPTY_TYPE
         else:
             try:
-                tt = term_type(snapshot, y)
+                tt = term_type(current_tree(), y)
             except NotWellTyped as exc:
                 raise ResolutionFailed(y, f"cannot type subtree: {exc}") from exc
         for path in plan.paths[y]:
@@ -526,14 +510,10 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
                 if e.child == y:
                     below_y = True
         if rt != y:
-            old = snapshot.parent_edge(y)
-            edges = [e for e in edges if not (e.child == y and e.parent == old.parent)]
-            edges.append(DepEdge(rt, y, "APP", placeholder(y)))
-        doomed = [n for n in ref_leaves
-                  if n in nodes and ref_target(snapshot, n) == y]
-        for n in doomed:
-            del nodes[n]
-            edges = [e for e in edges if e.child != n]
+            del parent[y]  # a moved edge goes last in the tree's edge order
+            parent[y] = DepEdge(rt, y, "APP", placeholder(y))
+        for n in ref_positions.get(y, []):
+            del nodes[n], parent[n]
         pending.discard(y)
         if debug:
             try:
@@ -552,14 +532,12 @@ def modify_swap(tree: AMDepTree, pairs) -> AMDepTree:
     becomes the modifier of n and m becomes an apply child of k, with m's
     term type recorded as the request at m's slot in k's constant."""
     nodes = dict(tree.nodes)
-    edges = list(tree.edges)
+    parent = {e.child: e for e in tree.edges}
     used = set()
     for (n, m), (m2, k) in pairs:
         if m2 != m:
             raise InvalidSwapPair(f"pair ({n},{m});({m2},{k}) is not consecutive")
-        cur = AMDepTree(nodes, tree.root, edges)
-        top = cur.parent_edge(m)
-        bot = cur.parent_edge(k)
+        top, bot = parent.get(m), parent.get(k)
         if top is None or bot is None or top.parent != n or bot.parent != m:
             raise InvalidSwapPair(f"edges ({n},{m}) and ({m},{k}) not found")
         if top.op != "MOD" or top.source != placeholder(n):
@@ -569,16 +547,16 @@ def modify_swap(tree: AMDepTree, pairs) -> AMDepTree:
         if top in used or bot in used:
             raise InvalidSwapPair("edge appears in two pairs")
         used.update((top, bot))
-        tt = term_type(cur, m)
+        tt = term_type(AMDepTree(nodes, tree.root, parent.values()), m)
         if placeholder(n) not in tt.names():
             raise InvalidSwapPair(
                 f"term type of {m!r} lacks {placeholder(n)!r}; swap would detach the modifier")
-        edges = [e for e in edges if e not in (top, bot)]
-        edges.append(DepEdge(n, k, "MOD", placeholder(n)))
-        edges.append(DepEdge(k, m, "APP", placeholder(m)))
+        del parent[m], parent[k]  # moved edges go last in the tree's edge order
+        parent[k] = DepEdge(n, k, "MOD", placeholder(n))
+        parent[m] = DepEdge(k, m, "APP", placeholder(m))
         nodes[k] = nodes[k].with_type(
             _add_request(nodes[k].typ, placeholder(m), tt, k))
-    return AMDepTree(nodes, tree.root, edges)
+    return AMDepTree(nodes, tree.root, parent.values())
 
 
 def consecutive_mod_pairs(tree: AMDepTree):
@@ -658,7 +636,7 @@ def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=Fal
 
 
 def decompose(g: SemanticGraph, heuristics: BlobHeuristics | None = None,
-              tie_break="sorted", max_unrollings=64):
+              tie_break="sorted"):
     """Full pipeline: blob partition, edge normalization, unrolling,
     canonical tree, resolvability check, resolution, and a final round-trip
     verification. Returns a Decomposition or a NonDecomposable report.
@@ -673,7 +651,7 @@ def decompose(g: SemanticGraph, heuristics: BlobHeuristics | None = None,
     if not n.graph.is_acyclic():
         return NonDecomposable("normalized graph has a directed cycle")
     first_failure = None
-    for u, t, failure in _candidates(n, iter_unrollings(n, tie_break, limit=max_unrollings)):
+    for u, t, failure in _candidates(n, iter_unrollings(n, tie_break)):
         if t is not None:
             return Decomposition(t, n, u)
         first_failure = first_failure or failure
@@ -681,8 +659,7 @@ def decompose(g: SemanticGraph, heuristics: BlobHeuristics | None = None,
 
 
 def enumerate_candidate_trees(g: SemanticGraph, heuristics=None, tie_break="sorted",
-                              max_unrollings=64, with_swaps=True, with_lifts=False,
-                              include_invalid_entries=True):
+                              with_swaps=True, with_lifts=False, include_invalid_entries=True):
     """Bounded exploration of the decomposition space: every unrolling entry
     choice, optionally every single modify-edge swap and every lifted
     resolution target. Returns the distinct trees that verify (well-typed
@@ -690,8 +667,7 @@ def enumerate_candidate_trees(g: SemanticGraph, heuristics=None, tie_break="sort
     n = _normalize(g, heuristics)
     if not n.graph.is_acyclic():
         return []
-    unrollings = iter_unrollings(n, tie_break, limit=max_unrollings,
-                                 include_invalid=include_invalid_entries)
+    unrollings = iter_unrollings(n, tie_break, include_invalid=include_invalid_entries)
     found = {}
     for _u, t, _failure in _candidates(n, unrollings, with_swaps, with_lifts):
         if t is not None:

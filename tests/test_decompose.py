@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings
 
 from amdep.algebra import (
     AMDepTree,
@@ -13,6 +14,7 @@ from amdep.algebra import (
 from amdep.decompose import (
     Decomposition,
     NonDecomposable,
+    _plan_space,
     build_plan,
     canonical_tree,
     check_resolvable,
@@ -26,11 +28,11 @@ from amdep.decompose import (
     resolve,
     unroll,
 )
-from amdep.errors import InvalidSwapPair
+from amdep.errors import AmdepError, InvalidSwapPair, ResolutionFailed
 from amdep.generate import GeneratorConfig, gen_random_tree
 from amdep.graph import SemanticGraph, is_isomorphic, normalize_edges, partition_blobs
 
-from conftest import tree_shape
+from conftest import small_graphs, tree_shape
 
 
 def normalized(g, heuristics):
@@ -390,6 +392,47 @@ class TestDebugMode:
             if check_resolvable(c, plan, n).decomposable:
                 t = resolve(c, plan, debug=True)
                 assert check_well_typed(t).is_empty
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs())
+    def test_lifted_plans_chain_down_and_match_the_oracle(self, g, heuristics):
+        """Every plan of the lifted plan space: each path runs from the
+        target down to its position, and the plain resolution agrees with
+        the oracle that re-types after every step."""
+        n = normalized(g, heuristics)
+        assume(n.graph.is_acyclic())
+        u = unroll(n)
+        c = canonical_tree(u, n)
+        for targets in _plan_space(c, with_lifts=True):
+            plan = build_plan(c, targets)
+            for y, rt in targets.items():
+                positions = sorted([y] + [r for r, t in u.refs.items() if t == y])
+                for path, p in zip(plan.paths[y], positions, strict=True):
+                    chain = [rt] + [e.child for e in path]
+                    assert [e.parent for e in path] == chain[:-1] and chain[-1] == p
+            if check_resolvable(c, plan, n).decomposable:
+                fast, oracle = resolved(c, plan, False), resolved(c, plan, True)
+                if fast != oracle:
+                    # the oracle may reject a step early; the plain result
+                    # must then fail too, at the latest when evaluated
+                    assert "ill-typed after step" in oracle
+                    assert isinstance(fast, str) or not verifies(fast, n)
+
+
+def resolved(tree, plan, debug):
+    """The resolved tree, or the text of the ResolutionFailed it raises."""
+    try:
+        return resolve(tree, plan, debug=debug)
+    except ResolutionFailed as exc:
+        return str(exc)
+
+
+def verifies(tree, n):
+    try:
+        return is_isomorphic(evaluate(tree), n.graph)
+    except AmdepError:
+        return False
 
 
 class TestHeavyReentrancy:
