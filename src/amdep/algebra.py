@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     LabelClash,
@@ -197,15 +198,6 @@ class SGraph:
 
     def root_label(self):
         return self.graph.label(self.root)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SGraph)
-            and self.graph == other.graph
-            and self.root == other.root
-            and self.sources == other.sources
-            and self.typ == other.typ
-        )
 
     def to_json(self):
         return {**self.graph.to_json(), "sources": dict(sorted(self.sources.items())),
@@ -406,8 +398,7 @@ class _Cells:
 # ---------------------------------------------------------------------------
 # dependency trees
 
-@dataclass(frozen=True, order=True)
-class DepEdge:
+class DepEdge(NamedTuple):
     parent: str
     child: str
     op: str  # "APP" | "MOD"
@@ -525,37 +516,47 @@ def write_trees(trees, path):
 # leftover sources, those other than the slot it attaches by: that slot
 # merges with the head's root (see modify), whatever the head's α slot holds
 # at the time. So a modifier attached by α does not block APP at α. Filling
-# α first changes none of the modifier's merges, and _mod_admissible still
+# α first changes none of the modifier's merges, and _inadmissible still
 # checks the leftover against the head type when the modifier is consumed.
 # With this blocking rule all admissible orders are confluent.
 
 
-def _app_admissible(head_type, edge, child_type, others):
-    if edge.source not in head_type:
-        return f"head type {head_type} has no source {edge.source!r}"
-    if head_type.request(edge.source) != child_type:
-        return (f"request at {edge.source!r} is {head_type.request(edge.source)}, "
-                f"child has type {child_type}")
-    for other_edge, other_type in others:
-        if other_edge.op == "MOD" and other_edge.source == edge.source:
-            continue
-        if edge.source in other_type.names():
-            return f"source {edge.source!r} still open in sibling {other_edge.child!r}"
-    return None
-
-
-def _mod_admissible(head_type, edge, child_type):
-    if edge.source not in child_type:
-        return f"modifier type {child_type} has no source {edge.source!r}"
-    if not child_type.request(edge.source).is_empty:
-        return f"modifier slot {edge.source!r} has non-empty request"
-    leftover = child_type.without(edge.source)
+def _inadmissible(head_type, edge, child_type, others):
+    """Why the child on edge cannot be consumed next by a head of type
+    head_type, or None when it can. others are the (edge, child type) pairs
+    of the siblings still pending."""
+    source = edge.source
+    if edge.op == "APP":
+        if source not in head_type:
+            return f"head type {head_type} has no source {source!r}"
+        if head_type.request(source) != child_type:
+            return (f"request at {source!r} is {head_type.request(source)}, "
+                    f"child has type {child_type}")
+        for other_edge, other_type in others:
+            if other_edge.op == "MOD" and other_edge.source == source:
+                continue
+            if source in other_type.names():
+                return f"source {source!r} still open in sibling {other_edge.child!r}"
+        return None
+    if source not in child_type:
+        return f"modifier type {child_type} has no source {source!r}"
+    if not child_type.request(source).is_empty:
+        return f"modifier slot {source!r} has non-empty request"
+    leftover = child_type.without(source)
     for name in leftover.names():
         if name not in head_type:
             return f"modifier would add source {name!r}"
         if head_type.request(name) != leftover.request(name):
             return f"modifier and head disagree on request at {name!r}"
     return None
+
+
+def _consumed(head_type, edge, child_type):
+    """The head's type after consuming the child on edge: APP unifies the
+    child's type into it in place of the filled source, MOD leaves it."""
+    if edge.op == "APP":
+        return type_unify(head_type.without(edge.source), child_type)
+    return head_type
 
 
 def _fold_order(node, head_type, pending):
@@ -568,31 +569,23 @@ def _fold_order(node, head_type, pending):
     """
     remaining = list(pending)
     while remaining:
-        chosen = None
         reasons = []
         for i, (edge, ctype) in enumerate(remaining):
-            others = [rc for j, rc in enumerate(remaining) if j != i]
-            if edge.op == "APP":
-                why = _app_admissible(head_type, edge, ctype, others)
-            else:
-                why = _mod_admissible(head_type, edge, ctype)
+            why = _inadmissible(head_type, edge, ctype, remaining[:i] + remaining[i + 1:])
             if why is None:
-                chosen = i
                 break
             reasons.append(f"{edge.op}_{edge.source}->{edge.child}: {why}")
-        if chosen is None:
+        else:
             raise NotWellTyped(node, "no admissible child; " + "; ".join(reasons))
-        edge, ctype = remaining.pop(chosen)
-        if edge.op == "APP":
-            head_type = type_unify(head_type.without(edge.source), ctype)
+        del remaining[i]
+        head_type = _consumed(head_type, edge, ctype)
         yield edge, head_type
 
 
 def _given_order(head_type, sequence, types):
     """An explicit child order, typed like _fold_order but unchecked."""
     for edge in sequence:
-        if edge.op == "APP":
-            head_type = type_unify(head_type.without(edge.source), types[edge.child])
+        head_type = _consumed(head_type, edge, types[edge.child])
         yield edge, head_type
 
 
@@ -674,15 +667,9 @@ def admissible_orders(tree: AMDepTree, node, types, max_children=8):
             yield []
             return
         for i, (edge, ctype) in enumerate(remaining):
-            others = [rc for j, rc in enumerate(remaining) if j != i]
-            if edge.op == "APP":
-                ok = _app_admissible(head_type, edge, ctype, others) is None
-                new_type = type_unify(head_type.without(edge.source), ctype) if ok else None
-            else:
-                ok = _mod_admissible(head_type, edge, ctype) is None
-                new_type = head_type if ok else None
-            if ok:
-                for rest in rec(new_type, others):
+            others = remaining[:i] + remaining[i + 1:]
+            if _inadmissible(head_type, edge, ctype, others) is None:
+                for rest in rec(_consumed(head_type, edge, ctype), others):
                     yield [edge] + rest
 
     pending = [(e, types[e.child]) for e in kids]

@@ -11,10 +11,10 @@ held as the tuple of its names and numbered by their sorted order there. A
 leaf's rules render the canonical label of each renaming from one layout of
 its constant; an operation's rules join its children's states on their
 names at the placeholders both sides share; pruning sets flags on the
-numbers. The kept states and rules then become ``State`` and ``Rule`` views
-once, numbered by first appearance, and ``TreeAutomaton`` turns that
-numbering into its index, as it does for the numbering ``read_automaton``
-gives the state texts it reads.
+numbers. Each kept state then becomes one ``State`` and each kept rule a
+``Rule``. ``TreeAutomaton`` numbers the states of the rules it is given and
+turns that numbering into its index, for the rules built here and for those
+``read_automaton`` reads alike.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from typing import NamedTuple
 
 from .algebra import (
     AMDepTree,
@@ -98,8 +99,7 @@ def _assign_addresses(node: BinNode, addr: str):
 # automaton
 
 
-@dataclass(frozen=True, order=True)
-class State:
+class State(NamedTuple):
     address: str
     phi: tuple[tuple[str, str], ...]  # sorted (placeholder -> reusable) pairs
 
@@ -133,20 +133,17 @@ class TreeAutomaton:
     """A graph's rules plus the bottom-up index every query runs on, built
     once when the automaton is made; an automaton is immutable after that.
 
-    ``rules`` lists the rules in id order, 0..n-1. ``state_list`` numbers
-    the states bottom-up: every child state of a rule has a smaller index
-    than the rule's parent, so one pass in index order visits children
-    before parents. ``state_rules[q]`` holds the ids of the rules with
-    parent state q in ascending order, ``children[rid]`` the child state
-    indices of rule rid, and ``accept`` the indices of the final states in
-    the order of ``finals``. ``shape`` maps each address of the binarized
-    tree to its leaf or operation descriptor (for reconstruction).
-
-    ``numbered`` is ``(states, links, accept)`` when the caller has already
-    numbered the states: ``states`` in order of first appearance over each
-    rule's parent and children, rules in id order, ``links[rid]`` rule rid's
-    ``(parent, *children)`` and ``accept`` its finals, all by that number.
-    Without it the rules' states are numbered here, hashing each one.
+    ``rules`` lists the rules in id order, 0..n-1. The states are those of
+    the rules, numbered by first appearance over each rule's ``(parent,
+    *children)`` in id order and then sorted, stably, deepest address first.
+    ``state_list`` holds them in that order, bottom-up: every child state of
+    a rule has a smaller index than the rule's parent, so one pass in index
+    order visits children before parents. ``state_rules[q]`` holds the ids
+    of the rules with parent state q in ascending order, ``children[rid]``
+    the child state indices of rule rid, and ``accept`` the indices of the
+    final states in the order of ``finals``, leaving out a final state no
+    rule reaches. ``shape`` maps each address of the binarized tree to its
+    leaf or operation descriptor (for reconstruction).
 
     ``path`` is the file ``read_automaton`` read the automaton from, which
     errors found later name.
@@ -154,8 +151,7 @@ class TreeAutomaton:
 
     path = None
 
-    def __init__(self, graph_id: str, sources, rules, finals, shape: dict[str, dict],
-                 numbered=None):
+    def __init__(self, graph_id: str, sources, rules, finals, shape: dict[str, dict]):
         self.graph_id = graph_id
         self.sources: tuple[str, ...] = tuple(sources)
         self.rules: list[Rule] = list(rules)
@@ -164,12 +160,10 @@ class TreeAutomaton:
         if [r.rid for r in self.rules] != list(range(len(self.rules))):
             raise ValueError(f"automaton {graph_id!r}: rule ids are not "
                              f"0..{len(self.rules) - 1} in order")
-        if numbered is None:
-            number: dict[State, int] = {}
-            links = [tuple(number.setdefault(s, len(number)) for s in (r.parent, *r.children))
-                     for r in self.rules]
-            numbered = list(number), links, [number[f] for f in self.finals if f in number]
-        states, links, accept = numbered
+        number: dict[State, int] = {}
+        links = [tuple([number.setdefault(s, len(number)) for s in (r.parent, *r.children)])
+                 for r in self.rules]
+        states = list(number)
         # deepest addresses first; a stable sort keeps first appearance within a depth
         order = sorted(range(len(states)), key=lambda i: -len(states[i].address))
         rank = [0] * len(order)
@@ -186,7 +180,7 @@ class TreeAutomaton:
                                  "state no deeper than its parent")
             self.state_rules[parent].append(r.rid)
             self.children.append(kids)
-        self.accept: list[int] = [rank[f] for f in accept]
+        self.accept: list[int] = [rank[number[f]] for f in self.finals if f in number]
 
     @property
     def empty(self) -> bool:
@@ -258,7 +252,7 @@ class _LeafLayout:
         self.ids = {c.root: "r", **{n: f"x{i}" for i, n in enumerate(anon)}}
         self.named = [(n, src_of[n]) for n in nodes if n not in self.ids]
         self.nodes = list(nodes.items())
-        self.edges = [(e.src, e.tgt, e.label) for e in c.graph.edges]
+        self.edges = c.graph.edges
         self.sources = list(c.sources.items())
         self.typ = c.typ
         position = {p: i for i, p in enumerate(ph)}
@@ -375,16 +369,14 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
             else:
                 lst.extend([(parent, mod_label[j], i, j) for j in js])
 
-    # number the kept states by first appearance over the kept rules in id order
-    states: list[State] = []
-    number_at = {addr: [-1] * len(v) for addr, v in names.items()}
+    # one State per kept state, made when a kept rule first names it
+    made = {addr: [None] * len(v) for addr, v in names.items()}
 
-    def number(addr, q):
-        at = number_at[addr]
-        if at[q] < 0:
-            at[q] = len(states)
-            states.append(State(addr, tuple(zip(keys[addr], names[addr][q]))))
-        return at[q]
+    def state(addr, q):
+        s = made[addr][q]
+        if s is None:
+            s = made[addr][q] = State(addr, tuple(zip(keys[addr], names[addr][q])))
+        return s
 
     # rule ids follow the addresses sorted as strings, where a parent sorts
     # before its children: the same pass prunes, top-down from the finals, the
@@ -392,7 +384,6 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
     useful = {addr: bytearray(len(v)) for addr, v in names.items()}
     useful[""] = bytearray([1]) * len(names[""])
     rules: list[Rule] = []
-    links: list[tuple] = []
     events: dict[str, tuple] = {}
     aligns = _alignments(shape, root_label)
     for addr in sorted(rules_at):
@@ -400,9 +391,8 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
         if shape[addr]["kind"] == "leaf":
             for parent, lbl in rules_at[addr]:
                 if up[parent]:
-                    q = number(addr, parent)
-                    links.append((q,))
-                    rules.append(Rule(len(rules), states[q], lbl, (), ("const", lbl), align))
+                    rules.append(Rule(len(rules), state(addr, parent), lbl, (), ("const", lbl),
+                                      align))
             continue
         left, right = addr + "0", addr + "1"
         useful_left, useful_right = useful[left], useful[right]
@@ -410,14 +400,11 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
             if not up[parent]:
                 continue
             useful_left[i] = useful_right[j] = 1
-            link = (number(addr, parent), number(left, i), number(right, j))
-            event = events.get(lbl) or events.setdefault(lbl, _event(lbl, link[1:]))
-            links.append(link)
-            rules.append(Rule(len(rules), states[link[0]], lbl,
-                              (states[link[1]], states[link[2]]), event, align))
-    accept = number_at[""]
-    fa = TreeAutomaton(graph_id, sources, rules, [states[f] for f in accept], shape,
-                       numbered=(states, links, accept))
+            kids = (state(left, i), state(right, j))
+            event = events.get(lbl) or events.setdefault(lbl, _event(lbl, kids))
+            rules.append(Rule(len(rules), state(addr, parent), lbl, kids, event, align))
+    finals = [state("", q) for q in range(len(names[""]))]
+    fa = TreeAutomaton(graph_id, sources, rules, finals, shape)
     if fa.empty:
         log.warning("%sautomaton accepts no trees (source inventory too small?)", where)
     return fa
@@ -586,20 +573,14 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     rules = []
     weights: dict[int, float] = {}
     # a state recurs as parent and child of many rules: each distinct text is
-    # parsed once and numbered by its first appearance in the rules
-    by_text: dict[str, int] = {}
-    by_state: dict[State, int] = {}  # two texts may spell one state
-    states: list[State] = []
-    links = []
+    # parsed once
+    parsed: dict[str, State] = {}
 
     def state(text):
-        q = by_text.get(text)
-        if q is None:
-            s = _parse_state(text)
-            q = by_text[text] = by_state.setdefault(s, len(states))
-            if q == len(states):
-                states.append(s)
-        return q
+        s = parsed.get(text)
+        if s is None:
+            s = parsed[text] = _parse_state(text)
+        return s
 
     rule_lines = []  # the line of each rule, by rule id
     ln = 0
@@ -638,11 +619,8 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                 else:
                     open_idx = rest.index("(")
                     label = rest[:open_idx]
-                    kids = tuple(state(p) for p in rest[open_idx + 1:-1].split(", "))
-                links.append((parent, *kids))
-                children = tuple(states[k] for k in kids)
-                rules.append(Rule(len(rules), states[parent], label, children,
-                                  _event(label, children), ("",)))
+                    kids = tuple([state(p) for p in rest[open_idx + 1:-1].split(", ")])
+                rules.append(Rule(len(rules), parent, label, kids, _event(label, kids), ("",)))
                 rule_lines.append(ln)
     except (ValueError, RecursionError) as exc:  # RecursionError: a deeply nested shape
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
@@ -665,7 +643,6 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                                  f"{len(kids)} children does not fit the shape's "
                                  f"{kind.get(addr, 'missing')!r} entry there")
         r.align = aligns[addr]
-    accept = [by_state[f] for f in finals if f in by_state]
-    a = TreeAutomaton(graph_id, sources, rules, finals, shape, numbered=(states, links, accept))
+    a = TreeAutomaton(graph_id, sources, rules, finals, shape)
     a.path = path
     return a, weights or None

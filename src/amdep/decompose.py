@@ -8,6 +8,7 @@ import functools
 import logging
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import (
     AMDepTree,
@@ -46,8 +47,7 @@ MAX_UNROLLINGS = 64  # unrollings tried per graph, lazily, best-first
 # unrolling
 
 
-@dataclass
-class UEdge:
+class UEdge(NamedTuple):
     parent: str  # tree node id
     child: str
     backward: bool  # True for edges traversed against their direction
@@ -245,8 +245,7 @@ def iter_unrollings(n: NormalizedGraph, tie_break="sorted", limit=MAX_UNROLLINGS
         pops += 1
         record: list[tuple[int, int]] = []
         tree = _run_unroll(n, tie_break, choices=choices, record=record)
-        key = tuple(sorted((e.parent, e.child, e.backward, e.graph_edge)
-                           for e in tree.edges))
+        key = tuple(sorted(tree.edges))
         if key not in seen:
             seen.add(key)
             emitted += 1
@@ -324,10 +323,9 @@ class Violation:
     def to_json(self):
         return {
             "node": self.node,
-            "path": [[e.parent, e.child, e.op, e.source] for e in self.path],
+            "path": [list(e) for e in self.path],
             "condition": self.condition,
-            "witness": [self.witness.parent, self.witness.child,
-                        self.witness.op, self.witness.source],
+            "witness": list(self.witness),
         }
 
 
@@ -589,7 +587,6 @@ class NonDecomposable:
 class Decomposition:
     tree: AMDepTree
     normalized: NormalizedGraph
-    unrolled: UnrolledTree
 
 
 def _normalize(g: SemanticGraph, heuristics: BlobHeuristics | None) -> NormalizedGraph:
@@ -601,14 +598,14 @@ def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=Fal
     """The one candidate-verify loop: for each unrolling, its canonical tree
     (plus, with_swaps, each single modify-edge swap of it) under every plan
     of _plan_space is checked for resolvability, resolved, typed and
-    evaluated against the normalized graph. Yields (unrolling, tree, None)
-    for a candidate that verifies and (unrolling, None, NonDecomposable)
-    with the first check it failed otherwise."""
+    evaluated against the normalized graph. Yields (tree, None) for a
+    candidate that verifies and (None, NonDecomposable) with the first check
+    it failed otherwise."""
     for u in unrollings:
         try:
             base = canonical_tree(u, n)
         except ValueError as exc:
-            yield u, None, NonDecomposable(f"no canonical tree: {exc}")
+            yield None, NonDecomposable(f"no canonical tree: {exc}")
             continue
         variants = [base]
         if with_swaps:
@@ -622,7 +619,7 @@ def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=Fal
                 plan = build_plan(cand, targets)
                 report = check_resolvable(cand, plan, n)
                 if not report.decomposable:
-                    yield u, None, NonDecomposable("resolution conditions violated", report)
+                    yield None, NonDecomposable("resolution conditions violated", report)
                     continue
                 try:
                     t = resolve(cand, plan)
@@ -632,7 +629,7 @@ def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=Fal
                     why = f"resolved tree has open sources {exc.typ}"
                 except AmdepError as exc:
                     why = f"resolution failed: {exc}"
-                yield (u, t, None) if why is None else (u, None, NonDecomposable(why, report))
+                yield (t, None) if why is None else (None, NonDecomposable(why, report))
 
 
 def decompose(g: SemanticGraph, heuristics: BlobHeuristics | None = None,
@@ -651,9 +648,9 @@ def decompose(g: SemanticGraph, heuristics: BlobHeuristics | None = None,
     if not n.graph.is_acyclic():
         return NonDecomposable("normalized graph has a directed cycle")
     first_failure = None
-    for u, t, failure in _candidates(n, iter_unrollings(n, tie_break)):
+    for t, failure in _candidates(n, iter_unrollings(n, tie_break)):
         if t is not None:
-            return Decomposition(t, n, u)
+            return Decomposition(t, n)
         first_failure = first_failure or failure
     return first_failure or NonDecomposable("no unrolling found")
 
@@ -669,7 +666,7 @@ def enumerate_candidate_trees(g: SemanticGraph, heuristics=None, tie_break="sort
         return []
     unrollings = iter_unrollings(n, tie_break, include_invalid=include_invalid_entries)
     found = {}
-    for _u, t, _failure in _candidates(n, unrollings, with_swaps, with_lifts):
+    for t, _failure in _candidates(n, unrollings, with_swaps, with_lifts):
         if t is not None:
             found.setdefault(_tree_key(t), t)
     return list(found.values())
@@ -687,6 +684,6 @@ def _plan_space(tree: AMDepTree, with_lifts):
 
 def _tree_key(t: AMDepTree):
     return (
-        tuple(sorted((e.parent, e.child, e.op, e.source) for e in t.edges)),
+        tuple(sorted(t.edges)),
         tuple(sorted((nid, canonical_constant_form(c)) for nid, c in t.nodes.items())),
     )

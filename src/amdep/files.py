@@ -122,7 +122,19 @@ WEIGHTS = lambda obj: THETA if isinstance(obj, dict) and "theta" in obj else SCO
 
 
 class _Mismatch(Exception):
-    pass
+    """Where and how a value departs from its schema. The field path is
+    built only on failure: each level of _check adds its key or index to
+    ``path`` (innermost first) as the error unwinds. ``top`` names the field
+    when the path is empty."""
+
+    def __init__(self, what, top=""):
+        self.what, self.top, self.path = what, top, []
+
+    def __str__(self):
+        field = ""
+        for key in reversed(self.path):
+            field = f"{field}[{key}]" if isinstance(key, int) else _field(field, key)
+        return f"{field or self.top}{self.what}"
 
 
 _KIND = {type(None): "null", bool: "bool", int: "int", float: "float", str: "str",
@@ -140,12 +152,12 @@ def check(value, schema, name, error=MalformedInput):
     """Raise error naming name and the field path where value first
     departs from schema."""
     try:
-        _check(value, schema, "")
+        _check(value, schema)
     except (_Mismatch, RecursionError) as exc:
         raise error(f"{name}: {exc}") from None
 
 
-def _check(value, schema, field):
+def _check(value, schema):
     if callable(schema) and not isinstance(schema, type):
         schema = schema(value)
     if isinstance(schema, Number):
@@ -154,21 +166,25 @@ def _check(value, schema, field):
         except OverflowError:  # an int too large for a float, or its exp
             ok = False
         if not ok:
-            raise _Mismatch(f"{field} is {value!r}, not {schema.what}")
+            raise _Mismatch(f" is {value!r}, not {schema.what}")
         return
     want = schema if schema in (str, dict) else list if isinstance(schema, list) else dict
     if not isinstance(value, want):
-        raise _Mismatch(f"{field or 'the top level'} is {_KIND[type(value)]}, not {_WANT[want]}")
-    if isinstance(schema, list):
-        for i, v in enumerate(value):
-            _check(v, schema[0], f"{field}[{i}]")
-    elif isinstance(schema, dict) and str in schema:
-        for key, v in value.items():
-            _check(v, schema[str], _field(field, key))
-    elif isinstance(schema, dict):
-        for key, sub in schema.items():
-            name = key.rstrip("?")
-            if name in value:
-                _check(value[name], sub, _field(field, name))
-            elif name == key:
-                raise _Mismatch(f"{_field(field, name)} is missing")
+        raise _Mismatch(f" is {_KIND[type(value)]}, not {_WANT[want]}", "the top level")
+    try:
+        if isinstance(schema, list):
+            for key, v in enumerate(value):
+                _check(v, schema[0])
+        elif isinstance(schema, dict) and str in schema:
+            for key, v in value.items():
+                _check(v, schema[str])
+        elif isinstance(schema, dict):
+            for optional, sub in schema.items():
+                key = optional.rstrip("?")
+                if key in value:
+                    _check(value[key], sub)
+                elif key == optional:
+                    raise _Mismatch(" is missing")
+    except _Mismatch as exc:
+        exc.path.append(key)
+        raise

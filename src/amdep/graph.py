@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import CorpusError, MalformedInput
 from .files import CORPUS_ITEM, open_input, read_items, write_json
@@ -14,15 +14,10 @@ from .files import CORPUS_ITEM, open_input, read_items, write_json
 log = logging.getLogger("amdep.graph")
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     tgt: str
     label: str
-
-
-# the field order of Edge's comparison, as a key compared in C
-_EDGE_KEY = attrgetter("src", "tgt", "label")
 
 
 class SemanticGraph:
@@ -36,8 +31,7 @@ class SemanticGraph:
 
     def __init__(self, nodes, edges, root):
         self.nodes = dict(nodes)
-        self.edges = tuple(sorted(set(Edge(*e) if not isinstance(e, Edge) else e for e in edges),
-                                  key=_EDGE_KEY))
+        self.edges = tuple(sorted({e if isinstance(e, Edge) else Edge(*e) for e in edges}))
         self.root = root
         out: dict[str, list[Edge]] = {n: [] for n in self.nodes}
         inc: dict[str, list[Edge]] = {n: [] for n in self.nodes}
@@ -290,28 +284,21 @@ class NormalizedGraph:
 
     graph: SemanticGraph
     partition: BlobPartition
-    reversed_edges: frozenset[Edge]  # edges of `graph` that were flipped
 
 
 def normalize_edges(g: SemanticGraph, p: BlobPartition) -> NormalizedGraph:
     if set(p.owner) != set(g.edges):
         raise ValueError("partition does not cover exactly the edges of the graph")
     edges = []
-    flipped = []
     for e in g.edges:
         if p.owner[e] == e.src:
             edges.append(e)
         else:
-            ne = Edge(e.tgt, e.src, flip_label(e.label))
             if e.label.endswith(OF_SUFFIX):
                 log.warning("stripping existing -of suffix while reversing %s", e)
-            edges.append(ne)
-            flipped.append(ne)
+            edges.append(Edge(e.tgt, e.src, flip_label(e.label)))
     ng = SemanticGraph(g.nodes, edges, g.root)
-    new_owner = {}
-    for e in ng.edges:
-        new_owner[e] = e.src
-    return NormalizedGraph(ng, BlobPartition(new_owner), frozenset(flipped))
+    return NormalizedGraph(ng, BlobPartition({e: e.src for e in ng.edges}))
 
 
 def of_normal_form(g: SemanticGraph):
@@ -441,10 +428,8 @@ def _match(nodes1, root1, pairs1, nodes2, root2, pairs2):
 def is_isomorphic(g1: SemanticGraph, g2: SemanticGraph) -> bool:
     """Exact isomorphism of rooted labeled graphs: a node bijection preserving
     the root, node labels, and labeled edges."""
-    t1 = Counter((e.src, e.tgt, e.label) for e in g1.edges)
-    t2 = Counter((e.src, e.tgt, e.label) for e in g2.edges)
-    return _match(dict(g1.nodes), g1.root, _pair_labels(t1),
-                  dict(g2.nodes), g2.root, _pair_labels(t2))
+    return _match(dict(g1.nodes), g1.root, _pair_labels(Counter(g1.edges)),
+                  dict(g2.nodes), g2.root, _pair_labels(Counter(g2.edges)))
 
 
 def is_isomorphic_mod_of(g1: SemanticGraph, g2: SemanticGraph) -> bool:
