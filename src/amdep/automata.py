@@ -140,10 +140,12 @@ class TreeAutomaton:
     a rule has a smaller index than the rule's parent, so one pass in index
     order visits children before parents. ``state_rules[q]`` holds the ids
     of the rules with parent state q in ascending order, ``children[rid]``
-    the child state indices of rule rid, and ``accept`` the indices of the
-    final states in the order of ``finals``, leaving out a final state no
-    rule reaches. ``shape`` maps each address of the binarized tree to its
-    leaf or operation descriptor (for reconstruction).
+    the child state indices of rule rid (none for a leaf rule, two for an
+    operation rule; the constructor rejects any other count), and
+    ``accept`` the indices of the final states in the order of ``finals``,
+    leaving out a final state no rule reaches. ``shape`` maps each address
+    of the binarized tree to its leaf or operation descriptor (for
+    reconstruction).
 
     ``path`` is the file ``read_automaton`` read the automaton from, which
     errors found later name.
@@ -175,6 +177,9 @@ class TreeAutomaton:
         for r, (parent, *kids) in zip(self.rules, links):
             parent = rank[parent]
             kids = tuple([rank[k] for k in kids])
+            if len(kids) not in (0, 2):
+                raise ValueError(f"automaton {graph_id!r}: rule {r.rid} has {len(kids)} "
+                                 "children, not 0 or 2")
             if kids and max(kids) >= parent:
                 raise ValueError(f"automaton {graph_id!r}: rule {r.rid} has a child "
                                  "state no deeper than its parent")
@@ -201,7 +206,10 @@ def bottom_up(a: TreeAutomaton, weights, times, plus):
     over a semiring: ``plus`` over the state's rules, in id order, of the
     rule's weight ``times`` its children's values, left to right. Counting
     is (sum, *) on integers, inside scores (logsumexp, +) on log weights and
-    Viterbi (max, +)."""
+    Viterbi (max, +). Rules have 0 or 2 children. The order of a state's
+    terms does not change its value under these ``plus``es: integer sums
+    and max are exact, and math.fsum, which logsumexp sums with, is exactly
+    rounded, so each depends only on the terms' multiset."""
     value: list = [None] * len(a.state_list)
     children = a.children
     for q, rids in enumerate(a.state_rules):

@@ -23,10 +23,28 @@ SMOOTHING = 1e-6  # EM's default additive smoothing of expected event counts
 
 
 def logsumexp(values):
+    """log of the sum of exp over a list of floats, each finite or -inf.
+
+    The result depends only on the multiset of the values, since neither
+    ``max`` nor ``math.fsum``, which is exactly rounded, depends on their
+    order. That also makes the one- and two-term paths exact: fsum of a
+    single 1.0 is 1.0, and fsum of two floats is their IEEE sum, so they
+    skip fsum and give bit for bit what ``m + log(fsum(exp(v - m)))``
+    gives."""
+    n = len(values)
+    if n == 1:
+        return values[0] + 0.0
+    if n == 2:
+        a, b = values
+        if b > a:
+            a, b = b, a
+        if a == NEG_INF:
+            return NEG_INF
+        return a + math.log(1.0 + math.exp(b - a))
     m = max(values, default=NEG_INF)
     if m == NEG_INF:
         return NEG_INF
-    return m + math.log(math.fsum(math.exp(v - m) for v in values))
+    return m + math.log(math.fsum([math.exp(v - m) for v in values]))
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +75,16 @@ def _rule_weights(a: TreeAutomaton, weights):
     id -> positive finite weight, unit when None."""
     n = len(a.rules)
     w = [1.0] * n if weights is None else [weights[rid] for rid in range(n)]
+    return w, _log_weights(w)
+
+
+def _log_weights(w):
+    """The log of each weight in the list w, which must all be positive and
+    finite."""
     for x in w:
         if not (x > 0.0) or not math.isfinite(x):
             raise ValueError(f"rule weight must be positive and finite, got {x!r}")
-    return w, [math.log(x) for x in w]
+    return [math.log(x) for x in w]
 
 
 def _vmax(terms):
@@ -73,7 +97,14 @@ def _log_inside(a: TreeAutomaton, lw):
 
 
 def _log_outer(a: TreeAutomaton, lw, log_in):
-    """Top-down pass: the log outer weight of every rule, by rule id."""
+    """Top-down pass: the log outer weight of every rule, by rule id.
+
+    Rules have 0 or 2 children (TreeAutomaton checks this). A state's outer
+    weight is the logsumexp of the terms its parent rules send it, which may
+    be gathered in any order since logsumexp depends only on their multiset;
+    each term itself is one left-to-right chain of +: out_q + lw[rid], then
+    the sibling's inside score."""
+    children = a.children
     log_out: list[list[float]] = [[] for _ in a.state_list]
     for f in a.accept:
         log_out[f] = [0.0]
@@ -81,28 +112,28 @@ def _log_outer(a: TreeAutomaton, lw, log_in):
     for q in reversed(range(len(a.state_list))):
         out_q = logsumexp(log_out[q])
         for rid in a.state_rules[q]:
-            kids = a.children[rid]
-            t = out_q
-            for k in kids:
-                t += log_in[k]
-            log_alpha[rid] = t
-            for i, k in enumerate(kids):
-                contrib = out_q + lw[rid]
-                for j, d in enumerate(kids):
-                    if j != i:
-                        contrib += log_in[d]
-                log_out[k].append(contrib)
+            kids = children[rid]
+            if not kids:
+                log_alpha[rid] = out_q
+                continue
+            k0, k1 = kids
+            in0 = log_in[k0]
+            in1 = log_in[k1]
+            log_alpha[rid] = out_q + in0 + in1
+            base = out_q + lw[rid]
+            log_out[k0].append(base + in1)
+            log_out[k1].append(base + in0)
     return log_alpha
 
 
-def _posteriors(a: TreeAutomaton, w, lw):
-    """(log I, posterior of each rule in a.rules order): the expected number
-    of uses of the rule in an accepted tree, alpha(r) * w(r) / I."""
+def _posteriors(a: TreeAutomaton, lw):
+    """(log I, posterior of each rule by rule id): the expected number of
+    uses of the rule in an accepted tree, alpha(r) * w(r) / I."""
     log_in, total = _log_inside(a, lw)
     if total == NEG_INF:
         raise EmptyAutomaton("no accepted trees")
     log_alpha = _log_outer(a, lw, log_in)
-    return total, [math.exp(log_alpha[r.rid] + lw[r.rid] - total) for r in a.rules]
+    return total, [math.exp(la + x - total) for la, x in zip(log_alpha, lw)]
 
 
 def inside(a: TreeAutomaton, weights=None) -> InsideOutsideResult:
@@ -310,14 +341,14 @@ def em_fit(automata, iterations=25, seed=0, smoothing=SMOOTHING) -> EventTable:
     _normalize_groups(theta, members)
     history = []
     for it in range(iterations):
+        log_theta = _log_weights(theta)
         counts = [0.0] * len(keys)
         ll = 0.0
         for (_tid, a), by_rid in zip(usable, events):
-            w, lw = _rule_weights(a, [theta[e] for e in by_rid])
-            log_total, posts = _posteriors(a, w, lw)
+            log_total, posts = _posteriors(a, [log_theta[e] for e in by_rid])
             ll += log_total
-            for r, post in zip(a.rules, posts):
-                counts[by_rid[r.rid]] += post
+            for e, post in zip(by_rid, posts):
+                counts[e] += post
         history.append(ll)
         if len(history) >= 2 and history[-1] < history[-2] - 1e-9:
             log.warning("EM log-likelihood decreased: %.12f -> %.12f",
@@ -398,14 +429,18 @@ def score_rules(scorer: Scorer, a: TreeAutomaton) -> dict[int, float]:
     return {r.rid: math.exp(scorer.score(r)) for r in a.rules}
 
 
-def log_inside_gradient(scorer: Scorer, a: TreeAutomaton):
+def log_inside_gradient(scorer: Scorer, a: TreeAutomaton, keys=None):
     """(log I, gradient of log I w.r.t. scorer parameters). The gradient of
     log I is the posterior expected feature count: sum over rules of
     alpha(r) * c(r) / I times the rule's feature vector, computed without
-    backpropagating through the inside recursion."""
-    keys = [scorer.feature_key(r) for r in a.rules]
-    weights = {r.rid: math.exp(scorer.params.get(key, 0.0)) for r, key in zip(a.rules, keys)}
-    log_total, posts = _posteriors(a, *_rule_weights(a, weights))
+    backpropagating through the inside recursion. keys is the feature key of
+    each rule by rule id, computed here when None."""
+    if keys is None:
+        keys = [scorer.feature_key(r) for r in a.rules]
+    # exp then log, as score_rules and inside do: log(exp(x)) is not always x
+    params = scorer.params
+    lw = _log_weights([math.exp(params.get(key, 0.0)) for key in keys])
+    log_total, posts = _posteriors(a, lw)
     grad: dict[str, float] = {}
     for key, post in zip(keys, posts):
         grad[key] = grad.get(key, 0.0) + post
@@ -430,6 +465,9 @@ def joint_fit(automata, cfg: JointConfig) -> Scorer:
         raise _no_usable_automata([tid for tid, _a in automata])
     scorer = Scorer(meta={"epochs": cfg.epochs, "lr": cfg.lr, "batch": cfg.batch,
                           "seed": cfg.seed, "l2": cfg.l2})
+    shared: dict[str, str] = {}  # many rules share a feature; keep one string per key
+    keys = [[shared.setdefault(k, k) for k in map(scorer.feature_key, a.rules)]
+            for _tid, a in usable]
     rng = random.Random(cfg.seed)
     history = []
     for epoch in range(cfg.epochs):
@@ -440,7 +478,7 @@ def joint_fit(automata, cfg: JointConfig) -> Scorer:
         for start in range(0, len(order), batch):
             grad: dict[str, float] = {}
             for idx in order[start:start + batch]:
-                ll, g = log_inside_gradient(scorer, usable[idx][1])
+                ll, g = log_inside_gradient(scorer, usable[idx][1], keys[idx])
                 total_ll += ll
                 for k, v in g.items():
                     grad[k] = grad.get(k, 0.0) + v

@@ -189,6 +189,20 @@ class TestBuildAutomaton:
         with pytest.raises(ValueError, match="rule 2 has a child state no deeper"):
             TreeAutomaton("loop", S3, leaves + [rule(2, top, (top, right))], [top], {})
 
+    def test_constructor_rejects_rules_of_other_arity(self):
+        top, left, right = State("", ()), State("0", ()), State("1", ())
+
+        def rule(rid, parent, children=()):
+            return Rule(rid, parent, "APP_s1" if children else "{}", children,
+                        ("edge", "APP", "s1") if children else ("const", "{}"), ("",))
+
+        with pytest.raises(ValueError, match="'unary': rule 1 has 1 children, not 0 or 2"):
+            TreeAutomaton("unary", S3, [rule(0, left), rule(1, top, (left,))], [top], {})
+        mid = State("2", ())
+        with pytest.raises(ValueError, match="'ternary': rule 3 has 3 children, not 0 or 2"):
+            TreeAutomaton("ternary", S3, [rule(0, left), rule(1, right), rule(2, mid),
+                                          rule(3, top, (left, right, mid))], [top], {})
+
     def test_determinism(self, rel_decomp):
         a1 = build_automaton(rel_decomp.tree, S3)
         a2 = build_automaton(rel_decomp.tree, S3)
