@@ -84,15 +84,10 @@ def binarize(tree: AMDepTree) -> BinNode:
         step=lambda _n, left, edge, right, _head: BinNode(
             "", op=edge.op, source=edge.source, dep_parent=edge.parent,
             dep_child=edge.child, left=left, right=right))
-    _assign_addresses(root, "")
+    for node in root.walk():  # walk yields a node before its children
+        if not node.is_leaf:
+            node.left.address, node.right.address = node.address + "0", node.address + "1"
     return root
-
-
-def _assign_addresses(node: BinNode, addr: str):
-    node.address = addr
-    if not node.is_leaf:
-        _assign_addresses(node.left, addr + "0")
-        _assign_addresses(node.right, addr + "1")
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +441,30 @@ class Run:
     children: tuple["Run", ...] = ()
 
     def rule_ids(self):
-        out = [self.rule]
-        for c in self.children:
-            out.extend(c.rule_ids())
+        """The rule ids in preorder."""
+        out = []
+        todo = [self]
+        while todo:
+            run = todo.pop()
+            out.append(run.rule)
+            todo += reversed(run.children)
         return out
+
+
+def unfold(a: TreeAutomaton, q: int, ctx, choose) -> Run:
+    """The run from state q whose rule at each state is the one that
+    ``choose(state, ctx)`` returns with a context for each child state.
+    States are visited in preorder on one stack, with no frame per level."""
+    order = []
+    todo = [(q, ctx)]
+    while todo:
+        rid, kid_ctx = choose(*todo.pop())
+        order.append(rid)
+        todo += reversed(list(zip(a.children[rid], kid_ctx)))
+    done: list[Run] = []  # a rule's left subrun is on top, its right one below
+    for rid in reversed(order):
+        done.append(Run(rid, (done.pop(), done.pop())) if a.children[rid] else Run(rid))
+    return done[0]
 
 
 def enumerate_runs(a: TreeAutomaton, limit=None):
@@ -508,27 +523,25 @@ def leaf_constant(a: TreeAutomaton, rule) -> SGraph:
 
 def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
     """De-binarize an accepted run into a dependency tree whose constants and
-    operations carry the run's reusable source names. Rules that do not
-    give a tree, as a corrupt automaton file's may not, raise
-    MalformedInput."""
+    operations carry the run's reusable source names; an edge joins the
+    leftmost leaves below its operation's two sides. Rules that do not give a
+    tree, as a corrupt automaton file's may not, raise MalformedInput."""
+    shape = a.shape
+    anchor = _alignments(shape, {k: d["node"] for k, d in shape.items() if d["kind"] == "leaf"})
     nodes: dict[str, SGraph] = {}
-    edges: list[DepEdge] = []
-
-    def walk(run_node: Run):
-        r = a.rules[run_node.rule]
-        desc = a.shape[r.parent.address]
-        if desc["kind"] == "leaf":
-            nodes[desc["node"]] = leaf_constant(a, r)
-            return desc["node"]
-        left = walk(run_node.children[0])
-        right = walk(run_node.children[1])
-        _edge, kind, name = r.event
-        edges.append(DepEdge(left, right, kind, name))
-        return left
-
-    root = walk(run)
+    edges = []
+    for r in [a.rules[rid] for rid in run.rule_ids()]:
+        addr = r.parent.address
+        if r.children:
+            _edge, kind, name = r.event
+            # addr + "2" sorts after every address below addr: sorted, the edges are in
+            # postorder, so the tree names a corrupt run's deepest bad edge first
+            edges.append((addr + "2", DepEdge(anchor[addr][1], anchor[addr][2], kind, name)))
+        else:
+            nodes[shape[addr]["node"]] = leaf_constant(a, r)
+    root = anchor[a.rules[run.rule].parent.address][1]
     try:
-        return AMDepTree(nodes, root, edges)
+        return AMDepTree(nodes, root, [e for _key, e in sorted(edges)])
     except ValueError as exc:
         raise MalformedInput(f"{_named(a)}: the run gives no tree: {exc}") from exc
 

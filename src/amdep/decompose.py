@@ -308,8 +308,7 @@ def is_ref_node(tree: AMDepTree, node) -> bool:
 
 @dataclass
 class ResolutionPlan:
-    resolve_set: set[str]  # nodes to resolve
-    targets: dict[str, str]  # node -> resolution target (ancestor)
+    targets: dict[str, str]  # node to resolve -> resolution target (ancestor)
     paths: dict[str, list[list[DepEdge]]]  # node -> paths, each from target down
 
 
@@ -390,13 +389,12 @@ def build_plan(tree: AMDepTree, targets: dict[str, str]) -> ResolutionPlan:
     for y in ref_positions:
         if y not in targets:
             raise ValueError(f"plan must cover referenced node {y!r}")
-    plan = ResolutionPlan(set(), {}, {})
+    plan = ResolutionPlan({}, {})
     for y, rt in sorted(targets.items()):
         chains = [_ancestors(tree, p) for p in sorted([y] + ref_positions.get(y, []))]
         lca = _lca(chains)
         if rt not in chains[0][chains[0].index(lca):]:
             raise ValueError(f"target {rt!r} for {y!r} is below the common ancestor {lca!r}")
-        plan.resolve_set.add(y)
         plan.targets[y] = rt
         plan.paths[y] = [[tree.parent_edge(n) for n in reversed(c[:c.index(rt)])]
                          for c in chains]
@@ -411,7 +409,7 @@ def check_resolvable(tree: AMDepTree, plan: ResolutionPlan,
     directed graph path from its parent to the resolved node."""
     reachable_from = functools.cache(normalized.graph.reachable_from)
     violations = []
-    for y in sorted(plan.resolve_set):
+    for y in sorted(plan.targets):
         for path in plan.paths[y]:
             if path and path[-1].op == "MOD":
                 violations.append(Violation(y, path, 1, path[-1]))
@@ -464,9 +462,9 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
     # each path chains down from its target, so its nodes are the target and
     # every edge's child
     path_nodes = {y: {plan.targets[y]}.union(*({e.child for e in p} for p in plan.paths[y]))
-                  for y in plan.resolve_set}
+                  for y in plan.targets}
 
-    pending = set(plan.resolve_set)
+    pending = set(plan.targets)
     while pending:
         eligible = [y for y in sorted(pending)
                     if not any(y in path_nodes[x] for x in pending if x != y)]

@@ -402,27 +402,23 @@ def _match(nodes1, root1, pairs1, nodes2, root2, pairs2):
             return False
         return pairs1.get((n, n), empty) == pairs2.get((m, m), empty)
 
-    def extend(i):
-        if i == len(order):
-            return True
-        n = order[i]
-        for m in candidates[n]:
-            if m in used:
-                continue
-            if n == root1 and m != root2:
-                continue
-            if not consistent(n, m):
-                continue
-            mapping[n] = m
-            used.add(m)
-            if extend(i + 1):
-                return True
-            del mapping[n]
-            used.discard(m)
-        return False
-
+    # backtracking on one stack: entry i iterates the candidates of order[i]
     candidates[root1] = [root2]
-    return extend(0)
+    todo = [iter(candidates[root1])]
+    while todo:
+        n = order[len(todo) - 1]
+        if n in mapping:  # back from a dead end below: undo n's match
+            used.discard(mapping.pop(n))
+        m = next((m for m in todo[-1] if m not in used and consistent(n, m)), None)
+        if m is None:
+            todo.pop()
+            continue
+        mapping[n] = m
+        used.add(m)
+        if len(todo) == len(order):
+            return True
+        todo.append(iter(candidates[order[len(todo)]]))
+    return False
 
 
 def is_isomorphic(g1: SemanticGraph, g2: SemanticGraph) -> bool:

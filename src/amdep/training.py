@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .algebra import canonical_constant_form, constant_from_canonical, skeleton_form
 from .automata import (Run, TreeAutomaton, bottom_up, leaf_constant, reconstruct_tree,
-                       rule_event_key, subtree_counts)
-from .errors import EmptyAutomaton, NonFiniteGradient, first_ids
+                       rule_event_key, subtree_counts, unfold)
+from .errors import AmdepError, EmptyAutomaton, NonFiniteGradient, first_ids
 
 log = logging.getLogger("amdep.training")
 
@@ -85,10 +85,6 @@ def _log_weights(w):
         if not (x > 0.0) or not math.isfinite(x):
             raise ValueError(f"rule weight must be positive and finite, got {x!r}")
     return [math.log(x) for x in w]
-
-
-def _vmax(terms):
-    return max(terms, default=NEG_INF)
 
 
 def _log_inside(a: TreeAutomaton, lw):
@@ -172,7 +168,7 @@ def viterbi(a: TreeAutomaton, weights=None) -> Run:
     if a.empty:
         raise EmptyAutomaton("no accepted trees")
     _w, lw = _rule_weights(a, weights)
-    best = bottom_up(a, lw, operator.add, _vmax)
+    best = bottom_up(a, lw, operator.add, lambda terms: max(terms, default=NEG_INF))
 
     def best_rule(q):
         for rid in a.state_rules[q]:
@@ -183,13 +179,10 @@ def viterbi(a: TreeAutomaton, weights=None) -> Run:
                 return rid
         raise AssertionError("no rule reaches the state's best score")
 
-    def run(rid):
-        return Run(rid, tuple(run(best_rule(k)) for k in a.children[rid]))
-
-    tops = [(-best[f], best_rule(f)) for f in a.accept if best[f] != NEG_INF]
+    tops = [(-best[f], best_rule(f), f) for f in a.accept if best[f] != NEG_INF]
     if not tops:
         raise EmptyAutomaton("no accepted trees")
-    return run(min(tops)[1])
+    return unfold(a, min(tops)[2], None, lambda q, _ctx: (best_rule(q), (None, None)))
 
 
 def sample_run(a: TreeAutomaton, rng: random.Random) -> Run:
@@ -200,32 +193,22 @@ def sample_run(a: TreeAutomaton, rng: random.Random) -> Run:
     if grand == 0:
         raise EmptyAutomaton("no accepted trees")
     pick = rng.randrange(grand)
-    final = None
-    for f in a.accept:
-        if pick < counts[f]:
-            final = f
+    for final in a.accept:
+        if pick < counts[final]:
             break
-        pick -= counts[f]
+        pick -= counts[final]
 
-    def descend(q, idx):
+    def choose(q, idx):
+        # run number idx of q, numbering each rule's runs left subrun major
         for rid in a.state_rules[q]:
             kids = a.children[rid]
-            prod = 1
-            for k in kids:
-                prod *= counts[k]
-            if idx < prod:
-                kid_runs = []
-                for i, k in enumerate(kids):
-                    later = 1
-                    for d in kids[i + 1:]:
-                        later *= counts[d]
-                    sub, idx = divmod(idx, later)
-                    kid_runs.append(descend(k, sub))
-                return Run(rid, tuple(kid_runs))
-            idx -= prod
+            n = math.prod([counts[k] for k in kids])
+            if idx < n:
+                return rid, (divmod(idx, counts[kids[1]]) if kids else ())
+            idx -= n
         raise AssertionError("index out of range")
 
-    return descend(final, pick)
+    return unfold(a, final, pick, choose)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +324,10 @@ def em_fit(automata, iterations=25, seed=0, smoothing=SMOOTHING) -> EventTable:
     _normalize_groups(theta, members)
     history = []
     for it in range(iterations):
+        if 0.0 in theta:  # unsmoothed counts can underflow, and a weight of 0 has no log
+            raise AmdepError(f"EM iteration {it + 1}: the weight of event "
+                             f"{keys[theta.index(0.0)]!r} underflowed to 0; "
+                             "--smoothing must be above 0")
         log_theta = _log_weights(theta)
         counts = [0.0] * len(keys)
         ll = 0.0

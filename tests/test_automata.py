@@ -345,6 +345,25 @@ class TestReconstruct:
                  for t in brute_force_variants(d.tree, S3, ng)}
         assert auto_trees == brute
 
+    def test_deep_chain_takes_no_frame_per_level(self, heuristics):
+        # a0 -ARG0-> a1 -ARG0-> ... a1199: the binarized tree is 1,199 levels
+        # deep, beyond the default recursion limit
+        from amdep.training import sample_run, viterbi
+
+        n = 1200
+        g = SemanticGraph({f"a{i}": "see" for i in range(n)},
+                          [(f"a{i}", f"a{i + 1}", "ARG0") for i in range(n - 1)], "a0")
+        d = decompose(g, heuristics)
+        assert isinstance(d, Decomposition)
+        a = build_automaton(d.tree, S3)
+        gold = sorted((e.parent, e.child, e.op) for e in d.tree.edges)
+        for run in (viterbi(a), sample_run(a, random.Random(1))):
+            ids = run.rule_ids()
+            assert len(ids) == 2 * n - 1 and ids[0] == run.rule
+            t = reconstruct_tree(a, run)
+            assert t.root == "a0" and len(t.nodes) == n
+            assert sorted((e.parent, e.child, e.op) for e in t.edges) == gold
+
 
 class TestSerialization:
     def test_round_trip(self, rel_decomp, tmp_path):
@@ -360,6 +379,20 @@ class TestSerialization:
         assert count_trees(a2) == count_trees(a)
         t = reconstruct_tree(a2, enumerate_runs(a2)[0])
         assert check_well_typed(t).is_empty
+
+    def test_deepest_bad_operation_named_first(self, heuristics, tmp_path):
+        # the tree is given its edges in postorder, bottom-up, and names the
+        # first edge it rejects
+        g = SemanticGraph({f"a{i}": "see" for i in range(4)},
+                          [(f"a{i}", f"a{i + 1}", "ARG0") for i in range(3)], "a0")
+        path = tmp_path / "chain.auto"
+        write_automaton(build_automaton(decompose(g, heuristics).tree, S3), path)
+        lines = [line.replace(" <- APP_", " <- TOP_" if line.startswith("e:") else " <- LOW_")
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        a, _weights = read_automaton(path)
+        with pytest.raises(MalformedInput, match="bad operation 'LOW'"):
+            reconstruct_tree(a, enumerate_runs(a, limit=1)[0])
 
     def test_weights_round_trip(self, rel_decomp, tmp_path):
         a = build_automaton(rel_decomp.tree, S3)

@@ -303,6 +303,18 @@ class TestTrainAndViterbi:
         table = json.loads((tmp_path / "rw.json").read_text())
         assert all(0.1 <= v <= 1.0 for v in table["theta"].values())
 
+    def test_unsmoothed_underflow_exits_1(self, tmp_path, capsys):
+        assert run("gen", "--n", 30, "--seed", 1, "--max-nodes", 12,
+                   "--graphs", tmp_path / "g.json", "--trees", tmp_path / "gold.json") == 0
+        assert run("pipeline", "--graphs", tmp_path / "g.json", "--out", tmp_path / "run") == 0
+        capsys.readouterr()
+        assert run("train-em", "--automata", tmp_path / "run/automata", "--iters", 10,
+                   "--smoothing", 0, "--out", tmp_path / "theta.json") == 1
+        line = one_error_line(capsys)
+        assert line.startswith("error: EM iteration ") and "underflowed to 0" in line
+        assert line.endswith("--smoothing must be above 0")
+        assert not (tmp_path / "theta.json").exists()
+
     def test_train_joint(self, workspace, tmp_path):
         assert run("train-joint", "--automata", workspace / "run/automata",
                    "--epochs", 3, "--lr", 0.2, "--seed", 0,

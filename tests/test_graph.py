@@ -278,6 +278,17 @@ class TestIsomorphism:
         g2 = SemanticGraph({"a": "A", "b": "C"}, [("a", "b", "e")], "a")
         assert not is_isomorphic(g1, g2)
 
+    def test_long_path_takes_no_frame_per_node(self):
+        # 1,500 nodes matched one after another, beyond the default recursion limit
+        n = 1500
+        g1 = SemanticGraph({f"a{i}": f"l{i}" for i in range(n)},
+                           [(f"a{i}", f"a{i + 1}", "ARG0") for i in range(n - 1)], "a0")
+        edges = [(f"b{i}", f"b{i + 1}", "ARG0") for i in range(n - 1)]
+        g2 = SemanticGraph({f"b{i}": f"l{i}" for i in range(n)}, edges, "b0")
+        assert is_isomorphic(g1, g2)
+        edges[n // 2] = (*edges[n // 2][:2], "ARG1")
+        assert not is_isomorphic(g1, SemanticGraph(g2.nodes, edges, "b0"))
+
     def test_symmetric_candidates_need_backtracking(self):
         # two same-labeled children, only one carries a grandchild
         g1 = SemanticGraph({"r": "R", "a": "X", "b": "X", "c": "C"},
