@@ -49,14 +49,9 @@ class AMType:
     __slots__ = ("entries", "_hash")
 
     def __init__(self, requests=()):
-        if isinstance(requests, AMType):
-            entries = requests.entries
-        elif isinstance(requests, dict):
-            entries = tuple(sorted((str(k), v if isinstance(v, AMType) else AMType(v))
-                                   for k, v in requests.items()))
-        else:
-            entries = tuple(sorted((str(k), v if isinstance(v, AMType) else AMType(v))
-                                   for k, v in requests))
+        pairs = requests.items() if isinstance(requests, dict) else requests
+        entries = tuple(sorted((str(k), v if isinstance(v, AMType) else AMType(v))
+                               for k, v in pairs))
         names = [k for k, _ in entries]
         if len(names) != len(set(names)):
             raise ValueError("duplicate source name in type")
@@ -428,16 +423,15 @@ class AMDepTree:
             raise ValueError(f"root {root!r} is not a node")
         if root in self._parent:
             raise ValueError("root has a parent")
+        # one parent per node and none for the root: a walk from the root
+        # meets each node at most once, and misses every node on a cycle
         reach = [root]
-        seen = {root}
+        reached = 1
         while reach:
-            n = reach.pop()
-            for e in self._children[n]:
-                if e.child in seen:
-                    raise ValueError("edges do not form a tree")
-                seen.add(e.child)
+            for e in self._children[reach.pop()]:
+                reached += 1
                 reach.append(e.child)
-        if len(seen) != len(self.nodes):
+        if reached != len(self.nodes):
             raise ValueError("tree is not connected")
         for n, kids in self._children.items():
             pairs = [(e.op, e.source) for e in kids if e.op == "APP"]

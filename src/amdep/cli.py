@@ -93,8 +93,7 @@ def cmd_gen(args):
             ("sources", args.sources, 1, "gen needs at least one source name")):
         if value < least:
             raise AmdepError(f"--{flag} {value}: {why}")
-    cfg = GeneratorConfig(max_nodes=args.max_nodes,
-                          sources=tuple(f"s{i + 1}" for i in range(args.sources)),
+    cfg = GeneratorConfig(max_nodes=args.max_nodes, sources=_source_names(args.sources),
                           max_sources_per_constant=min(3, args.sources))
     t0 = time.time()
     corpus = gen_corpus(args.n, args.seed, cfg)
@@ -260,13 +259,16 @@ def cmd_count(args):
     return EXIT_OK
 
 
-def cmd_train_em(args, automata=None):
-    """automata: the (id, automaton) list of args.automata when the caller
-    already holds it, as the pipeline does; read from there when None."""
+def cmd_train_em(args):
+    _train_em(args, _read_automata_dir(args.automata))
+    return EXIT_OK
+
+
+def _train_em(args, automata):
+    """train-em on the (id, automaton) list of args.automata; returns the
+    EventTable it wrote."""
     from .training import SMOOTHING, em_fit, random_weights_baseline
 
-    if automata is None:
-        automata = _read_automata_dir(args.automata)
     smoothing = SMOOTHING if args.smoothing is None else args.smoothing
     if args.iters == 0:
         table = random_weights_baseline(automata, seed=args.seed)
@@ -278,7 +280,7 @@ def cmd_train_em(args, automata=None):
                    {"iters": args.iters, "seed": args.seed, "smoothing": smoothing},
                    [str(Path(args.automata) / "index.json")], [args.out],
                    {"events": len(table.theta), "instances": len(automata)})
-    return EXIT_OK
+    return table
 
 
 def cmd_train_joint(args):
@@ -302,20 +304,22 @@ def cmd_train_joint(args):
 
 
 def cmd_viterbi(args):
-    return _viterbi(args)[0]
+    from .files import WEIGHTS, read_json
+    from .training import weights_from_json
+
+    automata = _read_automata_dir(args.automata)
+    weights = weights_from_json(read_json(args.weights, WEIGHTS)) if args.weights else None
+    return _viterbi(args, automata, weights)[0]
 
 
-def _viterbi(args, automata=None):
-    """viterbi; returns the exit code and the (id, tree) list. automata: as
-    for cmd_train_em."""
+def _viterbi(args, automata, weights):
+    """viterbi on the (id, automaton) list of args.automata under the
+    weights of args.weights (None for unit weights); returns the exit code
+    and the (id, tree) list."""
     from .algebra import write_trees
     from .automata import reconstruct_tree
-    from .files import WEIGHTS, read_json
-    from .training import random_tree_baseline, reconstruct_best, weights_from_json
+    from .training import random_tree_baseline, reconstruct_best
 
-    if automata is None:
-        automata = _read_automata_dir(args.automata)
-    weights = weights_from_json(read_json(args.weights, WEIGHTS)) if args.weights else None
     best = []
     skipped = []
     for tid, a in automata:
@@ -422,12 +426,12 @@ def cmd_pipeline(args):
                              seed=args.seed, smoothing=None,
                              out=str(outdir / "theta.json"),
                              manifest=str(outdir / "theta.manifest.json"))
-    cmd_train_em(ns3, automata)
+    table = _train_em(ns3, automata)
     ns4 = argparse.Namespace(automata=str(outdir / "automata"),
                              weights=str(outdir / "theta.json"), sample_seed=None,
                              out=str(outdir / "best-trees.json"),
                              manifest=str(outdir / "viterbi.manifest.json"))
-    code4, best = _viterbi(ns4, automata)
+    code4, best = _viterbi(ns4, automata, table)
     ns5 = argparse.Namespace(graphs=args.graphs, trees=str(outdir / "best-trees.json"),
                              out=str(outdir / "verify.json"))
     code5 = cmd_verify(ns5, corpus, best)

@@ -86,23 +86,7 @@ def _order_key(tie_break):
     raise ValueError(f"unknown tie_break {tie_break!r} (use 'sorted' or 'seeded:K')")
 
 
-def _component(g: SemanticGraph, start, unvisited):
-    comp = {start}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        for e in g.out_edges(n):
-            if e.tgt in unvisited and e.tgt not in comp:
-                comp.add(e.tgt)
-                stack.append(e.tgt)
-        for e in g.in_edges(n):
-            if e.src in unvisited and e.src not in comp:
-                comp.add(e.src)
-                stack.append(e.src)
-    return comp
-
-
-def _entry_is_valid(g, parents, pick, comp, visited, traversed):
+def _entry_is_valid(g, parents, pick, comp, visited):
     """A backward entry into an untraversed component is kept only when every
     other boundary edge (w, m) of the component can later become a reference
     leaf whose resolution survives the new modify edge: the entry point x
@@ -134,30 +118,26 @@ def _entry_is_valid(g, parents, pick, comp, visited, traversed):
                     stack.append(w)
         return False
 
-    for e in g.edges:
-        if e in traversed or e is pick:
-            continue
+    for e in g.edges:  # edges out of comp are untraversed; the pick ends at x
         if e.src in comp and e.tgt in visited:
             if e.tgt != x and not constrained_reach(e.tgt):
                 return False
     return True
 
 
-def _run_unroll(n: NormalizedGraph, tie_break, choices=None, record=None):
+def _run_unroll(n: NormalizedGraph, tie_break, choices=(), record=None):
     """Core two-queue traversal. choices/record support enumeration over
     backward entry points: choices[i] overrides the pick at juncture i, and
     record (a list) receives (candidate count, valid count) per juncture."""
     g = n.graph
     okey = _order_key(tie_break)
-    visited = {g.root}
     traversed: set[Edge] = set()
-    labels = {g.root: g.label(g.root)}
+    labels = {g.root: g.label(g.root)}  # the visited nodes
     refs: dict[str, str] = {}
     edges: list[UEdge] = []
     parents: dict[str, str] = {}
     fqueue: list[Edge] = []
     bqueue: list[Edge] = []
-    ref_count = 0
     juncture = 0
 
     def visit(v):
@@ -168,48 +148,36 @@ def _run_unroll(n: NormalizedGraph, tie_break, choices=None, record=None):
         fqueue.extend(outs)
         bqueue.extend(ins)
 
+    def place(child, parent, edge, backward):
+        labels[child] = g.label(child)
+        parents[child] = parent
+        edges.append(UEdge(parent, child, backward, edge))
+        visit(child)
+
     visit(g.root)
     while True:
-        while fqueue:
+        while fqueue:  # each edge enters once, when its source is visited
             e = fqueue.pop(0)
-            if e in traversed:
-                continue
             traversed.add(e)
-            v, w = e.src, e.tgt
-            if w not in visited:
-                visited.add(w)
-                labels[w] = g.label(w)
-                parents[w] = v
-                edges.append(UEdge(v, w, False, e))
-                visit(w)
+            if e.tgt not in labels:
+                place(e.tgt, e.src, e, False)
             else:
-                rid = f"ref{ref_count}"
-                ref_count += 1
-                refs[rid] = w
-                edges.append(UEdge(v, rid, False, e))
+                rid = f"ref{len(refs)}"
+                refs[rid] = e.tgt
+                edges.append(UEdge(e.src, rid, False, e))
         candidates = [e for e in bqueue if e not in traversed]
         if not candidates:
             break
-        unvisited = {x for x in g.nodes if x not in visited}
-        ranked = []
-        for e in candidates:
-            comp = _component(g, e.src, unvisited)
-            ranked.append((e, _entry_is_valid(g, parents, e, comp, visited, traversed)))
+        unvisited = {x for x in g.nodes if x not in labels}
+        ranked = [(e, _entry_is_valid(g, parents, e, g.component(e.src, unvisited), labels))
+                  for e in candidates]
         ordered = [e for e, ok in ranked if ok] + [e for e, ok in ranked if not ok]
         if record is not None:
             record.append((len(ordered), sum(1 for _, ok in ranked if ok)))
-        idx = 0
-        if choices is not None and juncture < len(choices):
-            idx = choices[juncture]
+        pick = ordered[choices[juncture] if juncture < len(choices) else 0]
         juncture += 1
-        pick = ordered[idx]
         traversed.add(pick)
-        u, v = pick.src, pick.tgt
-        visited.add(u)
-        labels[u] = g.label(u)
-        parents[u] = v
-        edges.append(UEdge(v, u, True, pick))
-        visit(u)
+        place(pick.src, pick.tgt, pick, True)
     return UnrolledTree(g.root, labels, refs, edges)
 
 
@@ -222,8 +190,7 @@ def unroll(n: NormalizedGraph, tie_break="sorted") -> UnrolledTree:
     return _run_unroll(n, tie_break)
 
 
-def iter_unrollings(n: NormalizedGraph, tie_break="sorted", limit=MAX_UNROLLINGS,
-                    include_invalid=False):
+def iter_unrollings(n: NormalizedGraph, tie_break="sorted", include_invalid=False):
     """Lazily yield unrollings, varying the backward entry choices. Variants
     are explored best-first by the number of deviations from the greedy
     (validity-ranked) picks, so the first yield is exactly
@@ -240,7 +207,7 @@ def iter_unrollings(n: NormalizedGraph, tie_break="sorted", limit=MAX_UNROLLINGS
     pops = 0
     counter = 0
     heap = [(0, 0, [])]
-    while heap and emitted < limit and pops < 8 * limit:
+    while heap and emitted < MAX_UNROLLINGS and pops < 8 * MAX_UNROLLINGS:
         devs, _tie, choices = heapq.heappop(heap)
         pops += 1
         record: list[tuple[int, int]] = []
@@ -261,10 +228,9 @@ def iter_unrollings(n: NormalizedGraph, tie_break="sorted", limit=MAX_UNROLLINGS
                 heapq.heappush(heap, (devs + 1, counter, child))
 
 
-def enumerate_unrollings(n: NormalizedGraph, tie_break="sorted", limit=MAX_UNROLLINGS,
-                         include_invalid=False):
+def enumerate_unrollings(n: NormalizedGraph, tie_break="sorted", include_invalid=False):
     """All unrollings reachable by varying the backward entry choices."""
-    return list(iter_unrollings(n, tie_break, limit, include_invalid))
+    return list(iter_unrollings(n, tie_break, include_invalid))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +398,7 @@ def _add_request(typ: AMType, slot: str, addition: AMType, node) -> AMType:
     return typ.updated(slot, merged)
 
 
-def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
-            debug=False) -> AMDepTree:
+def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
     """Remove every reference leaf, expressing the reentrancies through type
     requests instead, and attach each resolved node at its target.
 
@@ -446,8 +411,6 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan | None = None,
     after every step (the intermediate trees, references included, must stay
     well-typed).
     """
-    if plan is None:
-        plan = default_plan(tree)
     nodes = dict(tree.nodes)
     root = tree.root
     # A step moves only its own node and deletes only that node's reference

@@ -61,23 +61,26 @@ class SemanticGraph:
     def in_edges(self, node):
         return self._in[node]
 
-    def is_connected(self):
-        """Connectivity ignoring edge directions."""
-        if not self.nodes:
-            return True
-        seen = {self.root}
-        stack = [self.root]
+    def component(self, start, within):
+        """The nodes of within reachable from start (itself in within) along
+        edges in either direction."""
+        comp = {start}
+        stack = [start]
         while stack:
             n = stack.pop()
             for e in self._out[n]:
-                if e.tgt not in seen:
-                    seen.add(e.tgt)
+                if e.tgt in within and e.tgt not in comp:
+                    comp.add(e.tgt)
                     stack.append(e.tgt)
             for e in self._in[n]:
-                if e.src not in seen:
-                    seen.add(e.src)
+                if e.src in within and e.src not in comp:
+                    comp.add(e.src)
                     stack.append(e.src)
-        return len(seen) == len(self.nodes)
+        return comp
+
+    def is_connected(self):
+        """Connectivity ignoring edge directions."""
+        return len(self.component(self.root, self.nodes)) == len(self.nodes)
 
     def is_acyclic(self):
         indeg = {n: 0 for n in self.nodes}
@@ -378,7 +381,9 @@ def _match(nodes1, root1, pairs1, nodes2, root2, pairs2):
                 placed.add(n)
                 order.append(n)
 
-    candidates = {n: [m for m in nodes2 if sig2[m] == sig1[n]] for n in order}
+    by_sig: dict[tuple, list[str]] = {}  # holds every value of sig1
+    for m in nodes2:
+        by_sig.setdefault(sig2[m], []).append(m)
     mapping: dict[str, str] = {}
     used: set[str] = set()
     empty = Counter()
@@ -402,9 +407,9 @@ def _match(nodes1, root1, pairs1, nodes2, root2, pairs2):
             return False
         return pairs1.get((n, n), empty) == pairs2.get((m, m), empty)
 
-    # backtracking on one stack: entry i iterates the candidates of order[i]
-    candidates[root1] = [root2]
-    todo = [iter(candidates[root1])]
+    # backtracking on one stack: entry i iterates the candidates of order[i],
+    # the nodes with its signature (root2 alone for the root)
+    todo = [iter([root2])]
     while todo:
         n = order[len(todo) - 1]
         if n in mapping:  # back from a dead end below: undo n's match
@@ -417,7 +422,7 @@ def _match(nodes1, root1, pairs1, nodes2, root2, pairs2):
         used.add(m)
         if len(todo) == len(order):
             return True
-        todo.append(iter(candidates[order[len(todo)]]))
+        todo.append(iter(by_sig[sig1[order[len(todo)]]]))
     return False
 
 

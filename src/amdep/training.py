@@ -489,10 +489,7 @@ def joint_fit(automata, cfg: JointConfig) -> Scorer:
 def constant_entropy(trees) -> float:
     """Entropy (nats) of the empirical distribution of graph constants over
     the given trees, constants compared by canonical form."""
-    counts = Counter()
-    for tree in trees:
-        for node in tree.nodes:
-            counts[canonical_constant_form(tree.constant(node))] += 1
+    counts = event_histogram(trees)[0]
     total = sum(counts.values())
     if total == 0:
         raise ValueError("no constants")

@@ -677,3 +677,51 @@ def test_explicit_order_clash_names_its_node():
     with pytest.raises(NotWellTyped) as exc:
         evaluate_with_orders(tree, {"h": tree.children("h")[::-1]})
     assert exc.value.node == "h" and isinstance(exc.value.__cause__, RequestClash)
+
+
+@st.composite
+def dep_edge_lists(draw):
+    """1-6 node ids, a root and a DepEdge list: a random tree over the ids
+    with a few edges dropped and a few random ones added, so that trees and
+    non-trees of every kind are drawn. "z" is never a node and "BAD" never
+    an op."""
+    ids = "abcdef"[:draw(st.integers(1, 6))]
+    pool = st.sampled_from(ids + "z")
+    op = st.sampled_from(["APP", "MOD"] * 4 + ["BAD"])
+    source = st.sampled_from(["s1", "s2", "s3"])
+    edges = [DepEdge(ids[draw(st.integers(0, i - 1))], ids[i], draw(op), draw(source))
+             for i in range(1, len(ids))]
+    for _ in range(min(len(edges), draw(st.integers(0, 2)))):
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    edges += draw(st.lists(st.builds(DepEdge, pool, pool, op, source), max_size=2))
+    root = draw(st.sampled_from(ids[0] + ids + "z"))
+    return ids, root, draw(st.permutations(edges))
+
+
+def _is_tree(ids, root, edges):
+    """Brute force: whether edges form a tree over ids rooted at root."""
+    if root not in ids or any(e.parent not in ids or e.child not in ids
+                              or e.op not in ("APP", "MOD") for e in edges):
+        return False
+    children = [e.child for e in edges]
+    if len(set(children)) != len(children) or root in children:
+        return False
+    app_slots = [(e.parent, e.source) for e in edges if e.op == "APP"]
+    if len(set(app_slots)) != len(app_slots):
+        return False
+    reached = {root}
+    for _ in ids:
+        reached |= {e.child for e in edges if e.parent in reached}
+    return reached == set(ids)
+
+
+@settings(max_examples=400, deadline=None)
+@given(dep_edge_lists())
+def test_tree_validation_matches_brute_force(case):
+    ids, root, edges = case
+    nodes = {n: constant("x", n) for n in ids}
+    if _is_tree(ids, root, edges):
+        assert AMDepTree(nodes, root, edges).edges == edges
+    else:
+        with pytest.raises(ValueError):
+            AMDepTree(nodes, root, edges)

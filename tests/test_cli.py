@@ -739,3 +739,13 @@ def test_package_names_are_their_submodules_objects():
     proc = fresh("-c", code, json.dumps(PACKAGE_NAMES))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["function", "function", "amdep.training", "False", "0"]
+
+
+def test_duplicate_node_id_exits_1(tmp_path, capsys):
+    dup = {"id": "dup", "root": "a", "edges": [],
+           "nodes": [{"id": "a", "label": "see"}, {"id": "a", "label": "boy"}]}
+    (tmp_path / "g.json").write_text(json.dumps([dup]))
+    assert run("decompose", "--graphs", tmp_path / "g.json",
+               "--out", tmp_path / "t.json", "--report", tmp_path / "s.json") == 1
+    assert one_error_line(capsys) == (
+        f"error: {tmp_path / 'g.json'}: item 'dup': duplicate node id")

@@ -297,6 +297,18 @@ class TestIsomorphism:
                            [("r", "a", "e"), ("r", "b", "e"), ("b", "c", "f")], "r")
         assert is_isomorphic(g1, g2)
 
+    def test_wrong_first_candidate_is_undone(self):
+        # a and b have one signature, so g2's a is tried first for g1's a;
+        # only the labels of their children tell them apart
+        g1 = SemanticGraph({"r": "R", "a": "X", "b": "X", "c": "P", "d": "Q"},
+                           [("r", "a", "e"), ("r", "b", "e"), ("a", "c", "f"), ("b", "d", "f")],
+                           "r")
+        g2 = SemanticGraph({"r": "R", "a": "X", "b": "X", "c": "Q", "d": "P"},
+                           g1.edges, "r")
+        assert is_isomorphic(g1, g2) and is_isomorphic(g2, g1)
+        g3 = SemanticGraph({**g2.nodes, "d": "Q"}, g1.edges, "r")
+        assert not is_isomorphic(g1, g3)
+
     def test_reentrancy_shape_distinguished(self):
         shared = SemanticGraph({"a": "A", "b": "B", "c": "B", "d": "D"},
                                [("a", "b", "x"), ("a", "c", "y"),
