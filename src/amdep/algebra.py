@@ -8,7 +8,7 @@ form ``ps(<node-id>)``; reusable names are anything else (``s1``, ``s2``...).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from itertools import permutations
 from typing import NamedTuple
 
 from .errors import (
@@ -46,7 +46,7 @@ class AMType:
     """A finite map from source names to request types. Immutable, hashable,
     compared structurally (exact map equality, no subsumption)."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("entries", "_hash", "_depth")
 
     def __init__(self, requests=()):
         pairs = requests.items() if isinstance(requests, dict) else requests
@@ -57,7 +57,9 @@ class AMType:
             raise ValueError("duplicate source name in type")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", hash(entries))
-        if self.depth() > MAX_TYPE_DEPTH:
+        depth = 1 + max([v._depth for _k, v in entries]) if entries else 0
+        object.__setattr__(self, "_depth", depth)
+        if depth > MAX_TYPE_DEPTH:
             raise TypeDepthExceeded(f"type nesting exceeds {MAX_TYPE_DEPTH}")
 
     def __setattr__(self, name, value):
@@ -90,9 +92,7 @@ class AMType:
         return not self.entries
 
     def depth(self):
-        if not self.entries:
-            return 0
-        return 1 + max(v.depth() for _, v in self.entries)
+        return self._depth
 
     def all_names(self):
         """Every source name occurring at any nesting level."""
@@ -148,33 +148,42 @@ def type_unify(a: AMType, b: AMType) -> AMType:
 # s-graphs
 
 
-@dataclass
 class SGraph:
     """A graph fragment with a designated root, source-marked nodes and a
     type. Used both as a tree label (graph constant) and as an evaluation
-    result. Treated as immutable."""
+    result. Treated as immutable; equal when all four fields are, and
+    unhashable."""
 
-    graph: SemanticGraph
-    root: str
-    sources: dict[str, str]  # source name -> node id (injective)
-    typ: AMType
+    __slots__ = ("graph", "root", "sources", "typ")
 
-    def __post_init__(self):
+    def __init__(self, graph: SemanticGraph, root: str, sources: dict[str, str], typ: AMType):
+        self.graph = graph
+        self.root = root
+        self.sources = sources  # source name -> node id (injective)
+        self.typ = typ
         seen = set()
-        for name, node in self.sources.items():
-            if node not in self.graph.nodes:
+        for name, node in sources.items():
+            if node not in graph.nodes:
                 raise ValueError(f"source {name!r} marks unknown node {node!r}")
             if node in seen:
                 raise ValueError(f"node {node!r} carries two source names")
             seen.add(node)
-        if self.root in seen and len(self.graph.nodes) > 1:
+        if root in seen and len(graph.nodes) > 1:
             raise ValueError("root cannot carry a source name")
-        for name in self.typ.names():
-            if name not in self.sources:
+        for name in typ.names():
+            if name not in sources:
                 raise ValueError(f"top-level source {name!r} of type has no marked node")
-        for name in self.sources:
-            if name not in self.typ:
+        for name in sources:
+            if name not in typ:
                 raise ValueError(f"marked source {name!r} missing from type")
+
+    def __eq__(self, other):
+        if not isinstance(other, SGraph):
+            return NotImplemented
+        return (self.graph, self.root, self.sources, self.typ) == \
+            (other.graph, other.root, other.sources, other.typ)
+
+    __hash__ = None
 
     def with_type(self, typ: AMType) -> "SGraph":
         return SGraph(self.graph, self.root, dict(self.sources), typ)
@@ -400,7 +409,45 @@ class DepEdge(NamedTuple):
     source: str
 
 
-class AMDepTree:
+def child_order(e: DepEdge):
+    """The order of a node's children: by operation, then source, then id."""
+    return e.op, e.source, e.child
+
+
+class TreeView:
+    """A tree as fold reads it: the constant of each node, each node's child
+    edges in child_order, and the root. An AMDepTree is one that checked
+    its input; resolve keeps one up to date as it edits a tree."""
+
+    def __init__(self, nodes: dict[str, SGraph], root: str, children: dict[str, list]):
+        self.nodes = nodes
+        self.root = root
+        self._children = children
+
+    def children(self, node):
+        return list(self._children[node])
+
+    def constant(self, node) -> SGraph:
+        return self.nodes[node]
+
+    def depth_order(self, node=None):
+        """Nodes of the subtree at node (default: the root) ordered so
+        children precede parents; a subtree's order is the whole tree's
+        order restricted to it."""
+        order = []
+        stack = [(self.root if node is None else node, False)]
+        while stack:
+            n, done = stack.pop()
+            if done:
+                order.append(n)
+            else:
+                stack.append((n, True))
+                for e in self._children[n]:
+                    stack.append((e.child, False))
+        return order
+
+
+class AMDepTree(TreeView):
     """Tree whose nodes are graph constants and whose edges carry apply or
     modify operations. Node ids are opaque strings."""
 
@@ -437,32 +484,10 @@ class AMDepTree:
             pairs = [(e.op, e.source) for e in kids if e.op == "APP"]
             if len(pairs) != len(set(pairs)):
                 raise ValueError(f"node {n!r} has two APP children on one source")
-            kids.sort(key=lambda e: (e.op, e.source, e.child))
-
-    def children(self, node):
-        return list(self._children[node])
+            kids.sort(key=child_order)
 
     def parent_edge(self, node):
         return self._parent.get(node)
-
-    def constant(self, node) -> SGraph:
-        return self.nodes[node]
-
-    def depth_order(self, node=None):
-        """Nodes of the subtree at node (default: the root) ordered so
-        children precede parents; a subtree's order is the whole tree's
-        order restricted to it."""
-        order = []
-        stack = [(self.root if node is None else node, False)]
-        while stack:
-            n, done = stack.pop()
-            if done:
-                order.append(n)
-            else:
-                stack.append((n, True))
-                for e in self._children[n]:
-                    stack.append((e.child, False))
-        return order
 
     def to_json(self):
         return {
@@ -583,7 +608,7 @@ def _given_order(head_type, sequence, types):
         yield edge, head_type
 
 
-def fold(tree: AMDepTree, node=None, leaf=None, step=None, orders=None, replay=None):
+def fold(tree: TreeView, node=None, leaf=None, step=None, orders=None, replay=None):
     """The one bottom-up pass over the subtree at node (default: the root).
 
     Each node consumes its children in the greedy admissible order of
@@ -625,7 +650,7 @@ def check_well_typed(tree: AMDepTree) -> AMType:
     return fold(tree)[0]
 
 
-def term_type(tree: AMDepTree, node: str) -> AMType:
+def term_type(tree: TreeView, node: str) -> AMType:
     """Type of the result of evaluating the subtree rooted at node."""
     return fold(tree, node)[0]
 
@@ -713,20 +738,66 @@ def constant_from_canonical(form: str) -> SGraph:
     return SGraph(g, obj["root"], dict(obj["sources"]), AMType.from_json(obj["type"]))
 
 
+class _LeafLayout:
+    """A constant laid out once for every renaming of its source names.
+    ``label(names)`` equals ``canonical_constant_form`` of the constant with
+    its names renamed per ``names`` (injectively): only the nodes a source
+    marks change their canonical id (``s:<name>``), so the root and the
+    anonymous slot ids, the edges and the type are kept and renamed in
+    place. ``clashes(combo)`` tells whether ``AMType`` would reject the
+    renaming of the placeholders ``ph`` to ``combo`` for naming one level of
+    the type twice: a placeholder renamed onto a name its level already
+    carries."""
+
+    def __init__(self, c: SGraph, ph):
+        nodes = c.graph.nodes
+        src_of = {v: k for k, v in c.sources.items()}
+        anon = sorted((n for n in nodes if n != c.root and n not in src_of),
+                      key=lambda n: str(nodes[n]))
+        self.ids = {c.root: "r", **{n: f"x{i}" for i, n in enumerate(anon)}}
+        self.named = [(n, src_of[n]) for n in nodes if n not in self.ids]
+        self.nodes = list(nodes.items())
+        self.edges = c.graph.edges
+        self.sources = list(c.sources.items())
+        self.typ = c.typ
+        position = {p: i for i, p in enumerate(ph)}
+        self.levels = []  # (placeholder positions, other names) of each level with both
+        todo = [c.typ]
+        while todo:
+            t = todo.pop()
+            todo.extend(sub for _k, sub in t.entries)
+            at = [position[k] for k, _sub in t.entries if k in position]
+            others = {k for k, _sub in t.entries if k not in position}
+            if at and others:
+                self.levels.append((at, others))
+
+    def clashes(self, combo) -> bool:
+        return any(combo[i] in others for at, others in self.levels for i in at)
+
+    def label(self, names) -> str:
+        ids = dict(self.ids)
+        for n, k in self.named:
+            ids[n] = "s:" + names.get(k, k)
+        edges = sorted((ids[s], ids[t], lbl) for s, t, lbl in self.edges)
+        payload = {"root": "r",
+                   "nodes": {ids[n]: lbl for n, lbl in self.nodes},
+                   "edges": [[s, lbl, t] for s, t, lbl in edges],
+                   "sources": {names.get(k, k): ids[n] for k, n in self.sources},
+                   "type": _renamed_json(self.typ, names)}
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _renamed_json(typ, names):
+    return {names.get(k, k): _renamed_json(sub, names) for k, sub in typ.entries}
+
+
 def skeleton_form(c: SGraph) -> str:
     """Canonical form with source names erased: identical for any two
     renamings of the same constant. Canonicalized by minimizing over all
     assignments of positional names (constants carry only a handful of
-    sources, so the permutation search is cheap)."""
-    from itertools import permutations
-
+    sources, so the permutation search is cheap), each rendered from one
+    layout of c."""
     names = sorted(c.typ.all_names() | set(c.sources))
-    if not names:
-        return canonical_constant_form(c)
-    best = None
+    layout = _LeafLayout(c, ())
     slots = [f"_{i}" for i in range(len(names))]
-    for perm in permutations(slots):
-        form = canonical_constant_form(c.rename_sources(dict(zip(names, perm))))
-        if best is None or form < best:
-            best = form
-    return best
+    return min(layout.label(dict(zip(names, perm))) for perm in permutations(slots))

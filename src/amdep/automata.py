@@ -23,7 +23,6 @@ import json
 import logging
 import operator
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from typing import NamedTuple
@@ -32,6 +31,7 @@ from .algebra import (
     AMDepTree,
     DepEdge,
     SGraph,
+    _LeafLayout,
     constant_from_canonical,
     fold,
     placeholder,
@@ -47,19 +47,33 @@ log = logging.getLogger("amdep.automata")
 # binarization
 
 
-@dataclass
 class BinNode:
-    address: str  # "" is the root; child i of pi has address pi + str(i)
-    # leaf fields
-    const: SGraph | None = None
-    tree_node: str | None = None
-    # operation fields
-    op: str | None = None  # "APP" | "MOD"
-    source: str | None = None  # placeholder source of the operation
-    dep_parent: str | None = None
-    dep_child: str | None = None
-    left: "BinNode | None" = None
-    right: "BinNode | None" = None
+    """A node of a binarized tree: a leaf, which holds a constant and its
+    tree node, or an operation with its head side left and its dependent
+    side right. address is "" at the root; child i of the node at address
+    pi has address pi + str(i), set once the whole tree is built."""
+
+    __slots__ = ("address", "const", "tree_node", "op", "source", "dep_parent", "dep_child",
+                 "left", "right")
+
+    def __init__(self, address, const=None, tree_node=None, op=None, source=None,
+                 dep_parent=None, dep_child=None, left=None, right=None):
+        self.address = address
+        self.const = const  # leaf fields
+        self.tree_node = tree_node
+        self.op = op  # operation fields: "APP" | "MOD"
+        self.source = source  # placeholder source of the operation
+        self.dep_parent = dep_parent
+        self.dep_child = dep_child
+        self.left = left
+        self.right = right
+
+    def __eq__(self, other):
+        if not isinstance(other, BinNode):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in BinNode.__slots__)
+
+    __hash__ = None
 
     @property
     def is_leaf(self):
@@ -104,8 +118,7 @@ class State(NamedTuple):
         return f"{addr}:{{{inside}}}"
 
 
-@dataclass
-class Rule:
+class Rule(NamedTuple):
     rid: int
     parent: State
     label: str  # canonical constant JSON for leaves, "APP_x"/"MOD_x" for ops
@@ -235,58 +248,6 @@ def _alignments(shape, label):
     return {addr: ("node", label[addr]) if d["kind"] == "leaf"
             else ("edge", leftmost(addr + "0"), leftmost(addr + "1"))
             for addr, d in shape.items()}
-
-
-class _LeafLayout:
-    """A leaf constant laid out once for every renaming of its placeholders.
-    ``label(names)`` equals ``canonical_constant_form`` of the constant with
-    its placeholders renamed per ``names``: only the nodes a source marks
-    change their canonical id (``s:<name>``), so the root and the anonymous
-    slot ids, the edges and the type are kept and renamed in place.
-    ``clashes(combo)`` tells whether ``AMType`` would reject the renaming of
-    the placeholders ``ph`` to ``combo`` for naming one level of the type
-    twice: a placeholder renamed onto a name its level already carries."""
-
-    def __init__(self, c: SGraph, ph):
-        nodes = c.graph.nodes
-        src_of = {v: k for k, v in c.sources.items()}
-        anon = sorted((n for n in nodes if n != c.root and n not in src_of),
-                      key=lambda n: str(nodes[n]))
-        self.ids = {c.root: "r", **{n: f"x{i}" for i, n in enumerate(anon)}}
-        self.named = [(n, src_of[n]) for n in nodes if n not in self.ids]
-        self.nodes = list(nodes.items())
-        self.edges = c.graph.edges
-        self.sources = list(c.sources.items())
-        self.typ = c.typ
-        position = {p: i for i, p in enumerate(ph)}
-        self.levels = []  # (placeholder positions, other names) of each level with both
-        todo = [c.typ]
-        while todo:
-            t = todo.pop()
-            todo.extend(sub for _k, sub in t.entries)
-            at = [position[k] for k, _sub in t.entries if k in position]
-            others = {k for k, _sub in t.entries if k not in position}
-            if at and others:
-                self.levels.append((at, others))
-
-    def clashes(self, combo) -> bool:
-        return any(combo[i] in others for at, others in self.levels for i in at)
-
-    def label(self, names) -> str:
-        ids = dict(self.ids)
-        for n, k in self.named:
-            ids[n] = "s:" + names.get(k, k)
-        edges = sorted((ids[s], ids[t], lbl) for s, t, lbl in self.edges)
-        payload = {"root": "r",
-                   "nodes": {ids[n]: lbl for n, lbl in self.nodes},
-                   "edges": [[s, lbl, t] for s, t, lbl in edges],
-                   "sources": {names.get(k, k): ids[n] for k, n in self.sources},
-                   "type": _renamed_json(self.typ, names)}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _renamed_json(typ, names):
-    return {names.get(k, k): _renamed_json(sub, names) for k, sub in typ.entries}
 
 
 def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
@@ -435,8 +396,7 @@ def count_trees(a: TreeAutomaton) -> int:
     return sum(counts[f] for f in a.accept)
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     rule: int
     children: tuple["Run", ...] = ()
 
@@ -591,7 +551,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     sources: tuple[str, ...] = ()
     shape: dict[str, dict] = {}
     finals = []
-    rules = []
+    rules = []  # (parent, label, children, event): a Rule once the shape gives its alignment
     weights: dict[int, float] = {}
     # a state recurs as parent and child of many rules: each distinct text is
     # parsed once
@@ -641,7 +601,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                     open_idx = rest.index("(")
                     label = rest[:open_idx]
                     kids = tuple([state(p) for p in rest[open_idx + 1:-1].split(", ")])
-                rules.append(Rule(len(rules), parent, label, kids, _event(label, kids), ("",)))
+                rules.append((parent, label, kids, _event(label, kids)))
                 rule_lines.append(ln)
     except (ValueError, RecursionError) as exc:  # RecursionError: a deeply nested shape
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
@@ -652,8 +612,8 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     except _NOT_A_CONSTANT as exc:  # a bad constant, or no leaf below an address
         raise MalformedInput(f"{path}: shape does not fit the rules: {exc!r}") from exc
     kind = {addr: d["kind"] for addr, d in shape.items()}
-    for r, ln in zip(rules, rule_lines):
-        addr, kids = r.parent.address, r.children
+    for (parent, _label, kids, _ev), ln in zip(rules, rule_lines):
+        addr = parent.address
         if kids:
             fits = (kind.get(addr) == "op" and len(kids) == 2
                     and kids[0].address == addr + "0" and kids[1].address == addr + "1")
@@ -663,7 +623,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
             raise MalformedInput(f"{path}, line {ln}: rule at address {addr or 'e'} with "
                                  f"{len(kids)} children does not fit the shape's "
                                  f"{kind.get(addr, 'missing')!r} entry there")
-        r.align = aligns[addr]
+    rules = [Rule(rid, *r, aligns[r[0].address]) for rid, r in enumerate(rules)]
     a = TreeAutomaton(graph_id, sources, rules, finals, shape)
     a.path = path
     return a, weights or None

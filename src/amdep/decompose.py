@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import logging
 import random
-from dataclasses import dataclass, field
+from bisect import insort
 from typing import NamedTuple
 
 from .algebra import (
@@ -16,8 +16,10 @@ from .algebra import (
     DepEdge,
     EMPTY_TYPE,
     SGraph,
+    TreeView,
     canonical_constant_form,
     check_well_typed,
+    child_order,
     constant,
     evaluate,
     placeholder,
@@ -54,8 +56,7 @@ class UEdge(NamedTuple):
     graph_edge: Edge
 
 
-@dataclass
-class UnrolledTree:
+class UnrolledTree(NamedTuple):
     """Tree-shaped expansion of a normalized graph. Real nodes keep their
     graph ids (each occurs once); repeat visits become reference leaves with
     ids ref0, ref1, ... pointing back at a real node."""
@@ -272,14 +273,12 @@ def is_ref_node(tree: AMDepTree, node) -> bool:
 # resolution plans and Theorem-1 style checking
 
 
-@dataclass
-class ResolutionPlan:
+class ResolutionPlan(NamedTuple):
     targets: dict[str, str]  # node to resolve -> resolution target (ancestor)
     paths: dict[str, list[list[DepEdge]]]  # node -> paths, each from target down
 
 
-@dataclass
-class Violation:
+class Violation(NamedTuple):
     node: str
     path: list[DepEdge]
     condition: int  # 1 or 2
@@ -294,10 +293,9 @@ class Violation:
         }
 
 
-@dataclass
-class Theorem1Report:
+class Theorem1Report(NamedTuple):
     decomposable: bool
-    violations: list[Violation] = field(default_factory=list)
+    violations: list[Violation]
 
     def to_json(self):
         return {"decomposable": self.decomposable,
@@ -404,12 +402,13 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
 
     Nodes are processed so that a node is only handled once no other pending
     node's resolution path runs through it; within each step the edge order
-    is immaterial. The steps edit one child -> parent edge map and read the
+    is immaterial. The steps edit one child -> parent edge map, together
+    with the child lists of a TreeView over the same nodes, and read the
     paths and the reference leaves off the input tree, which stays exact by
-    the invariant stated below. A tree is built only to type a subtree that
-    moves, and once at the end. With debug=True the tree is re-typechecked
-    after every step (the intermediate trees, references included, must stay
-    well-typed).
+    the invariant stated below. A moving node's subtree is typed on the
+    view, so a tree is built only once, at the end. With debug=True a tree
+    is also built and re-typechecked after every step (the intermediate
+    trees, references included, must stay well-typed).
     """
     nodes = dict(tree.nodes)
     root = tree.root
@@ -417,10 +416,16 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
     # leaves, so every other node keeps its input parent edge until its own
     # step.
     parent = {e.child: e for e in tree.edges}
+    children = {n: tree.children(n) for n in nodes}
+    view = TreeView(nodes, root, children)
     ref_positions = _ref_positions(tree)
 
     def current_tree():
         return AMDepTree(nodes, root, parent.values())
+
+    def detach(n):
+        e = parent.pop(n)
+        children[e.parent].remove(e)
 
     # each path chains down from its target, so its nodes are the target and
     # every edge's child
@@ -446,7 +451,7 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
             tt = EMPTY_TYPE
         else:
             try:
-                tt = term_type(current_tree(), y)
+                tt = term_type(view, y)
             except NotWellTyped as exc:
                 raise ResolutionFailed(y, f"cannot type subtree: {exc}") from exc
         for path in plan.paths[y]:
@@ -469,10 +474,12 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
                 if e.child == y:
                     below_y = True
         if rt != y:
-            del parent[y]  # a moved edge goes last in the tree's edge order
-            parent[y] = DepEdge(rt, y, "APP", placeholder(y))
+            detach(y)
+            parent[y] = DepEdge(rt, y, "APP", placeholder(y))  # a moved edge goes last
+            insort(children[rt], parent[y], key=child_order)
         for n in ref_positions.get(y, []):
-            del nodes[n], parent[n]
+            detach(n)
+            del nodes[n], children[n]
         pending.discard(y)
         if debug:
             try:
@@ -534,8 +541,7 @@ def consecutive_mod_pairs(tree: AMDepTree):
 # full pipeline
 
 
-@dataclass
-class NonDecomposable:
+class NonDecomposable(NamedTuple):
     reason: str
     report: Theorem1Report | None = None
 
@@ -544,8 +550,7 @@ class NonDecomposable:
                 "report": self.report.to_json() if self.report else None}
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     tree: AMDepTree
     normalized: NormalizedGraph
 

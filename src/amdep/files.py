@@ -60,9 +60,71 @@ def read_items(path, schema, build, error=MalformedInput):
 
 
 def write_json(obj, path):
+    """Write obj, made of the plain JSON types and tuples, to path as
+    json.dump(obj, fh, ensure_ascii=False, indent=1, sort_keys=True) does,
+    then a newline. json indents through its pure-Python encoder, one
+    generator step per piece of text; _render makes one call per container
+    instead, and the text reaches the file in chunks of about _CHUNK
+    pieces, never whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, ensure_ascii=False, indent=1, sort_keys=True)
-        fh.write("\n")
+        out = []
+        _render(obj, "\n", out, fh.write)
+        out.append("\n")
+        fh.write("".join(out))
+
+
+_CHUNK = 4096
+_encode = json.encoder.encode_basestring  # ensure_ascii=False keeps non-ASCII text
+
+
+def _float(o):
+    if o != o:
+        return "NaN"
+    if o == math.inf:
+        return "Infinity"
+    if o == -math.inf:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+# the text of a scalar by its type, as json writes it
+_TEXT = {str: _encode, int: int.__repr__, float: _float, type(None): lambda _o: "null",
+         bool: lambda o: "true" if o else "false"}
+
+
+def _scalar(o):
+    text = _TEXT.get(type(o))
+    if text is None:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    return text(o)
+
+
+def _render(o, nl, out, write):
+    """Append the text of o to out, writing out whenever it holds _CHUNK
+    pieces; nl is a newline and the indent of the line o starts on."""
+    is_dict = isinstance(o, dict)
+    if not is_dict and not isinstance(o, (list, tuple)):
+        out.append(_scalar(o))
+        return
+    if not o:
+        out.append("{}" if is_dict else "[]")
+        return
+    inner = nl + " "
+    sep = ("{" if is_dict else "[") + inner
+    for v in sorted(o.items()) if is_dict else o:
+        if is_dict:
+            k, v = v
+            sep += (_encode(k) if type(k) is str else _encode(_scalar(k))) + ": "
+        if isinstance(v, (dict, list, tuple)):
+            out.append(sep)
+            _render(v, inner, out, write)
+        else:
+            out.append(sep + _scalar(v))
+        sep = "," + inner
+        if len(out) >= _CHUNK:
+            write("".join(out))
+            out.clear()
+    out.append(nl + ("}" if is_dict else "]"))
 
 
 def sha256(path):

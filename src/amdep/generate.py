@@ -5,7 +5,6 @@ a graph that is decomposable by construction."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebra import AMDepTree, AMType, DepEdge, EMPTY_TYPE, SGraph, constant, evaluate
 from .errors import GenerationExhausted, NotWellTyped
@@ -17,19 +16,30 @@ _VOCAB = (
 )
 
 
-@dataclass
 class GeneratorConfig:
-    max_nodes: int = 12
-    sources: tuple[str, ...] = ("s1", "s2", "s3")
-    max_sources_per_constant: int = 3
-    max_request_depth: int = 3
-    reentrancy_prob: float = 0.35
-    mod_prob: float = 0.3
-    labels: tuple[str, ...] = _VOCAB
+    __slots__ = ("max_nodes", "sources", "max_sources_per_constant", "max_request_depth",
+                 "reentrancy_prob", "mod_prob", "labels")
 
-    def __post_init__(self):
-        if self.max_sources_per_constant > len(self.sources):
+    def __init__(self, max_nodes: int = 12, sources: tuple[str, ...] = ("s1", "s2", "s3"),
+                 max_sources_per_constant: int = 3, max_request_depth: int = 3,
+                 reentrancy_prob: float = 0.35, mod_prob: float = 0.3,
+                 labels: tuple[str, ...] = _VOCAB):
+        if max_sources_per_constant > len(sources):
             raise ValueError("max_sources_per_constant exceeds the source inventory")
+        self.max_nodes = max_nodes
+        self.sources = sources
+        self.max_sources_per_constant = max_sources_per_constant
+        self.max_request_depth = max_request_depth
+        self.reentrancy_prob = reentrancy_prob
+        self.mod_prob = mod_prob
+        self.labels = labels
+
+    def __eq__(self, other):
+        if not isinstance(other, GeneratorConfig):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in GeneratorConfig.__slots__)
+
+    __hash__ = None
 
 
 class _Builder:
@@ -50,7 +60,26 @@ class _Builder:
         return self.cfg.max_nodes - self.counter - self.reserved
 
     def build(self, target: AMType) -> str:
-        """One tree node whose subtree evaluates to exactly the target type."""
+        """One tree node whose subtree evaluates to exactly the target type.
+        Each node is built by a _node generator, which yields the type of
+        each child it needs and is sent back the child's id; a stack of them
+        builds the tree in the order a recursion would, without taking a
+        Python frame per tree level."""
+        stack = [self._node(target)]
+        child = None
+        while True:
+            try:
+                need = stack[-1].send(child)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                child = done.value
+            else:
+                stack.append(self._node(need))
+                child = None
+
+    def _node(self, target: AMType):
         cfg, rng = self.cfg, self.rng
         nid = self.fresh_id()
         open_names = list(target.names())
@@ -88,7 +117,7 @@ class _Builder:
         self.reserved += len(fresh_entries)
         for name, req in fresh_entries:
             self.reserved -= 1
-            child = self.build(req)
+            child = yield req
             self.edges.append(DepEdge(nid, child, "APP", name))
 
         while self.remaining() > 0 and rng.random() < cfg.mod_prob:
@@ -99,7 +128,7 @@ class _Builder:
                 shared = rng.choice(sorted(open_names))
                 if shared != alpha:
                     mod_req[shared] = target.request(shared)
-            child = self.build(AMType(mod_req))
+            child = yield AMType(mod_req)
             self.edges.append(DepEdge(nid, child, "MOD", alpha))
         return nid
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import CorpusError, MalformedInput
@@ -256,8 +255,7 @@ class BlobHeuristics:
         return cls.from_tsv(resources.files("amdep.data") / "blobs.tsv")
 
 
-@dataclass
-class BlobPartition:
+class BlobPartition(NamedTuple):
     """Owner map: every edge belongs to the blob of exactly one endpoint."""
 
     owner: dict[Edge, str]
@@ -277,8 +275,7 @@ def flip_label(label):
     return label[: -len(OF_SUFFIX)] if label.endswith(OF_SUFFIX) else label + OF_SUFFIX
 
 
-@dataclass
-class NormalizedGraph:
+class NormalizedGraph(NamedTuple):
     """Graph with every edge pointing away from its blob owner.
 
     Reversed edges carry a "-of"-suffixed label (the suffix is stripped

@@ -9,7 +9,7 @@ import math
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import canonical_constant_form, constant_from_canonical, skeleton_form
 from .automata import (Run, TreeAutomaton, bottom_up, leaf_constant, reconstruct_tree,
@@ -51,8 +51,7 @@ def logsumexp(values):
 # inside / outside
 
 
-@dataclass
-class InsideOutsideResult:
+class InsideOutsideResult(NamedTuple):
     log_inside: list  # log inside score per state, indexed as a.state_list
     log_total: float  # log I
     log_alpha: list | None = None  # log outer weight per rule, indexed by rule id
@@ -155,8 +154,7 @@ def outer_weights(a: TreeAutomaton, weights=None) -> InsideOutsideResult:
     if res.log_total == NEG_INF:
         raise EmptyAutomaton("no accepted trees")
     _w, lw = _rule_weights(a, weights)
-    res.log_alpha = _log_outer(a, lw, res.log_inside)
-    return res
+    return res._replace(log_alpha=_log_outer(a, lw, res.log_inside))
 
 
 def viterbi(a: TreeAutomaton, weights=None) -> Run:
@@ -241,12 +239,26 @@ def _leaf_group(form: str) -> str | None:
     return None
 
 
-@dataclass
 class EventTable:
-    theta: dict[str, float]
-    groups: dict[str, list[str]] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-    default: float = 1e-6
+    """Event weights (theta) by event key, with the normalization groups
+    they were fitted in, run metadata and the weight of an unseen event."""
+
+    __slots__ = ("theta", "groups", "meta", "default")
+
+    def __init__(self, theta: dict[str, float], groups: dict[str, list[str]] | None = None,
+                 meta: dict | None = None, default: float = 1e-6):
+        self.theta = theta
+        self.groups = {} if groups is None else groups
+        self.meta = {} if meta is None else meta
+        self.default = default
+
+    def __eq__(self, other):
+        if not isinstance(other, EventTable):
+            return NotImplemented
+        return (self.theta, self.groups, self.meta, self.default) == \
+            (other.theta, other.groups, other.meta, other.default)
+
+    __hash__ = None
 
     def rule_weights(self, a: TreeAutomaton) -> list[float]:
         """The weight of each rule of a, by rule id."""
@@ -385,13 +397,22 @@ def reconstruct_best(a: TreeAutomaton, weights=None):
 # log-linear scorer and joint training
 
 
-@dataclass
 class Scorer:
     """Log-linear scorer with one feature per (anchor labels, event) pair and
     an exponential link: a rule's weight is exp(theta[feature])."""
 
-    params: dict[str, float] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("params", "meta")
+
+    def __init__(self, params: dict[str, float] | None = None, meta: dict | None = None):
+        self.params = {} if params is None else params
+        self.meta = {} if meta is None else meta
+
+    def __eq__(self, other):
+        if not isinstance(other, Scorer):
+            return NotImplemented
+        return (self.params, self.meta) == (other.params, other.meta)
+
+    __hash__ = None
 
     @staticmethod
     def feature_key(rule) -> str:
@@ -434,8 +455,7 @@ def log_inside_gradient(scorer: Scorer, a: TreeAutomaton, keys=None):
     return log_total, grad
 
 
-@dataclass
-class JointConfig:
+class JointConfig(NamedTuple):
     epochs: int = 10
     lr: float = 0.5
     batch: int = 0  # 0 means full batch

@@ -1,4 +1,5 @@
 import json
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -725,3 +726,50 @@ def test_tree_validation_matches_brute_force(case):
     else:
         with pytest.raises(ValueError):
             AMDepTree(nodes, root, edges)
+
+
+def reference_skeleton_form(c):
+    """The skeleton as first written: the canonical form of each renaming of
+    c's names onto positional names, minimized."""
+    names = sorted(c.typ.all_names() | set(c.sources))
+    if not names:
+        return canonical_constant_form(c)
+    slots = [f"_{i}" for i in range(len(names))]
+    return min(canonical_constant_form(c.rename_sources(dict(zip(names, perm))))
+               for perm in permutations(slots))
+
+
+SKELETON_NAMES = ["ps(a)", "ps(b)", "ps(n7)", "s1", "s2"]
+
+
+@st.composite
+def skeleton_constants(draw):
+    """A labeled root with up to three source slots named by placeholders or
+    reusable names, requests nested up to depth 3, up to two anonymous
+    nodes and a few edges among the non-root nodes."""
+    names = draw(st.lists(st.sampled_from(SKELETON_NAMES), max_size=3, unique=True))
+
+    def request(depth):
+        keys = draw(st.lists(st.sampled_from(SKELETON_NAMES), max_size=2, unique=True))
+        return {k: request(depth - 1) for k in keys} if depth else {}
+
+    spec = {n: request(draw(st.integers(0, 2))) for n in names}
+    nodes = {"r": draw(st.sampled_from(["see", "want"]))}
+    sources = {}
+    for i, name in enumerate(names):
+        nodes[f"m{i}"] = None
+        sources[name] = f"m{i}"
+    for j in range(draw(st.integers(0, 2))):
+        nodes[f"x{j}"] = draw(st.sampled_from([None, "tiny", "boy"]))
+    others = sorted(nodes)[:-1]  # every node but "r"
+    edges = [("r", n, draw(st.sampled_from(["ARG0", "ARG1", "mod-of"]))) for n in others]
+    if len(others) > 1:
+        edges += draw(st.lists(st.tuples(st.sampled_from(others), st.sampled_from(others),
+                                         st.sampled_from(["op1", "ARG0"])), max_size=2))
+    return SGraph(SemanticGraph(nodes, edges, "r"), "r", sources, AMType(spec))
+
+
+@given(c=skeleton_constants())
+@settings(max_examples=150, deadline=None)
+def test_skeleton_form_matches_the_renamed_canonical_forms(c):
+    assert skeleton_form(c) == reference_skeleton_form(c)

@@ -543,6 +543,18 @@ def test_import_does_not_load_process_pool():
     assert out.strip() == "False"
 
 
+def test_import_does_not_load_dataclasses():
+    """The records are NamedTuples or plain classes: importing dataclasses
+    would load inspect, ast, dis and tokenize in every command."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import amdep.cli, amdep.decompose, "
+            "amdep.automata, amdep.training, amdep.generate; "
+            "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def _automata_copy(workspace, tmp_path):
     shutil.copytree(workspace / "run/automata", tmp_path / "auto")
     return tmp_path / "auto"

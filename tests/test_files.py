@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from amdep.cli import main
+from amdep.files import _CHUNK, write_json
 
 CORPUS = [
     {"id": "g1", "root": "a",
@@ -309,3 +310,32 @@ def test_id_that_cannot_name_a_file_exits_1(base, tmp_path, tid):
     assert code == 1 and error_lines(err) == [
         f"error: id {tid!r} cannot name an automaton file: it holds '/' or NUL"]
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["auto", "t.json"]
+
+
+# JSON values: text with escapes, control, non-ASCII and astral characters,
+# integers beyond 64 bits, every float json spells specially, tuples, empty
+# containers, non-string keys, and lists long enough to cross a write chunk
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀'),
+                         st.characters()), max_size=6)
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                                    math.inf, -math.inf, math.nan]), st.floats())
+LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**80),
+                   st.integers(-2**80, -2**64), FLOATS, TEXT)
+JSON_VALUES = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(TEXT, kids, max_size=4),
+    st.dictionaries(st.one_of(st.integers(), st.floats(allow_nan=False)), kids, max_size=3),
+    st.lists(LEAVES, min_size=1, max_size=2).map(lambda xs: xs * (_CHUNK // len(xs) + 1))),
+    max_leaves=20)
+
+
+@given(value=JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_write_json_writes_the_bytes_json_dump_writes(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.json", Path(tmp) / "theirs.json"
+        write_json(value, ours)
+        with open(theirs, "w", encoding="utf-8") as fh:
+            json.dump(value, fh, ensure_ascii=False, indent=1, sort_keys=True)
+            fh.write("\n")
+        assert ours.read_bytes() == theirs.read_bytes()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from amdep.algebra import check_well_typed, evaluate
@@ -52,3 +57,16 @@ class TestGenerator:
         assert [gid for gid, _g, _t in corpus] == [f"g{i:04d}" for i in range(5)]
         for _gid, g, t in corpus:
             assert evaluate(t) == g
+
+
+def test_gen_deeper_than_the_recursion_limit(tmp_path):
+    """A 2,500-node tree is deeper than Python's default recursion limit:
+    gen builds it on a stack of generators and exits 0 without a traceback.
+    It runs in its own interpreter, at that default limit."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "amdep.cli", "gen", "--n", "1", "--seed", "1",
+         "--max-nodes", "2500", "--graphs", str(tmp_path / "graphs.json"),
+         "--trees", str(tmp_path / "gold.json")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
