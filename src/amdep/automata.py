@@ -5,16 +5,14 @@ pair a node address in the binarized tree with a partial map from placeholder
 names to reusable names, and its runs are exactly the consistent renamings
 that stay well-typed.
 
-``build_automaton`` works on integers until the end. Every state at an
-address assigns the placeholders of the address's leftmost leaf, so it is
-held as the tuple of its names and numbered by their sorted order there. A
-leaf's rules render the canonical label of each renaming from one layout of
-its constant; an operation's rules join its children's states on their
-names at the placeholders both sides share; pruning sets flags on the
-numbers. Each kept state then becomes one ``State`` and each kept rule a
-``Rule``. ``TreeAutomaton`` numbers the states of the rules it is given and
-turns that numbering into its index, for the rules built here and for those
-``read_automaton`` reads alike.
+An automaton is its integer index (``TreeAutomaton``). ``build_automaton``
+holds each state at an address as the tuple of its names for the placeholders
+of the address's leftmost leaf, numbered by their sorted order there; it
+renders a leaf's labels from one layout of its constant, joins an operation's
+children on their shared placeholders and prunes by flags on the numbers.
+``read_automaton`` parses each distinct state text of a file once. Both
+number the states in the order their rules first name them and share one
+index builder; ``Rule`` records are made only when ``rules`` is read.
 """
 
 from __future__ import annotations
@@ -67,13 +65,6 @@ class BinNode:
         self.dep_child = dep_child
         self.left = left
         self.right = right
-
-    def __eq__(self, other):
-        if not isinstance(other, BinNode):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in BinNode.__slots__)
-
-    __hash__ = None
 
     @property
     def is_leaf(self):
@@ -131,49 +122,50 @@ class Rule(NamedTuple):
         return f"{self.parent} <- {self.label}({kids})"
 
 
-def rule_event_key(rule) -> str:
-    if rule.event[0] == "const":
-        return "const " + rule.event[1]
-    return f"edge {rule.event[1]} {rule.event[2]}"
-
-
 class TreeAutomaton:
-    """A graph's rules plus the bottom-up index every query runs on, built
-    once when the automaton is made; an automaton is immutable after that.
+    """A graph's automaton: the bottom-up index every query runs on,
+    immutable once made.
 
-    ``rules`` lists the rules in id order, 0..n-1. The states are those of
-    the rules, numbered by first appearance over each rule's ``(parent,
-    *children)`` in id order and then sorted, stably, deepest address first.
-    ``state_list`` holds them in that order, bottom-up: every child state of
-    a rule has a smaller index than the rule's parent, so one pass in index
-    order visits children before parents. ``state_rules[q]`` holds the ids
-    of the rules with parent state q in ascending order, ``children[rid]``
-    the child state indices of rule rid (none for a leaf rule, two for an
-    operation rule; the constructor rejects any other count), and
-    ``accept`` the indices of the final states in the order of ``finals``,
-    leaving out a final state no rule reaches. ``shape`` maps each address
-    of the binarized tree to its leaf or operation descriptor (for
-    reconstruction).
-
-    ``path`` is the file ``read_automaton`` read the automaton from, which
-    errors found later name.
+    The states are those the rules name, numbered by first appearance over
+    each rule's ``(parent, *children)`` in rule-id order, then sorted,
+    stably, deepest address first: ``state_list`` in that order is
+    bottom-up, every rule's child states before its parent. By rule id,
+    ``labels`` holds the label, ``parents`` the parent state index and
+    ``children`` the child state indices (none for a leaf, two for an
+    operation; any other count is rejected). ``state_rules[q]`` lists the
+    ids of the rules with parent q in ascending order, ``accept`` the final
+    states in the order of ``finals``, less any that no rule reaches.
+    ``shape`` maps each address of the binarized tree to its leaf or
+    operation descriptor and ``aligns`` to its rules' alignment. ``rules``
+    (``Rule`` records) is made from these when first read, or kept from the
+    constructor, which takes records; ``build_automaton`` and
+    ``read_automaton`` number their states themselves. All feed ``_index``.
+    ``path`` is the file ``read_automaton`` read, which later errors name.
     """
 
     path = None
 
     def __init__(self, graph_id: str, sources, rules, finals, shape: dict[str, dict]):
-        self.graph_id = graph_id
-        self.sources: tuple[str, ...] = tuple(sources)
-        self.rules: list[Rule] = list(rules)
-        self.finals: list[State] = list(finals)
-        self.shape = shape
-        if [r.rid for r in self.rules] != list(range(len(self.rules))):
+        rules, finals = list(rules), list(finals)
+        if [r.rid for r in rules] != list(range(len(rules))):
             raise ValueError(f"automaton {graph_id!r}: rule ids are not "
-                             f"0..{len(self.rules) - 1} in order")
+                             f"0..{len(rules) - 1} in order")
         number: dict[State, int] = {}
         links = [tuple([number.setdefault(s, len(number)) for s in (r.parent, *r.children)])
-                 for r in self.rules]
-        states = list(number)
+                 for r in rules]
+        self._index(graph_id, sources, finals, shape, list(number), links,
+                    [r.label for r in rules], {r.parent.address: r.align for r in rules},
+                    [number[f] for f in finals if f in number])
+        self.rules = rules
+
+    def _index(self, graph_id, sources, finals, shape, states, links, labels, aligns, accept):
+        """Set every field from the numbered states, rule links and reached finals."""
+        self.graph_id = graph_id
+        self.sources: tuple[str, ...] = tuple(sources)
+        self.finals: list[State] = finals
+        self.shape = shape
+        self.labels: list[str] = labels
+        self.aligns: dict[str, tuple] = aligns
         # deepest addresses first; a stable sort keeps first appearance within a depth
         order = sorted(range(len(states)), key=lambda i: -len(states[i].address))
         rank = [0] * len(order)
@@ -181,19 +173,24 @@ class TreeAutomaton:
             rank[i] = q
         self.state_list: list[State] = [states[i] for i in order]
         self.state_rules: list[list[int]] = [[] for _ in order]
+        self.parents: list[int] = []
         self.children: list[tuple[int, ...]] = []
-        for r, (parent, *kids) in zip(self.rules, links):
-            parent = rank[parent]
-            kids = tuple([rank[k] for k in kids])
-            if len(kids) not in (0, 2):
-                raise ValueError(f"automaton {graph_id!r}: rule {r.rid} has {len(kids)} "
+        for rid, link in enumerate(links):
+            parent = rank[link[0]]
+            if len(link) == 3:
+                kids = (rank[link[1]], rank[link[2]])
+                if kids[0] >= parent or kids[1] >= parent:
+                    raise ValueError(f"automaton {graph_id!r}: rule {rid} has a child "
+                                     "state no deeper than its parent")
+            elif len(link) == 1:
+                kids = ()
+            else:
+                raise ValueError(f"automaton {graph_id!r}: rule {rid} has {len(link) - 1} "
                                  "children, not 0 or 2")
-            if kids and max(kids) >= parent:
-                raise ValueError(f"automaton {graph_id!r}: rule {r.rid} has a child "
-                                 "state no deeper than its parent")
-            self.state_rules[parent].append(r.rid)
+            self.state_rules[parent].append(rid)
+            self.parents.append(parent)
             self.children.append(kids)
-        self.accept: list[int] = [rank[number[f]] for f in self.finals if f in number]
+        self.accept: list[int] = [rank[n] for n in accept]
 
     @property
     def empty(self) -> bool:
@@ -203,10 +200,22 @@ class TreeAutomaton:
         return set(self.state_list)
 
     @cached_property
+    def rules(self) -> list[Rule]:
+        """The rules as records, by id."""
+        states, aligns = self.state_list, self.aligns
+        out = []
+        for rid, (label, q, kids) in enumerate(zip(self.labels, self.parents, self.children)):
+            kids = tuple([states[k] for k in kids])
+            event = ("edge", *label.split("_", 1)) if kids else ("const", label)
+            out.append(Rule(rid, states[q], label, kids, event, aligns[states[q].address]))
+        return out
+
+    @cached_property
     def event_keys(self) -> list[str]:
         """The event key of each rule, by rule id: EM, its baseline and
         Viterbi share this one list per automaton."""
-        return [rule_event_key(r) for r in self.rules]
+        return ["edge " + label.replace("_", " ", 1) if kids else "const " + label
+                for label, kids in zip(self.labels, self.children)]
 
 
 def bottom_up(a: TreeAutomaton, weights, times, plus):
@@ -333,52 +342,45 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
             else:
                 lst.extend([(parent, mod_label[j], i, j) for j in js])
 
-    # one State per kept state, made when a kept rule first names it
-    made = {addr: [None] * len(v) for addr, v in names.items()}
-
-    def state(addr, q):
-        s = made[addr][q]
-        if s is None:
-            s = made[addr][q] = State(addr, tuple(zip(keys[addr], names[addr][q])))
-        return s
-
     # rule ids follow the addresses sorted as strings, where a parent sorts
     # before its children: the same pass prunes, top-down from the finals, the
-    # states no final state reaches
+    # states no final state reaches, and numbers the kept states as a kept
+    # rule first names them
     useful = {addr: bytearray(len(v)) for addr, v in names.items()}
     useful[""] = bytearray([1]) * len(names[""])
-    rules: list[Rule] = []
-    events: dict[str, tuple] = {}
-    aligns = _alignments(shape, root_label)
+    number = {addr: [-1] * len(v) for addr, v in names.items()}
+    states: list[State] = []
+
+    def state(addr, q):
+        at = number[addr]
+        if at[q] < 0:
+            at[q] = len(states)
+            states.append(State(addr, tuple(zip(keys[addr], names[addr][q]))))
+        return at[q]
+
+    links, labels = [], []  # (parent, *children) numbers and label, by rule id
     for addr in sorted(rules_at):
-        up, align = useful[addr], aligns[addr]
+        up = useful[addr]
         if shape[addr]["kind"] == "leaf":
             for parent, lbl in rules_at[addr]:
                 if up[parent]:
-                    rules.append(Rule(len(rules), state(addr, parent), lbl, (), ("const", lbl),
-                                      align))
+                    links.append((state(addr, parent),))
+                    labels.append(lbl)
             continue
         left, right = addr + "0", addr + "1"
         useful_left, useful_right = useful[left], useful[right]
         for parent, lbl, i, j in rules_at[addr]:
-            if not up[parent]:
-                continue
-            useful_left[i] = useful_right[j] = 1
-            kids = (state(left, i), state(right, j))
-            event = events.get(lbl) or events.setdefault(lbl, _event(lbl, kids))
-            rules.append(Rule(len(rules), state(addr, parent), lbl, kids, event, align))
-    finals = [state("", q) for q in range(len(names[""]))]
-    fa = TreeAutomaton(graph_id, sources, rules, finals, shape)
+            if up[parent]:
+                useful_left[i] = useful_right[j] = 1
+                links.append((state(addr, parent), state(left, i), state(right, j)))
+                labels.append(lbl)
+    finals = [State("", tuple(zip(keys[""], combo))) for combo in names[""]]
+    fa = TreeAutomaton.__new__(TreeAutomaton)
+    fa._index(graph_id, sources, finals, shape, states, links, labels,
+              _alignments(shape, root_label), [n for n in number[""] if n >= 0])
     if fa.empty:
         log.warning("%sautomaton accepts no trees (source inventory too small?)", where)
     return fa
-
-
-def _event(label, children):
-    if children:
-        kind, name = label.split("_", 1)
-        return ("edge", kind, name)
-    return ("const", label)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +389,7 @@ def _event(label, children):
 
 def subtree_counts(a: TreeAutomaton) -> list[int]:
     """Number of runs below each state: the bottom-up pass over integers."""
-    return bottom_up(a, [1] * len(a.rules), operator.mul, sum)
+    return bottom_up(a, [1] * len(a.labels), operator.mul, sum)
 
 
 def count_trees(a: TreeAutomaton) -> int:
@@ -469,15 +471,14 @@ def _named(a: TreeAutomaton) -> str:
     return f"{a.path}: automaton {a.graph_id!r}" if a.path else f"automaton {a.graph_id!r}"
 
 
-def leaf_constant(a: TreeAutomaton, rule) -> SGraph:
-    """The graph constant of a leaf rule of a, parsed from its label. Labels
-    are parsed when they are needed, not when an automaton is read; one that
-    is not a canonical constant raises MalformedInput naming the automaton
-    and the rule."""
+def leaf_constant(a: TreeAutomaton, rid: int) -> SGraph:
+    """The graph constant of leaf rule rid of a, parsed from its label when
+    it is needed, not when a is read. A label that is not a canonical
+    constant raises MalformedInput naming the automaton and the rule."""
     try:
-        return constant_from_canonical(rule.label)
+        return constant_from_canonical(a.labels[rid])
     except _NOT_A_CONSTANT as exc:
-        raise MalformedInput(f"{_named(a)}: rule {rule.rid}: label is not a graph constant: "
+        raise MalformedInput(f"{_named(a)}: rule {rid}: label is not a graph constant: "
                              f"{exc!r}") from exc
 
 
@@ -490,16 +491,16 @@ def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
     anchor = _alignments(shape, {k: d["node"] for k, d in shape.items() if d["kind"] == "leaf"})
     nodes: dict[str, SGraph] = {}
     edges = []
-    for r in [a.rules[rid] for rid in run.rule_ids()]:
-        addr = r.parent.address
-        if r.children:
-            _edge, kind, name = r.event
+    for rid in run.rule_ids():
+        addr = a.state_list[a.parents[rid]].address
+        if a.children[rid]:
+            kind, name = a.labels[rid].split("_", 1)
             # addr + "2" sorts after every address below addr: sorted, the edges are in
             # postorder, so the tree names a corrupt run's deepest bad edge first
             edges.append((addr + "2", DepEdge(anchor[addr][1], anchor[addr][2], kind, name)))
         else:
-            nodes[shape[addr]["node"]] = leaf_constant(a, r)
-    root = anchor[a.rules[run.rule].parent.address][1]
+            nodes[shape[addr]["node"]] = leaf_constant(a, rid)
+    root = anchor[a.state_list[a.parents[run.rule]].address][1]
     try:
         return AMDepTree(nodes, root, [e for _key, e in sorted(edges)])
     except ValueError as exc:
@@ -509,20 +510,19 @@ def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
 # ---------------------------------------------------------------------------
 # serialization
 
-_STATE_RE = re.compile(r"^(?P<addr>[01]*|e):\{(?P<phi>[^}]*)\}$")
+_STATE_RE = re.compile(r"^([01]*|e):\{([^}]*)\}$")  # address, placeholder=name pairs
 
 
-def _parse_state(text: str) -> State:
+def _parse_state(text: str, phis: dict) -> State:
+    """The state text names; phis caches the pairs in braces, which states share."""
     m = _STATE_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad state {text!r}")
-    addr = "" if m.group("addr") == "e" else m.group("addr")
-    phi = []
-    if m.group("phi"):
-        for part in m.group("phi").split(","):
-            k, v = part.split("=", 1)
-            phi.append((placeholder(k), v))
-    return State(addr, tuple(sorted(phi)))
+    addr, phi = m.groups()
+    if phi not in phis:
+        pairs = [part.split("=", 1) for part in phi.split(",")] if phi else []
+        phis[phi] = tuple(sorted([(placeholder(k), v) for k, v in pairs]))
+    return State("" if addr == "e" else addr, phis[phi])
 
 
 def write_automaton(a: TreeAutomaton, path, weights=None):
@@ -531,16 +531,11 @@ def write_automaton(a: TreeAutomaton, path, weights=None):
     lines = [f"#! graph {a.graph_id}", f"#! sources {' '.join(a.sources)}",
              f"#! shape {json.dumps(a.shape, sort_keys=True, separators=(',', ':'))}"]
     text = [str(s) for s in a.state_list]  # a state recurs in many rules
-    parent = [0] * len(a.rules)
-    for q, rids in enumerate(a.state_rules):
-        for rid in rids:
-            parent[rid] = q
-    for f in a.finals:
-        lines.append(f"final: {f}")
-    for r, q, kids in zip(a.rules, parent, a.children):
-        line = f"{text[q]} <- {r.label}({', '.join([text[k] for k in kids])})"
+    lines += [f"final: {f}" for f in a.finals]
+    for rid, (label, q, kids) in enumerate(zip(a.labels, a.parents, a.children)):
+        line = f"{text[q]} <- {label}({', '.join([text[k] for k in kids])})"
         if weights is not None:
-            line += f" # {weights[r.rid]!r}"
+            line += f" # {weights[rid]!r}"
         lines.append(line)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -550,20 +545,19 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     graph_id = ""
     sources: tuple[str, ...] = ()
     shape: dict[str, dict] = {}
-    finals = []
-    rules = []  # (parent, label, children, event): a Rule once the shape gives its alignment
+    finals: list[State] = []
+    links, labels, rule_lines = [], [], []  # (parent, *children) numbers, label, line by rule id
     weights: dict[int, float] = {}
     # a state recurs as parent and child of many rules: each distinct text is
-    # parsed once
-    parsed: dict[str, State] = {}
+    # parsed once and numbered as the state it names first appears
+    number, parsed, phis = {}, {}, {}  # State, text -> number; text in braces -> pairs
 
     def state(text):
-        s = parsed.get(text)
-        if s is None:
-            s = parsed[text] = _parse_state(text)
-        return s
+        n = parsed.get(text)
+        if n is None:
+            n = parsed[text] = number.setdefault(_parse_state(text, phis), len(number))
+        return n
 
-    rule_lines = []  # the line of each rule, by rule id
     ln = 0
     try:
         with open_input(path) as fh:
@@ -583,25 +577,27 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                 if line.startswith("#"):
                     continue
                 if line.startswith("final:"):
-                    finals.append(_parse_state(line[len("final:"):]))
+                    finals.append(_parse_state(line[len("final:"):], phis))
                     continue
                 body = line
                 if " # " in line:
                     cut = line.rfind(" # ")
                     try:
-                        weights[len(rules)] = float(line[cut + 3:])
+                        weights[len(links)] = float(line[cut + 3:])
                         body = line[:cut]
                     except ValueError:
                         pass  # a label containing " # ", not a weight
                 head, rest = body.split(" <- ", 1)
                 parent = state(head)
                 if rest.endswith("()"):
-                    label, kids = rest[:-2], ()
+                    label, link = rest[:-2], (parent,)
                 else:
                     open_idx = rest.index("(")
                     label = rest[:open_idx]
-                    kids = tuple([state(p) for p in rest[open_idx + 1:-1].split(", ")])
-                rules.append((parent, label, kids, _event(label, kids)))
+                    link = (parent, *[state(p) for p in rest[open_idx + 1:-1].split(", ")])
+                    _kind, _name = label.split("_", 1)  # an operation's label is <kind>_<name>
+                links.append(link)
+                labels.append(label)
                 rule_lines.append(ln)
     except (ValueError, RecursionError) as exc:  # RecursionError: a deeply nested shape
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
@@ -612,18 +608,21 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     except _NOT_A_CONSTANT as exc:  # a bad constant, or no leaf below an address
         raise MalformedInput(f"{path}: shape does not fit the rules: {exc!r}") from exc
     kind = {addr: d["kind"] for addr, d in shape.items()}
-    for (parent, _label, kids, _ev), ln in zip(rules, rule_lines):
-        addr = parent.address
-        if kids:
-            fits = (kind.get(addr) == "op" and len(kids) == 2
-                    and kids[0].address == addr + "0" and kids[1].address == addr + "1")
+    states = list(number)
+    for link, ln in zip(links, rule_lines):
+        addr = states[link[0]].address
+        if len(link) > 1:
+            fits = (kind.get(addr) == "op" and len(link) == 3
+                    and states[link[1]].address == addr + "0"
+                    and states[link[2]].address == addr + "1")
         else:
             fits = kind.get(addr) == "leaf"
         if not fits:
             raise MalformedInput(f"{path}, line {ln}: rule at address {addr or 'e'} with "
-                                 f"{len(kids)} children does not fit the shape's "
+                                 f"{len(link) - 1} children does not fit the shape's "
                                  f"{kind.get(addr, 'missing')!r} entry there")
-    rules = [Rule(rid, *r, aligns[r[0].address]) for rid, r in enumerate(rules)]
-    a = TreeAutomaton(graph_id, sources, rules, finals, shape)
+    a = TreeAutomaton.__new__(TreeAutomaton)
+    a._index(graph_id, sources, finals, shape, states, links, labels, aligns,
+             [number[f] for f in finals if f in number])
     a.path = path
     return a, weights or None

@@ -223,7 +223,7 @@ def _build_automata(args, trees=None):
     for (tid, a), fname in zip(results, _automaton_files([tid for tid, _a in results])):
         write_automaton(a, outdir / fname)
         outputs.append(outdir / fname)
-        index.append({"id": tid, "file": fname, "rules": len(a.rules),
+        index.append({"id": tid, "file": fname, "rules": len(a.labels),
                       "states": len(a.state_list), "empty": a.empty,
                       "trees": str(count_trees(a))})
     write_json({"sources": list(sources), "automata": index}, outdir / "index.json")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .algebra import canonical_constant_form, constant_from_canonical, skeleton_form
 from .automata import (Run, TreeAutomaton, bottom_up, leaf_constant, reconstruct_tree,
-                       rule_event_key, subtree_counts, unfold)
+                       subtree_counts, unfold)
 from .errors import AmdepError, EmptyAutomaton, NonFiniteGradient, first_ids
 
 log = logging.getLogger("amdep.training")
@@ -72,7 +72,7 @@ class InsideOutsideResult(NamedTuple):
 def _rule_weights(a: TreeAutomaton, weights):
     """(weights, log weights) as lists indexed by rule id; weights maps rule
     id -> positive finite weight, unit when None."""
-    n = len(a.rules)
+    n = len(a.labels)
     w = [1.0] * n if weights is None else [weights[rid] for rid in range(n)]
     return w, _log_weights(w)
 
@@ -213,6 +213,11 @@ def sample_run(a: TreeAutomaton, rng: random.Random) -> Run:
 # events and EM
 
 
+def rule_event_key(rule) -> str:
+    """The event key of a Rule record, as TreeAutomaton.event_keys has it."""
+    return " ".join(rule.event)  # "const <label>" or "edge <kind> <name>"
+
+
 def event_group_key(event_key: str) -> str:
     """Normalization group of an event: constants by name-erased skeleton,
     edges by operation kind."""
@@ -278,16 +283,16 @@ def discover_events(automata):
     group_of: dict[str, str] = {}  # events recur across rules and graphs
     leaf_group: dict[str, str | None] = {}  # placeholder constant form -> _leaf_group
     for _tid, a in automata:
-        for r, key in zip(a.rules, a.event_keys):
+        for rid, key in enumerate(a.event_keys):
             if key in group_of:
                 continue
-            if r.children:
+            if a.children[rid]:
                 group_of[key] = event_group_key(key)
                 continue
-            form = a.shape[r.parent.address]["const"]
+            form = a.shape[a.state_list[a.parents[rid]].address]["const"]
             if form not in leaf_group:
                 leaf_group[form] = _leaf_group(form)
-            group_of[key] = leaf_group[form] or "skel " + skeleton_form(leaf_constant(a, r))
+            group_of[key] = leaf_group[form] or "skel " + skeleton_form(leaf_constant(a, rid))
     groups: dict[str, list[str]] = {}
     for key, group in group_of.items():
         groups.setdefault(group, []).append(key)
@@ -420,8 +425,12 @@ class Scorer:
             return f"n={rule.align[1]}|{rule_event_key(rule)}"
         return f"p={rule.align[1]}|c={rule.align[2]}|{rule_event_key(rule)}"
 
-    def score(self, rule) -> float:
-        return self.params.get(self.feature_key(rule), 0.0)
+    @staticmethod
+    def feature_keys(a: TreeAutomaton) -> list[str]:
+        """feature_key of each rule of a, by rule id, read from its index."""
+        align = [a.aligns[s.address] for s in a.state_list]  # by parent state
+        return [f"p={align[q][1]}|c={align[q][2]}|{key}" if kids else f"n={align[q][1]}|{key}"
+                for key, q, kids in zip(a.event_keys, a.parents, a.children)]
 
     def rule_weights(self, a: TreeAutomaton) -> dict[int, float]:
         return score_rules(self, a)
@@ -434,7 +443,8 @@ def score_rules(scorer: Scorer, a: TreeAutomaton) -> dict[int, float]:
     """Rule weights under the scorer: exp of the feature score, leaf rules
     anchored at the constant's node label, edge rules at the head and
     dependent labels."""
-    return {r.rid: math.exp(scorer.score(r)) for r in a.rules}
+    params = scorer.params
+    return {rid: math.exp(params.get(key, 0.0)) for rid, key in enumerate(scorer.feature_keys(a))}
 
 
 def log_inside_gradient(scorer: Scorer, a: TreeAutomaton, keys=None):
@@ -444,7 +454,7 @@ def log_inside_gradient(scorer: Scorer, a: TreeAutomaton, keys=None):
     backpropagating through the inside recursion. keys is the feature key of
     each rule by rule id, computed here when None."""
     if keys is None:
-        keys = [scorer.feature_key(r) for r in a.rules]
+        keys = scorer.feature_keys(a)
     # exp then log, as score_rules and inside do: log(exp(x)) is not always x
     params = scorer.params
     lw = _log_weights([math.exp(params.get(key, 0.0)) for key in keys])
@@ -473,7 +483,7 @@ def joint_fit(automata, cfg: JointConfig) -> Scorer:
     scorer = Scorer(meta={"epochs": cfg.epochs, "lr": cfg.lr, "batch": cfg.batch,
                           "seed": cfg.seed, "l2": cfg.l2})
     shared: dict[str, str] = {}  # many rules share a feature; keep one string per key
-    keys = [[shared.setdefault(k, k) for k in map(scorer.feature_key, a.rules)]
+    keys = [[shared.setdefault(k, k) for k in scorer.feature_keys(a)]
             for _tid, a in usable]
     rng = random.Random(cfg.seed)
     history = []

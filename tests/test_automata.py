@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 from itertools import permutations
 
 import pytest
@@ -468,6 +469,30 @@ class TestSerialization:
             lines[n] = f"{head} <- {rest.replace(f'{left}, {right}', f'{right}, {left}')}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedInput, match=f"{path}, line {n + 1}: rule at address"):
+            read_automaton(path)
+
+    @pytest.mark.parametrize("corrupt", ["operation label without _", "parent state text",
+                                         "child state text"])
+    def test_bad_label_or_state_rejected_at_read_with_its_line(self, rel_decomp, tmp_path,
+                                                                corrupt):
+        # labels and state texts are checked while the file is read, not when
+        # a query first needs them
+        a = build_automaton(rel_decomp.tree, S3)
+        path = tmp_path / "c.auto"
+        write_automaton(a, path)
+        lines = path.read_text().splitlines()
+        n = next(n for n, line in enumerate(lines) if not line.endswith("()")
+                 and not line.startswith(("#", "final:")))
+        head, rest = lines[n].split(" <- ", 1)
+        if corrupt == "operation label without _":
+            rest = rest.replace("_", "", 1)
+        elif corrupt == "parent state text":
+            head = head.replace(":{", ":[", 1)
+        else:
+            rest = rest.replace(", 1:{", ", 1:[", 1)
+        lines[n] = f"{head} <- {rest}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedInput, match=re.escape(f"{path}, line {n + 1}: malformed: ")):
             read_automaton(path)
 
     def test_events_survive(self, rel_decomp, tmp_path):

@@ -555,6 +555,26 @@ def test_import_does_not_load_dataclasses():
     assert out.strip() == "False"
 
 
+def test_commands_build_no_rule_records(workspace, tmp_path, monkeypatch):
+    # these commands read the automaton index and never make a Rule record
+    import amdep.automata
+
+    def no_rule(*fields):
+        raise AssertionError("a Rule record was made")
+
+    monkeypatch.setattr(amdep.automata, "Rule", no_rule)
+    auto = workspace / "run/automata"
+    assert run("count", "--automata", auto) == 0
+    assert run("train-em", "--automata", auto, "--iters", 2, "--out", tmp_path / "t.json") == 0
+    assert run("train-joint", "--automata", auto, "--epochs", 2,
+               "--out", tmp_path / "s.json") == 0
+    for weights in ("t.json", "s.json"):
+        assert run("viterbi", "--automata", auto, "--weights", tmp_path / weights,
+                   "--out", tmp_path / f"best-{weights}") == 0
+    assert run("pipeline", "--graphs", workspace / "graphs.json", "--iters", 2,
+               "--out", tmp_path / "run") == 0
+
+
 def _automata_copy(workspace, tmp_path):
     shutil.copytree(workspace / "run/automata", tmp_path / "auto")
     return tmp_path / "auto"

@@ -164,6 +164,26 @@ def test_rule_order_invariance_on_permuted_file(heuristics, tmp_path_factory, g,
         == [str(a.rules[i]) for i in viterbi(a, wa).rule_ids()]
 
 
+def test_queries_and_training_build_no_rule_records(heuristics, tmp_path):
+    # counting, EM, joint training, writing and Viterbi read the index, on
+    # built automata and on the same ones read back: Rule records are made
+    # only when a.rules is read
+    built = random_instances(heuristics, 3, start=15_000)
+    for i, a in enumerate(built):
+        write_automaton(a, tmp_path / f"{i}.auto")
+    reread = [read_automaton(tmp_path / f"{i}.auto")[0] for i in range(len(built))]
+    for automata in (built, reread):
+        pairs = [(f"g{i}", a) for i, a in enumerate(automata)]
+        table = em_fit(pairs, iterations=2)
+        scorer = joint_fit(pairs, JointConfig(epochs=2, lr=0.1))
+        for i, a in enumerate(automata):
+            assert count_trees(a) > 0
+            write_automaton(a, tmp_path / f"again{i}.auto", table.rule_weights(a))
+            reconstruct_best(a, table)
+            reconstruct_best(a, scorer)
+            assert "rules" not in vars(a)
+
+
 def test_em_skip_warning_names_the_first_empty_ids(heuristics, caplog):
     wide = SemanticGraph({"a": "give", "b": "cat", "c": "dog", "d": "bone"},
                          [("a", "b", "ARG0"), ("a", "c", "ARG1"), ("a", "d", "ARG2")], "a")
