@@ -10,9 +10,11 @@ holds each state at an address as the tuple of its names for the placeholders
 of the address's leftmost leaf, numbered by their sorted order there; it
 renders a leaf's labels from one layout of its constant, joins an operation's
 children on their shared placeholders and prunes by flags on the numbers.
-``read_automaton`` parses each distinct state text of a file once. Both
-number the states in the order their rules first name them and share one
-index builder; ``Rule`` records are made only when ``rules`` is read.
+``read_automaton`` reads a file in one pass over its lines and looks each
+state text up inline; it parses each distinct state text and leaf constant
+once per process, as the files of a corpus share most of them. Both number the
+states in the order their rules first name them and share one index
+builder; ``Rule`` records are made only when ``rules`` is read.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import logging
 import operator
 import re
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -511,18 +513,39 @@ def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
 # serialization
 
 _STATE_RE = re.compile(r"^([01]*|e):\{([^}]*)\}$")  # address, placeholder=name pairs
+_PARSED = 1 << 16  # state texts, texts in braces and constants each kept parsed
 
 
-def _parse_state(text: str, phis: dict) -> State:
-    """The state text names; phis caches the pairs in braces, which states share."""
+@lru_cache(maxsize=_PARSED)
+def _parse_state(text: str) -> State:
     m = _STATE_RE.match(text.strip())
     if not m:
         raise ValueError(f"bad state {text!r}")
     addr, phi = m.groups()
-    if phi not in phis:
-        pairs = [part.split("=", 1) for part in phi.split(",")] if phi else []
-        phis[phi] = tuple(sorted([(placeholder(k), v) for k, v in pairs]))
-    return State("" if addr == "e" else addr, phis[phi])
+    return State("" if addr == "e" else addr, _pairs(phi))
+
+
+@lru_cache(maxsize=_PARSED)
+def _pairs(phi: str) -> tuple:
+    pairs = [part.split("=", 1) for part in phi.split(",")] if phi else []
+    return tuple(sorted([(placeholder(k), v) for k, v in pairs]))
+
+
+@lru_cache(maxsize=_PARSED)
+def _root_label(const: str) -> str:
+    return constant_from_canonical(const).root_label()
+
+
+class _Numbers(dict):
+    """State text -> number of the state it names, numbered as the states
+    first appear; only a text new to the file calls Python."""
+
+    def __init__(self):
+        self.states: dict[State, int] = {}
+
+    def __missing__(self, text):
+        n = self[text] = self.states.setdefault(_parse_state(text), len(self.states))
+        return n
 
 
 def write_automaton(a: TreeAutomaton, path, weights=None):
@@ -542,59 +565,57 @@ def write_automaton(a: TreeAutomaton, path, weights=None):
 
 
 def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
+    """The automaton of a file and its weights (None when no rule has one),
+    in one pass over its lines. A line ending in ")" and starting with
+    neither "#" nor "f" is a rule without weight and skips the checks for
+    other kinds of line. Each state text is numbered once per file and
+    parsed once per process, each leaf constant parsed once per process."""
     graph_id = ""
     sources: tuple[str, ...] = ()
     shape: dict[str, dict] = {}
     finals: list[State] = []
     links, labels, rule_lines = [], [], []  # (parent, *children) numbers, label, line by rule id
     weights: dict[int, float] = {}
-    # a state recurs as parent and child of many rules: each distinct text is
-    # parsed once and numbered as the state it names first appears
-    number, parsed, phis = {}, {}, {}  # State, text -> number; text in braces -> pairs
-
-    def state(text):
-        n = parsed.get(text)
-        if n is None:
-            n = parsed[text] = number.setdefault(_parse_state(text, phis), len(number))
-        return n
-
+    number = _Numbers()
     ln = 0
     try:
         with open_input(path) as fh:
             for ln, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                if line.startswith("#!"):
-                    _, key, rest = line.split(" ", 2)
-                    if key == "graph":
-                        graph_id = rest
-                    elif key == "sources":
-                        sources = tuple(rest.split())
-                    elif key == "shape":
-                        shape = json.loads(rest)
-                    continue
-                if line.startswith("#"):
-                    continue
-                if line.startswith("final:"):
-                    finals.append(_parse_state(line[len("final:"):], phis))
-                    continue
-                body = line
-                if " # " in line:
-                    cut = line.rfind(" # ")
-                    try:
-                        weights[len(links)] = float(line[cut + 3:])
-                        body = line[:cut]
-                    except ValueError:
-                        pass  # a label containing " # ", not a weight
-                head, rest = body.split(" <- ", 1)
-                parent = state(head)
+                if line[-1:] != ")" or line[0] in "#f":
+                    if not line.strip():
+                        continue
+                    if line.startswith("#!"):
+                        _, key, rest = line.split(" ", 2)
+                        if key == "graph":
+                            graph_id = rest
+                        elif key == "sources":
+                            sources = tuple(rest.split())
+                        elif key == "shape":
+                            shape = json.loads(rest)
+                        continue
+                    if line.startswith("#"):
+                        continue
+                    if line.startswith("final:"):
+                        finals.append(_parse_state(line[len("final:"):]))
+                        continue
+                    if " # " in line:
+                        cut = line.rfind(" # ")
+                        try:
+                            weights[len(links)] = float(line[cut + 3:])
+                            line = line[:cut]
+                        except ValueError:
+                            pass  # a label containing " # ", not a weight
+                head, rest = line.split(" <- ", 1)
+                parent = number[head]
                 if rest.endswith("()"):
                     label, link = rest[:-2], (parent,)
                 else:
                     open_idx = rest.index("(")
                     label = rest[:open_idx]
-                    link = (parent, *[state(p) for p in rest[open_idx + 1:-1].split(", ")])
+                    kids = rest[open_idx + 1:-1].split(", ")
+                    link = ((parent, number[kids[0]], number[kids[1]]) if len(kids) == 2
+                            else (parent, *[number[p] for p in kids]))
                     _kind, _name = label.split("_", 1)  # an operation's label is <kind>_<name>
                 links.append(link)
                 labels.append(label)
@@ -603,18 +624,18 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
     check(shape, SHAPE, f"{path}: shape")
     try:
-        aligns = _alignments(shape, {addr: constant_from_canonical(d["const"]).root_label()
+        aligns = _alignments(shape, {addr: _root_label(d["const"])
                                      for addr, d in shape.items() if d["kind"] == "leaf"})
     except _NOT_A_CONSTANT as exc:  # a bad constant, or no leaf below an address
         raise MalformedInput(f"{path}: shape does not fit the rules: {exc!r}") from exc
     kind = {addr: d["kind"] for addr, d in shape.items()}
-    states = list(number)
+    states = list(number.states)
+    addrs = [s.address for s in states]
     for link, ln in zip(links, rule_lines):
-        addr = states[link[0]].address
+        addr = addrs[link[0]]
         if len(link) > 1:
-            fits = (kind.get(addr) == "op" and len(link) == 3
-                    and states[link[1]].address == addr + "0"
-                    and states[link[2]].address == addr + "1")
+            fits = (kind.get(addr) == "op" and len(link) == 3 and addrs[link[1]] == addr + "0"
+                    and addrs[link[2]] == addr + "1")
         else:
             fits = kind.get(addr) == "leaf"
         if not fits:
@@ -623,6 +644,6 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                                  f"{kind.get(addr, 'missing')!r} entry there")
     a = TreeAutomaton.__new__(TreeAutomaton)
     a._index(graph_id, sources, finals, shape, states, links, labels, aligns,
-             [number[f] for f in finals if f in number])
+             [number.states[f] for f in finals if f in number.states])
     a.path = path
     return a, weights or None

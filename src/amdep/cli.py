@@ -12,6 +12,8 @@ such as verify does not pay for loading the training code.
 from __future__ import annotations
 
 import argparse
+import gc
+import json
 import logging
 import os
 import sys
@@ -19,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import AmdepError, EmptyAutomaton, NonEmptyRootType, first_ids
+from .errors import AmdepError, EmptyAutomaton, MalformedInput, NonEmptyRootType, first_ids
 from .files import write_json, write_manifest
 
 log = logging.getLogger("amdep.cli")
@@ -27,6 +29,8 @@ log = logging.getLogger("amdep.cli")
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARTIAL = 2
+# net container allocations between young collections while a command runs (700 by default)
+GC_THRESHOLD = 100_000
 
 
 def _load_blobs(path):
@@ -239,28 +243,40 @@ def _build_automata(args, trees=None):
 
 
 def _read_automata_dir(path):
-    from .automata import read_automaton
+    """The (id, automaton) list of the files path's index.json lists, and the
+    tree count of each. An automaton whose rule or state count, empty flag
+    or tree count is not the one its index entry records, as in a file that
+    lost or gained a line, raises MalformedInput naming the file and both
+    values; an entry without those keys is not checked against them."""
+    from .automata import count_trees, read_automaton
     from .files import INDEX, read_json
 
-    return [(item["id"], read_automaton(Path(path) / item["file"])[0])
-            for item in read_json(Path(path) / "index.json", INDEX)["automata"]]
+    index = Path(path) / "index.json"
+    automata, counts = [], []
+    for item in read_json(index, INDEX)["automata"]:
+        file = Path(path) / item["file"]
+        a = read_automaton(file)[0]
+        counts.append(count_trees(a))
+        found = {"rules": len(a.labels), "states": len(a.state_list), "empty": a.empty,
+                 "trees": str(counts[-1])}
+        for key, value in found.items():
+            if key in item and (type(item[key]), item[key]) != (type(value), value):
+                raise MalformedInput(f"{file}: {key} is {json.dumps(value)}, but {index} "
+                                     f"records {json.dumps(item[key])}")
+        automata.append((item["id"], a))
+    return automata, counts
 
 
 def cmd_count(args):
-    from .automata import count_trees
-
-    automata = _read_automata_dir(args.automata)
-    total = 0
-    for tid, a in automata:
-        c = count_trees(a)
-        total += c
+    automata, counts = _read_automata_dir(args.automata)
+    for (tid, _a), c in zip(automata, counts):
         print(f"{tid}\t{c}")
-    print(f"TOTAL\t{total}")
+    print(f"TOTAL\t{sum(counts)}")
     return EXIT_OK
 
 
 def cmd_train_em(args):
-    _train_em(args, _read_automata_dir(args.automata))
+    _train_em(args, _read_automata_dir(args.automata)[0])
     return EXIT_OK
 
 
@@ -287,7 +303,7 @@ def cmd_train_joint(args):
     from .graph import read_corpus
     from .training import JointConfig, joint_fit
 
-    automata = _read_automata_dir(args.automata)
+    automata = _read_automata_dir(args.automata)[0]
     if args.corpus:
         wanted = {gid for gid, _ in read_corpus(args.corpus)}
         automata = [(tid, a) for tid, a in automata if tid.split("#")[0] in wanted]
@@ -307,7 +323,7 @@ def cmd_viterbi(args):
     from .files import WEIGHTS, read_json
     from .training import weights_from_json
 
-    automata = _read_automata_dir(args.automata)
+    automata = _read_automata_dir(args.automata)[0]
     weights = weights_from_json(read_json(args.weights, WEIGHTS)) if args.weights else None
     return _viterbi(args, automata, weights)[0]
 
@@ -565,12 +581,32 @@ def main(argv=None):
         return EXIT_FAIL
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    # A command builds tuples and lists that hold no cycles, and the start-up
+    # heap lives as long as the process, so collecting either frees nothing:
+    # while the command runs, the start-up heap is frozen out of collection
+    # and young collections are rare. In-process callers get both back.
+    threshold, freeze = gc.get_threshold(), not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
+    gc.set_threshold(GC_THRESHOLD, *threshold[1:])
     try:
         return args.func(args)
     except AmdepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        gc.set_threshold(*threshold)
+        if freeze:
+            gc.unfreeze()
+
+
+def run():
+    """The amdep command: main() in a process that ends when it returns, so
+    its heap is left frozen and the collection at exit does not rescan it."""
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

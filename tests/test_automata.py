@@ -495,6 +495,90 @@ class TestSerialization:
         with pytest.raises(MalformedInput, match=re.escape(f"{path}, line {n + 1}: malformed: ")):
             read_automaton(path)
 
+    def test_accepted_syntax_reads_as_the_canonical_file(self, rel_decomp, tmp_path):
+        # comments, blank and whitespace-only lines, CRLF endings, a weight on
+        # one rule, padded states with unsorted pairs and a leaf label holding
+        # " # " all read as the file write_automaton gives
+        a = build_automaton(rel_decomp.tree, S3, graph_id="rel")
+        leaf = a.children.index(())
+        a.labels[leaf] = '{"nodes":{"r":"a # 1"}}'
+        canonical = tmp_path / "canonical.auto"
+        write_automaton(a, canonical)
+        lines = canonical.read_text().splitlines()
+
+        def padded(state):
+            addr, pairs = state.strip().split(":", 1)
+            return f"  {addr}:{{{','.join(reversed(pairs[1:-1].split(',')))}}} "
+
+        out = lines[:1] + ["# a comment", "#! note headers with other keys are ignored",
+                           "", "  \t "] + lines[1:3]
+        finals = [line for line in lines if line.startswith("final:")]
+        out += [f"final:{padded(line[len('final:'):])}" for line in finals]
+        for rid, line in enumerate(lines[3 + len(finals):]):
+            head, rest = line.split(" <- ", 1)
+            if not rest.endswith("()"):
+                label, kids = rest[:-1].split("(", 1)
+                rest = f"{label}({', '.join(padded(k) for k in kids.split(', '))})"
+            out.append(f"{padded(head)} <- {rest}")
+            if rid == leaf:
+                out[-1] += " # 0.5"
+                out.append("# 0:{} <- not a rule()")
+        variant = tmp_path / "variant.auto"
+        variant.write_bytes(("\r\n".join(out) + "\r\n").encode())
+        fields = ("graph_id", "sources", "shape", "finals", "labels", "aligns", "state_list",
+                  "parents", "children", "state_rules", "accept")
+        (a1, w1), (a2, w2) = read_automaton(canonical), read_automaton(variant)
+        assert [getattr(a2, f) for f in fields] == [getattr(a1, f) for f in fields] \
+            == [getattr(a, f) for f in fields]
+        assert w1 is None and w2 == {leaf: 0.5}
+
+    # each line, appended to a valid file, and the text of the error it raises
+    MALFORMED = {
+        "garbage": "not enough values to unpack (expected 2, got 1)",
+        "#!": "not enough values to unpack (expected 3, got 1)",
+        "#! graph": "not enough values to unpack (expected 3, got 2)",
+        "#! shape {": "Expecting property name enclosed in double quotes: line 1 column 2 "
+                      "(char 1)",
+        "final: e:[]": "bad state ' e:[]'",
+        "final: e:{f}": "not enough values to unpack (expected 2, got 1)",
+        "e:[] <- x()": "bad state 'e:[]'",
+        "  # a comment after spaces <- x()": "bad state '  # a comment after spaces'",
+        "final: e:{} <- x()": "bad state ' e:{} <- x()'",
+        "e:{} <- MOD_s1": "substring not found",
+        "e:{} <- MODs1(0:{}, 1:{f=s1,g=s2})": "not enough values to unpack (expected 2, got 1)",
+        "e:{} <- MOD_s1(0:{}, 1:{f=s1,g=s2}) ": "bad state '1:{f=s1,g=s2})'",
+        "e:{} <- MOD_s1(0:{}, bogus) # 0.5": "bad state 'bogus'",
+        "e:{} <- x() # not a weight": "bad state ') # not a weigh'",
+        "e:{f} <- x()": "not enough values to unpack (expected 2, got 1)",
+    }
+
+    @pytest.mark.parametrize("line", MALFORMED)
+    def test_malformed_line_error_texts(self, rel_decomp, tmp_path, line):
+        path = tmp_path / "m.auto"
+        write_automaton(build_automaton(rel_decomp.tree, S3), path)
+        n = len(path.read_text().splitlines()) + 1
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(MalformedInput) as err:
+            read_automaton(path)
+        assert str(err.value) == f"{path}, line {n}: malformed: {self.MALFORMED[line]}"
+
+    def test_undecodable_bytes_name_the_line_reading_stopped_at(self, rel_decomp, tmp_path):
+        # the line reading line by line had reached when it met bytes past its
+        # first buffer that are not UTF-8
+        path = tmp_path / "u.auto"
+        write_automaton(build_automaton(rel_decomp.tree, S3), path)
+        path.write_bytes(path.read_bytes() + b"# a comment\n" * 3000 + b"\xff\n")
+        ln = 0
+        with pytest.raises(UnicodeDecodeError) as want:
+            with open(path, encoding="utf-8") as fh:
+                for ln, _line in enumerate(fh, 1):
+                    pass
+        assert ln > 0
+        with pytest.raises(MalformedInput) as err:
+            read_automaton(path)
+        assert str(err.value) == f"{path}, line {ln}: malformed: {want.value}"
+
     def test_events_survive(self, rel_decomp, tmp_path):
         a = build_automaton(rel_decomp.tree, S3)
         path = tmp_path / "e.auto"

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import logging
 import os
@@ -7,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from amdep.algebra import AMDepTree, AMType, constant, write_trees
 from amdep.cli import main
@@ -781,3 +785,133 @@ def test_duplicate_node_id_exits_1(tmp_path, capsys):
                "--out", tmp_path / "t.json", "--report", tmp_path / "s.json") == 1
     assert one_error_line(capsys) == (
         f"error: {tmp_path / 'g.json'}: item 'dup': duplicate node id")
+
+
+def _without_line(path, n, copies=0):
+    """path with its line n (from 0) written copies times instead of once."""
+    lines = path.read_text().splitlines(True)
+    n %= len(lines)
+    path.write_text("".join(lines[:n] + lines[n:n + 1] * copies + lines[n + 1:]))
+
+
+def _index_entries(auto):
+    return json.loads((auto / "index.json").read_text())["automata"]
+
+
+def test_automaton_that_lost_its_last_line_exits_1_naming_both_counts(workspace, tmp_path,
+                                                                       capsys):
+    auto = _automata_copy(workspace, tmp_path)
+    entry = next(e for e in _index_entries(auto) if not e["empty"])
+    _without_line(auto / entry["file"], -1)
+    assert run("count", "--automata", auto) == 1
+    assert one_error_line(capsys) == (
+        f"error: {auto / entry['file']}: rules is {entry['rules'] - 1}, "
+        f"but {auto / 'index.json'} records {entry['rules']}")
+
+
+def test_index_without_counts_still_loads(workspace, tmp_path, capsys):
+    auto = _automata_copy(workspace, tmp_path)
+    assert run("count", "--automata", auto) == 0
+    counted = capsys.readouterr().out
+    entries = [{"id": e["id"], "file": e["file"]} for e in _index_entries(auto)]
+    (auto / "index.json").write_text(json.dumps({"automata": entries}))
+    assert run("count", "--automata", auto) == 0
+    assert capsys.readouterr().out == counted
+
+
+@pytest.mark.parametrize("key, value", [("states", 0), ("empty", None), ("trees", "0"),
+                                        ("rules", True)])
+def test_index_entry_that_disagrees_exits_1(workspace, tmp_path, capsys, key, value):
+    auto = _automata_copy(workspace, tmp_path)
+    index = json.loads((auto / "index.json").read_text())
+    entry = next(e for e in index["automata"] if not e["empty"])
+    entry[key] = not entry["empty"] if value is None else value
+    (auto / "index.json").write_text(json.dumps(index))
+    assert run("train-em", "--automata", auto, "--iters", 1, "--out", tmp_path / "t.json") == 1
+    line = one_error_line(capsys)
+    assert str(auto / entry["file"]) in line and f"records {json.dumps(entry[key])}" in line
+
+
+@pytest.fixture(scope="module")
+def intact_outputs(workspace, tmp_path_factory):
+    """What count, train-em and viterbi give on the workspace's automata."""
+    outputs = _line_commands(workspace, workspace / "run/automata",
+                             tmp_path_factory.mktemp("intact"))
+    assert {code for code, _output in outputs.values()} == {0}
+    return outputs
+
+
+def _line_commands(workspace, auto, out):
+    """Exit code and output of count, train-em and viterbi on auto: stdout
+    for count, the written file for the others."""
+    results = {}
+    for name, argv, written in (
+            ("count", ["count", "--automata", auto], None),
+            ("train-em", ["train-em", "--automata", auto, "--iters", 2, "--out",
+                          out / "theta.json"], out / "theta.json"),
+            ("viterbi", ["viterbi", "--automata", auto, "--weights",
+                         workspace / "run/theta.json", "--out", out / "best.json"],
+             out / "best.json")):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(*argv)
+        err = stderr.getvalue().splitlines()
+        if code == 1:
+            assert len(err) == 1 and err[0].startswith("error: "), (name, err)
+            results[name] = 1, None
+        else:
+            results[name] = code, stdout.getvalue() if written is None else written.read_bytes()
+    return results
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_automaton_with_a_line_lost_or_doubled(workspace, intact_outputs, tmp_path_factory,
+                                               data):
+    # as an interrupted write or a stray edit leaves a file: each command
+    # exits 1 with one error line, or gives what the intact file gives
+    work = tmp_path_factory.mktemp("lines")
+    auto = _automata_copy(workspace, work)
+    entry = data.draw(st.sampled_from(_index_entries(auto)))
+    nlines = len((auto / entry["file"]).read_text().splitlines())
+    _without_line(auto / entry["file"], data.draw(st.integers(0, nlines - 1)),
+                  data.draw(st.sampled_from([0, 2])))
+    for name, (code, output) in _line_commands(workspace, auto, work).items():
+        assert code == 1 or (code, output) == intact_outputs[name], name
+
+
+@pytest.mark.parametrize("caller", ["default", "collector off, custom threshold, heap frozen"])
+@pytest.mark.parametrize("fails", [False, True])
+def test_main_restores_gc_state(workspace, tmp_path, caller, fails):
+    saved = gc.isenabled(), gc.get_threshold()
+    if caller != "default":
+        gc.disable()
+        gc.set_threshold(500, 5, 5)
+        gc.freeze()
+    try:
+        before = gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+        auto = tmp_path / "missing" if fails else workspace / "run/automata"
+        assert run("count", "--automata", auto) == (1 if fails else 0)
+        assert (gc.isenabled(), gc.get_threshold()) == before[:2]
+        # a frozen object that dies leaves the count: the caller's frozen heap
+        # is neither thawed nor added to
+        frozen = gc.get_freeze_count()
+        assert frozen == before[2] if caller == "default" else 0 < frozen <= before[2]
+    finally:
+        if caller != "default":
+            gc.unfreeze()
+        gc.set_threshold(*saved[1])
+        (gc.enable if saved[0] else gc.disable)()
+
+
+def test_run_leaves_the_ending_process_frozen(workspace):
+    # run() is the command's process entry: main(), then its heap frozen
+    code = ("import gc, sys; from amdep.cli import run; "
+            "sys.argv[1:] = ['count', '--automata', sys.argv[1]]; "
+            "print(run(), gc.get_freeze_count() > 0)")
+    proc = fresh("-c", code, workspace / "run/automata")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True"
+    assert proc.stdout.splitlines()[:-1] == fresh(
+        "-m", "amdep.cli", "count", "--automata", workspace / "run/automata").stdout.splitlines()

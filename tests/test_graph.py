@@ -309,6 +309,19 @@ class TestIsomorphism:
         g3 = SemanticGraph({**g2.nodes, "d": "Q"}, g1.edges, "r")
         assert not is_isomorphic(g1, g3)
 
+    def test_children_alike_down_to_their_grandchildren_are_undone(self):
+        # a and b share a signature, and so do c and d below them: only the
+        # labels of the grandchildren tell them apart, so g2's a, tried first
+        # for g1's a, is undone once the search below it runs out
+        edges = [("r", "a", "e"), ("r", "b", "e"), ("a", "c", "f"), ("b", "d", "f"),
+                 ("c", "x", "g"), ("d", "y", "g")]
+        g1 = SemanticGraph({"r": "R", "a": "X", "b": "X", "c": "C", "d": "C", "x": "P",
+                            "y": "Q"}, edges, "r")
+        g2 = SemanticGraph({**g1.nodes, "x": "Q", "y": "P"}, edges, "r")
+        found, undone = _match_undos(g1, g2)
+        assert found and undone > 0
+        assert _match_undos(g1, g1) == (True, 0)
+
     def test_reentrancy_shape_distinguished(self):
         shared = SemanticGraph({"a": "A", "b": "B", "c": "B", "d": "D"},
                                [("a", "b", "x"), ("a", "c", "y"),
@@ -341,3 +354,33 @@ class TestIsomorphism:
         normalized = SemanticGraph({"f": "fairy", "t": "tiny"}, [("t", "f", "mod-of")], "f")
         assert not is_isomorphic(amr, normalized)
         assert is_isomorphic_mod_of(amr, normalized)
+
+
+def _match_undos(g1, g2):
+    """is_isomorphic(g1, g2), and how many times the search undid a match
+    on the way, counted by tracing _match's undo line."""
+    import inspect
+    import sys
+
+    from amdep import graph
+
+    code = graph._match.__code__
+    lines, first = inspect.getsourcelines(graph._match)
+    undo = first + next(i for i, line in enumerate(lines)
+                        if "used.discard(mapping.pop(n))" in line)
+    undone = 0
+
+    def trace(frame, event, _arg):
+        nonlocal undone
+        if frame.f_code is not code:
+            return None
+        undone += event == "line" and frame.f_lineno == undo
+        return trace
+
+    saved = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        found = is_isomorphic(g1, g2)
+    finally:
+        sys.settrace(saved)
+    return found, undone
