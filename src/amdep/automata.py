@@ -10,11 +10,10 @@ holds each state at an address as the tuple of its names for the placeholders
 of the address's leftmost leaf, numbered by their sorted order there; it
 renders a leaf's labels from one layout of its constant, joins an operation's
 children on their shared placeholders and prunes by flags on the numbers.
-``read_automaton`` reads a file in one pass over its lines and looks each
-state text up inline; it parses each distinct state text and leaf constant
-once per process, as the files of a corpus share most of them. Both number the
-states in the order their rules first name them and share one index
-builder; ``Rule`` records are made only when ``rules`` is read.
+``read_automaton`` parses each distinct state text and leaf constant once
+per process, as a corpus's files share most of them. Both number the states
+in the order their rules first name them and share one index builder;
+``Rule`` records are made only when ``rules`` is read.
 """
 
 from __future__ import annotations
@@ -537,8 +536,7 @@ def _root_label(const: str) -> str:
 
 
 class _Numbers(dict):
-    """State text -> number of the state it names, numbered as the states
-    first appear; only a text new to the file calls Python."""
+    """State text -> number of its state by first appearance in a file."""
 
     def __init__(self):
         self.states: dict[State, int] = {}
@@ -566,10 +564,8 @@ def write_automaton(a: TreeAutomaton, path, weights=None):
 
 def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     """The automaton of a file and its weights (None when no rule has one),
-    in one pass over its lines. A line ending in ")" and starting with
-    neither "#" nor "f" is a rule without weight and skips the checks for
-    other kinds of line. Each state text is numbered once per file and
-    parsed once per process, each leaf constant parsed once per process."""
+    in one pass over its lines; a line ending in ")" and starting with neither
+    "#" nor "f" is a rule without weight and skips the other lines' checks."""
     graph_id = ""
     sources: tuple[str, ...] = ()
     shape: dict[str, dict] = {}
@@ -613,9 +609,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                 else:
                     open_idx = rest.index("(")
                     label = rest[:open_idx]
-                    kids = rest[open_idx + 1:-1].split(", ")
-                    link = ((parent, number[kids[0]], number[kids[1]]) if len(kids) == 2
-                            else (parent, *[number[p] for p in kids]))
+                    link = (parent, *[number[p] for p in rest[open_idx + 1:-1].split(", ")])
                     _kind, _name = label.split("_", 1)  # an operation's label is <kind>_<name>
                 links.append(link)
                 labels.append(label)

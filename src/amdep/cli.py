@@ -227,9 +227,7 @@ def _build_automata(args, trees=None):
     for (tid, a), fname in zip(results, _automaton_files([tid for tid, _a in results])):
         write_automaton(a, outdir / fname)
         outputs.append(outdir / fname)
-        index.append({"id": tid, "file": fname, "rules": len(a.labels),
-                      "states": len(a.state_list), "empty": a.empty,
-                      "trees": str(count_trees(a))})
+        index.append({"id": tid, "file": fname, **_entry_counts(a, count_trees(a))})
     write_json({"sources": list(sources), "automata": index}, outdir / "index.json")
     empty = [tid for tid, a in results if a.empty]
     if empty:
@@ -242,23 +240,36 @@ def _build_automata(args, trees=None):
     return (EXIT_PARTIAL if empty else EXIT_OK), results
 
 
-def _read_automata_dir(path):
-    """The (id, automaton) list of the files path's index.json lists, and the
-    tree count of each. An automaton whose rule or state count, empty flag
-    or tree count is not the one its index entry records, as in a file that
-    lost or gained a line, raises MalformedInput naming the file and both
-    values; an entry without those keys is not checked against them."""
+def _entry_counts(a, trees=None):
+    """The fields of an index.json entry that describe automaton a, which
+    build-automata writes and loading checks; trees is a's tree count, and
+    without it the entry's "trees" field is left out."""
+    fields = {"rules": len(a.labels), "states": len(a.state_list), "empty": a.empty}
+    if trees is not None:
+        fields["trees"] = str(trees)
+    return fields
+
+
+def _read_automata_dir(path, counted=False):
+    """The (id, automaton) list of the files path's index.json lists and,
+    when counted, the list of their tree counts (else None). An automaton
+    whose rule or state count, empty flag or tree count is not the one its
+    index entry records, as in a file that lost or gained a line, raises
+    MalformedInput naming the file and both values; an entry without those
+    keys is not checked against them."""
     from .automata import count_trees, read_automaton
     from .files import INDEX, read_json
 
     index = Path(path) / "index.json"
-    automata, counts = [], []
+    automata = []
+    counts = [] if counted else None
     for item in read_json(index, INDEX)["automata"]:
         file = Path(path) / item["file"]
         a = read_automaton(file)[0]
-        counts.append(count_trees(a))
-        found = {"rules": len(a.labels), "states": len(a.state_list), "empty": a.empty,
-                 "trees": str(counts[-1])}
+        trees = count_trees(a) if counted or "trees" in item else None
+        if counted:
+            counts.append(trees)
+        found = _entry_counts(a, trees if "trees" in item else None)
         for key, value in found.items():
             if key in item and (type(item[key]), item[key]) != (type(value), value):
                 raise MalformedInput(f"{file}: {key} is {json.dumps(value)}, but {index} "
@@ -268,7 +279,7 @@ def _read_automata_dir(path):
 
 
 def cmd_count(args):
-    automata, counts = _read_automata_dir(args.automata)
+    automata, counts = _read_automata_dir(args.automata, counted=True)
     for (tid, _a), c in zip(automata, counts):
         print(f"{tid}\t{c}")
     print(f"TOTAL\t{sum(counts)}")

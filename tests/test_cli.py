@@ -819,6 +819,25 @@ def test_index_without_counts_still_loads(workspace, tmp_path, capsys):
     assert capsys.readouterr().out == counted
 
 
+def test_index_without_tree_counts_is_loaded_without_counting(workspace, tmp_path,
+                                                              monkeypatch):
+    # only count needs the tree counts when the index records none to check
+    auto = _automata_copy(workspace, tmp_path)
+    index = json.loads((auto / "index.json").read_text())
+    for entry in index["automata"]:
+        del entry["trees"]
+    (auto / "index.json").write_text(json.dumps(index))
+    want = (workspace / "run/theta.json").read_bytes()
+
+    def uncounted(a):
+        raise AssertionError("counted the trees of an automaton")
+
+    monkeypatch.setattr("amdep.automata.count_trees", uncounted)
+    assert run("train-em", "--automata", auto, "--iters", 5, "--seed", 1,
+               "--out", tmp_path / "t.json") == 0
+    assert (tmp_path / "t.json").read_bytes() == want
+
+
 @pytest.mark.parametrize("key, value", [("states", 0), ("empty", None), ("trees", "0"),
                                         ("rules", True)])
 def test_index_entry_that_disagrees_exits_1(workspace, tmp_path, capsys, key, value):
