@@ -37,7 +37,7 @@ from .algebra import (
     placeholder_target,
 )
 from .errors import AmdepError, MalformedInput, UnsupportedName
-from .files import SHAPE, check, open_input
+from .files import _CHUNK, SHAPE, check, open_input
 
 log = logging.getLogger("amdep.automata")
 
@@ -548,18 +548,34 @@ class _Numbers(dict):
 
 def write_automaton(a: TreeAutomaton, path, weights=None):
     """Line-oriented text: header comments, final states, then one rule per
-    line `<state> <- <label>(<children>) [# weight]`."""
+    line `<state> <- <label>(<children>) [# weight]`. The text reaches the
+    file in chunks of _CHUNK lines, never whole."""
     lines = [f"#! graph {a.graph_id}", f"#! sources {' '.join(a.sources)}",
              f"#! shape {json.dumps(a.shape, sort_keys=True, separators=(',', ':'))}"]
     text = [str(s) for s in a.state_list]  # a state recurs in many rules
     lines += [f"final: {f}" for f in a.finals]
-    for rid, (label, q, kids) in enumerate(zip(a.labels, a.parents, a.children)):
-        line = f"{text[q]} <- {label}({', '.join([text[k] for k in kids])})"
-        if weights is not None:
-            line += f" # {weights[rid]!r}"
-        lines.append(line)
     with open(path, "w", encoding="utf-8") as fh:
+        for rid, (label, q, kids) in enumerate(zip(a.labels, a.parents, a.children)):
+            if len(lines) >= _CHUNK:  # flushed before a line is added, so never left empty
+                fh.write("\n".join(lines) + "\n")
+                lines.clear()
+            line = f"{text[q]} <- {label}({', '.join([text[k] for k in kids])})"
+            if weights is not None:
+                line += f" # {weights[rid]!r}"
+            lines.append(line)
         fh.write("\n".join(lines) + "\n")
+
+
+def _first_undecodable(path):
+    """The number of the first line of path that is not UTF-8, counting
+    lines as text reading does (a line ends at LF, CRLF or CR), and its
+    UnicodeDecodeError, whose position is within that line."""
+    with open(path, "rb") as fh:  # split at LF, then at CR: a CRLF is never cut in two
+        for ln, line in enumerate((line for raw in fh for line in raw.splitlines()), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ln, exc
 
 
 def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
@@ -615,6 +631,8 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                 labels.append(label)
                 rule_lines.append(ln)
     except (ValueError, RecursionError) as exc:  # RecursionError: a deeply nested shape
+        if isinstance(exc, UnicodeDecodeError):  # ln and its position are the read buffer's
+            ln, exc = _first_undecodable(path)
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
     check(shape, SHAPE, f"{path}: shape")
     try:

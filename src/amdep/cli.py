@@ -592,28 +592,21 @@ def main(argv=None):
         return EXIT_FAIL
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    # A command builds tuples and lists that hold no cycles, and the start-up
-    # heap lives as long as the process, so collecting either frees nothing:
-    # while the command runs, the start-up heap is frozen out of collection
-    # and young collections are rare. In-process callers get both back.
-    threshold, freeze = gc.get_threshold(), not gc.get_freeze_count()
-    if freeze:
-        gc.freeze()
-    gc.set_threshold(GC_THRESHOLD, *threshold[1:])
     try:
         return args.func(args)
     except AmdepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    finally:
-        gc.set_threshold(*threshold)
-        if freeze:
-            gc.unfreeze()
 
 
 def run():
-    """The amdep command: main() in a process that ends when it returns, so
-    its heap is left frozen and the collection at exit does not rescan it."""
+    """The amdep command: main() in a process that ends when it returns. A
+    command builds tuples and lists that hold no cycles, and the start-up
+    heap lives as long as the process, so collecting either frees nothing:
+    before main() that heap is frozen and young collections are made rare,
+    and after it the heap is frozen again, so the exit does not rescan it."""
+    gc.freeze()
+    gc.set_threshold(GC_THRESHOLD, *gc.get_threshold()[1:])
     code = main()
     gc.freeze()
     return code

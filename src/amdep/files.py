@@ -130,7 +130,11 @@ def _render(o, nl, out, write):
 def sha256(path):
     import hashlib  # loads OpenSSL: only commands that write a manifest need it
 
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_manifest(path, command, config, inputs, outputs, counts):

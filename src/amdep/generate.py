@@ -34,13 +34,6 @@ class GeneratorConfig:
         self.mod_prob = mod_prob
         self.labels = labels
 
-    def __eq__(self, other):
-        if not isinstance(other, GeneratorConfig):
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in GeneratorConfig.__slots__)
-
-    __hash__ = None
-
 
 class _Builder:
     def __init__(self, cfg: GeneratorConfig, rng: random.Random):

@@ -257,14 +257,6 @@ class EventTable:
         self.meta = {} if meta is None else meta
         self.default = default
 
-    def __eq__(self, other):
-        if not isinstance(other, EventTable):
-            return NotImplemented
-        return (self.theta, self.groups, self.meta, self.default) == \
-            (other.theta, other.groups, other.meta, other.default)
-
-    __hash__ = None
-
     def rule_weights(self, a: TreeAutomaton) -> list[float]:
         """The weight of each rule of a, by rule id."""
         return [self.theta.get(k, self.default) for k in a.event_keys]
@@ -411,13 +403,6 @@ class Scorer:
     def __init__(self, params: dict[str, float] | None = None, meta: dict | None = None):
         self.params = {} if params is None else params
         self.meta = {} if meta is None else meta
-
-    def __eq__(self, other):
-        if not isinstance(other, Scorer):
-            return NotImplemented
-        return (self.params, self.meta) == (other.params, other.meta)
-
-    __hash__ = None
 
     @staticmethod
     def feature_key(rule) -> str:

@@ -1,6 +1,7 @@
 import logging
 import random
 import re
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -17,6 +18,7 @@ from amdep.algebra import (
     is_placeholder,
     placeholder_target,
 )
+from amdep import automata
 from amdep.automata import (
     Rule,
     State,
@@ -31,7 +33,7 @@ from amdep.automata import (
     write_automaton,
 )
 from amdep.decompose import Decomposition, decompose
-from amdep.errors import MalformedInput
+from amdep.errors import MalformedInput, UnsupportedName
 from amdep.generate import GeneratorConfig, gen_corpus, gen_random_tree
 from amdep.graph import SemanticGraph, is_isomorphic, is_isomorphic_mod_of
 
@@ -576,6 +578,33 @@ class TestSerialization:
                             r"codec can't decode byte 0xff in position [0-9]+: invalid start "
                             r"byte", str(err.value))
 
+    def test_undecodable_bytes_name_their_line(self, rel_decomp, tmp_path):
+        # the error names the line that holds the bad byte, counting lines as
+        # text reading does (a CR ends one too), and the byte's position in it
+        path = tmp_path / "u.auto"
+        write_automaton(build_automaton(rel_decomp.tree, S3), path)
+        n = len(path.read_text().splitlines())
+        path.write_bytes(path.read_bytes() + b"# a comment\n" * 3000 + b"# cr\r# crlf\r\n"
+                         + b"# bad \xff\n")
+        with pytest.raises(MalformedInput) as err:
+            read_automaton(path)
+        assert str(err.value) == (f"{path}, line {n + 3003}: malformed: 'utf-8' codec can't "
+                                  "decode byte 0xff in position 6: invalid start byte")
+
+    def test_chunked_writes_keep_the_bytes(self, rel_decomp, tmp_path, monkeypatch):
+        # the text reaches the file in chunks of _CHUNK lines: with any chunk
+        # size, the line count and its divisors among them, the bytes are those
+        # of one write
+        a = build_automaton(rel_decomp.tree, S3)
+        for weights in (None, [0.5 + k for k in range(len(a.labels))]):
+            write_automaton(a, tmp_path / "whole.auto", weights)
+            whole = (tmp_path / "whole.auto").read_bytes()
+            for chunk in range(1, whole.count(b"\n") + 2):
+                monkeypatch.setattr(automata, "_CHUNK", chunk)
+                write_automaton(a, tmp_path / "c.auto", weights)
+                assert (tmp_path / "c.auto").read_bytes() == whole, chunk
+            monkeypatch.undo()
+
     def test_events_survive(self, rel_decomp, tmp_path):
         a = build_automaton(rel_decomp.tree, S3)
         path = tmp_path / "e.auto"
@@ -698,3 +727,26 @@ def test_accepted_set_equals_evaluating_brute_force(heuristics):
         assert auto == {key_of(t) for t in brute}
         assert count_trees(a) == len(brute)
         checked += 1
+
+
+def test_writing_a_large_automaton_traces_less_than_its_file(heuristics, tmp_path):
+    # the decomposition of g0018 of the seed-0 corpus at 6 sources has
+    # 33,683 rules, a 3.8 MB file; its text reaches the file in chunks
+    _gid, g, _tree = gen_corpus(19, 0, GeneratorConfig(max_nodes=12))[18]
+    a = build_automaton(decompose(g, heuristics).tree, ("s1", "s2", "s3", "s4", "s5", "s6"))
+    assert len(a.labels) == 33_683
+    path = tmp_path / "g0018.auto"
+    tracemalloc.start()
+    try:
+        write_automaton(a, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
+@pytest.mark.parametrize("ch", "(){}=,:# ")
+def test_source_name_with_a_reserved_character_is_unsupported(rel_decomp, ch):
+    with pytest.raises(UnsupportedName) as err:
+        build_automaton(rel_decomp.tree, ("s1", f"s{ch}2", "s3"))
+    assert str(err.value) == f"source name containing {ch!r} unsupported"

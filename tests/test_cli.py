@@ -536,6 +536,24 @@ class TestStatsAndPipeline:
         assert manifest["command"] == "pipeline"
 
 
+def test_train_joint_corpus_keeps_the_automata_of_its_graphs(workspace, tmp_path):
+    # --corpus holding half of the graph ids: only their automata are trained on
+    half = json.loads((workspace / "graphs.json").read_text())[::2]
+    (tmp_path / "half.json").write_text(json.dumps(half))
+    assert run("train-joint", "--automata", workspace / "run/automata", "--corpus",
+               tmp_path / "half.json", "--epochs", 1, "--out", tmp_path / "s.json") == 0
+    index = json.loads((workspace / "run/automata/index.json").read_text())["automata"]
+    kept = sum(e["id"].split("#")[0] in {g["id"] for g in half} for e in index)
+    assert 0 < kept < len(index)
+    manifest = json.loads((tmp_path / "s.json.manifest.json").read_text())
+    assert manifest["counts"]["instances"] == kept
+
+
+def test_stats_on_no_trees(tmp_path, capsys):
+    (tmp_path / "none.json").write_text("[]")
+    assert run("stats", "--trees", tmp_path / "none.json") == 0
+    assert capsys.readouterr().out == "constant entropy: n/a (no trees)\n"
+
 def test_import_does_not_load_process_pool():
     """Only --jobs > 1 needs worker processes; importing the CLI must not pay
     for concurrent.futures.process and multiprocessing."""

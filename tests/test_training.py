@@ -131,6 +131,28 @@ class TestInside:
             assert res.alpha(r.rid) == pytest.approx(base.alpha(r.rid), rel=1e-12)
 
 
+    def test_rule_order_invariance_through_the_constructor(self, rel_automaton, heuristics):
+        # the records constructor numbers states and links from the records
+        # it is given: permuting them renumbers the rules and must change no
+        # log total, no outer weight and no Viterbi run, told apart by its text
+        from amdep.automata import TreeAutomaton
+
+        rng = random.Random(9)
+        for a in [rel_automaton] + random_instances(heuristics, 8, start=16_000):
+            perm = list(range(len(a.rules)))
+            rng.shuffle(perm)
+            b = TreeAutomaton(a.graph_id, a.sources,
+                              [a.rules[i]._replace(rid=k) for k, i in enumerate(perm)],
+                              a.finals, a.shape)
+            wa = {r.rid: rng.uniform(0.1, 1.0) for r in a.rules}
+            wb = {k: wa[i] for k, i in enumerate(perm)}
+            base, res = outer_weights(a, wa), outer_weights(b, wb)
+            assert res.log_total == pytest.approx(base.log_total, abs=1e-12)
+            for k, i in enumerate(perm):
+                assert res.alpha(k) == pytest.approx(base.alpha(i), rel=1e-9)
+            assert [str(b.rules[k]) for k in viterbi(b, wb).rule_ids()] \
+                == [str(a.rules[i]) for i in viterbi(a, wa).rule_ids()]
+
 @given(g=small_graphs(), seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_rule_order_invariance_on_permuted_file(heuristics, tmp_path_factory, g, seed):
