@@ -183,8 +183,6 @@ class SGraph:
         return (self.graph, self.root, self.sources, self.typ) == \
             (other.graph, other.root, other.sources, other.typ)
 
-    __hash__ = None
-
     def with_type(self, typ: AMType) -> "SGraph":
         return SGraph(self.graph, self.root, dict(self.sources), typ)
 
@@ -674,11 +672,11 @@ def evaluate(tree: AMDepTree) -> SemanticGraph:
     return cells.graph(value)
 
 
-def admissible_orders(tree: AMDepTree, node, types, max_children=8):
+def admissible_orders(tree: AMDepTree, node, types):
     """All admissible child consumption orders at one node (for testing the
     order-invariance property). types maps node -> term type."""
     kids = tree.children(node)
-    if len(kids) > max_children:
+    if len(kids) > 8:
         raise ValueError("too many children to enumerate")
 
     def rec(head_type, remaining):

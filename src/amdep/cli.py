@@ -15,6 +15,7 @@ import argparse
 import gc
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -31,6 +32,20 @@ EXIT_FAIL = 1
 EXIT_PARTIAL = 2
 # net container allocations between young collections while a command runs (700 by default)
 GC_THRESHOLD = 100_000
+# The least value of each numeric flag that has one, and why a smaller one
+# is refused; main() checks these, and that every float flag is finite,
+# before the command runs, so a refused value writes no file.
+LEAST = {
+    "n": (0, "the number of graphs cannot be negative"),
+    "max_nodes": (1, "a graph needs at least one node"),
+    "sources": (0, "the number of source names cannot be negative"),
+    "iters": (0, "the number of iterations cannot be negative"),
+    "epochs": (0, "the number of epochs cannot be negative"),
+    "batch": (0, "the batch size cannot be negative"),
+    "jobs": (0, "the number of worker processes cannot be negative"),
+    "top": (0, "the number of constants shown cannot be negative"),
+    "smoothing": (0, "smoothing cannot be negative"),
+}
 
 
 def _load_blobs(path):
@@ -52,13 +67,15 @@ class _Records(logging.Handler):
 
 
 def _call_logged(fn, payload):
-    """fn(payload) and the log records it emitted, which are kept instead of
-    written."""
+    """fn(payload), or None and the message of the AmdepError it raised, and
+    the log records it emitted, which are kept instead of written."""
     root = logging.getLogger()
     handler = _Records()
     saved, root.handlers = root.handlers, [handler]
     try:
-        return fn(payload), handler.records
+        return fn(payload), None, handler.records
+    except AmdepError as exc:
+        return None, str(exc), handler.records
     finally:
         root.handlers = saved
 
@@ -66,8 +83,9 @@ def _call_logged(fn, payload):
 def _map(fn, payloads, jobs):
     """[fn(p) for p in payloads], in a pool of jobs worker processes when
     jobs > 1; the pool is imported only then, so the CLI starts without it.
-    Workers send their log records back with their results, and they are
-    written in input order, so stderr does not depend on jobs."""
+    Workers send their log records and AmdepError messages back with their
+    results, and they are written and raised in input order, so stderr does
+    not depend on jobs."""
     if jobs <= 1:
         return [fn(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor
@@ -75,9 +93,11 @@ def _map(fn, payloads, jobs):
 
     results = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for result, records in pool.map(partial(_call_logged, fn), payloads):
+        for result, error, records in pool.map(partial(_call_logged, fn), payloads):
             for record in records:
                 logging.getLogger(record.name).handle(record)
+            if error is not None:
+                raise AmdepError(error)
             results.append(result)
     return results
 
@@ -91,12 +111,6 @@ def cmd_gen(args):
     from .generate import GeneratorConfig, gen_corpus
     from .graph import write_corpus
 
-    for flag, value, least, why in (
-            ("n", args.n, 0, "the number of graphs cannot be negative"),
-            ("max-nodes", args.max_nodes, 1, "a graph needs at least one node"),
-            ("sources", args.sources, 1, "gen needs at least one source name")):
-        if value < least:
-            raise AmdepError(f"--{flag} {value}: {why}")
     cfg = GeneratorConfig(max_nodes=args.max_nodes, sources=_source_names(args.sources),
                           max_sources_per_constant=min(3, args.sources))
     t0 = time.time()
@@ -171,16 +185,18 @@ def _decompose(args):
 
 def _source_names(k):
     """The reusable source names s1..sk of --sources k."""
-    if k < 0:
-        raise AmdepError(f"--sources {k}: the number of source names cannot be negative")
     return tuple(f"s{i + 1}" for i in range(k))
 
 
 def _build_one(payload):
     from .automata import build_automaton
+    from .errors import NotWellTyped
 
-    tid, tree, sources = payload
-    return tid, build_automaton(tree, sources, graph_id=tid)
+    tid, tree, sources, path = payload
+    try:
+        return tid, build_automaton(tree, sources, graph_id=tid)
+    except NotWellTyped as exc:
+        raise AmdepError(f"{path}: item {tid!r}: {exc}") from exc
 
 
 def _automaton_files(ids):
@@ -221,7 +237,7 @@ def _build_automata(args, trees=None):
         trees = read_trees(args.trees)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = _map(_build_one, [(tid, t, sources) for tid, t in trees], args.jobs)
+    results = _map(_build_one, [(tid, t, sources, args.trees) for tid, t in trees], args.jobs)
     index = []
     outputs = []
     for (tid, a), fname in zip(results, _automaton_files([tid for tid, _a in results])):
@@ -435,7 +451,6 @@ def cmd_stats(args):
 def cmd_pipeline(args):
     from .training import constant_entropy
 
-    _source_names(args.sources)  # before any stage runs
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     ns = argparse.Namespace(**vars(args))
@@ -501,7 +516,7 @@ def build_parser():
     g.add_argument("--graphs", required=True, help="output corpus JSON")
     g.add_argument("--trees", required=True, help="output gold trees JSON")
     g.add_argument("--manifest")
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=cmd_gen, least={"sources": (1, "gen needs at least one source name")})
 
     d = sub.add_parser("decompose", help="graphs -> dependency trees with placeholders")
     d.add_argument("--graphs", required=True)
@@ -584,6 +599,27 @@ def build_parser():
     return p
 
 
+def _check_flags(args):
+    """Raise AmdepError naming the first flag of args that is a float but
+    not finite or is below its least value (LEAST, where the command's own
+    table overrides it), or a --tie-break that names no order."""
+    least = {**LEAST, **getattr(args, "least", {})}
+    for dest, value in vars(args).items():
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise AmdepError(f"{flag} {value}: not a finite number")
+        if dest in least and value is not None and value < least[dest][0]:
+            raise AmdepError(f"{flag} {value}: {least[dest][1]}")
+    if hasattr(args, "tie_break"):
+        from .decompose import _order_key
+
+        try:
+            _order_key(args.tie_break)
+        except ValueError:
+            raise AmdepError(f"--tie-break {args.tie_break}: "
+                             "use 'sorted' or 'seeded:K' with an integer K") from None
+
+
 def main(argv=None):
     try:
         logging.getLogger().setLevel(os.environ.get("AMD_LOG", "WARNING"))
@@ -593,6 +629,7 @@ def main(argv=None):
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except AmdepError as exc:
         print(f"error: {exc}", file=sys.stderr)

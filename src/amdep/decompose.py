@@ -79,8 +79,8 @@ def _order_key(tie_break):
     if tie_break.startswith("seeded:"):
         seed = int(tie_break.split(":", 1)[1])
 
-        def key(edge, far, _seed=seed):
-            rng = random.Random(f"{_seed}|{edge.src}|{edge.tgt}|{edge.label}|{far}")
+        def key(edge, far):
+            rng = random.Random(f"{seed}|{edge.src}|{edge.tgt}|{edge.label}|{far}")
             return rng.random()
 
         return key
@@ -229,9 +229,9 @@ def iter_unrollings(n: NormalizedGraph, tie_break="sorted", include_invalid=Fals
                 heapq.heappush(heap, (devs + 1, counter, child))
 
 
-def enumerate_unrollings(n: NormalizedGraph, tie_break="sorted", include_invalid=False):
-    """All unrollings reachable by varying the backward entry choices."""
-    return list(iter_unrollings(n, tie_break, include_invalid))
+def enumerate_unrollings(n: NormalizedGraph):
+    """All unrollings reachable by varying the valid backward entry choices."""
+    return list(iter_unrollings(n, "sorted"))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ class AmdepError(Exception):
     """Base class for all errors raised by this package."""
 
 
-def first_ids(ids, limit=5):
-    """The first few ids, for a message that names what it is about."""
+def first_ids(ids):
+    """The first five ids, for a message that names what it is about."""
     ids = list(ids)
-    shown = ", ".join(ids[:limit])
-    return shown if len(ids) <= limit else f"{shown} and {len(ids) - limit} more"
+    shown = ", ".join(ids[:5])
+    return shown if len(ids) <= 5 else f"{shown} and {len(ids) - 5} more"
 
 
 class MissingInput(AmdepError):
@@ -36,38 +36,28 @@ class TypeDepthExceeded(AmdepError):
 
 
 class RequestClash(AmdepError):
-    def __init__(self, name, a=None, b=None):
-        detail = f"source {name!r} carries conflicting requests"
-        if a is not None:
-            detail += f": {a} vs {b}"
-        super().__init__(detail)
-        self.name = name
+    def __init__(self, name, a, b):
+        super().__init__(f"source {name!r} carries conflicting requests: {a} vs {b}")
 
 
 class MissingSource(AmdepError):
     def __init__(self, name):
         super().__init__(f"no source named {name!r} at top level")
-        self.name = name
 
 
 class RequestMismatch(AmdepError):
     def __init__(self, name, expected, actual):
         super().__init__(f"request at {name!r} expects {expected}, argument has type {actual}")
-        self.name = name
-        self.expected = expected
-        self.actual = actual
 
 
 class NonEmptyModRequest(AmdepError):
     def __init__(self, name):
         super().__init__(f"modifier slot {name!r} must carry the empty request")
-        self.name = name
 
 
 class ModAddsSources(AmdepError):
     def __init__(self, names):
         super().__init__(f"modifier would add sources {sorted(names)} to the head type")
-        self.names = frozenset(names)
 
 
 class LabelClash(AmdepError):
@@ -79,14 +69,12 @@ class NotWellTyped(AmdepError):
     def __init__(self, node, cause):
         super().__init__(f"at node {node!r}: {cause}")
         self.node = node
-        self.cause = cause
 
 
 class NonEmptyRootType(NotWellTyped):
     def __init__(self, typ):
         AmdepError.__init__(self, f"evaluation leaves open sources {typ}")
         self.node = None
-        self.cause = f"root type {typ} is not empty"
         self.typ = typ
 
 
@@ -97,8 +85,6 @@ class GenerationExhausted(AmdepError):
 class ResolutionFailed(AmdepError):
     def __init__(self, node, cause):
         super().__init__(f"resolving {node!r}: {cause}")
-        self.node = node
-        self.cause = cause
 
 
 class InvalidSwapPair(AmdepError):

@@ -14,25 +14,23 @@ _VOCAB = (
     "sparkle", "charm", "cat", "dog", "fairy", "elf", "house", "tree",
     "little", "tiny", "green", "old", "and", "or",
 )
+_MAX_REQUEST_DEPTH = 3
 
 
 class GeneratorConfig:
-    __slots__ = ("max_nodes", "sources", "max_sources_per_constant", "max_request_depth",
-                 "reentrancy_prob", "mod_prob", "labels")
+    __slots__ = ("max_nodes", "sources", "max_sources_per_constant", "reentrancy_prob",
+                 "mod_prob")
 
     def __init__(self, max_nodes: int = 12, sources: tuple[str, ...] = ("s1", "s2", "s3"),
-                 max_sources_per_constant: int = 3, max_request_depth: int = 3,
-                 reentrancy_prob: float = 0.35, mod_prob: float = 0.3,
-                 labels: tuple[str, ...] = _VOCAB):
+                 max_sources_per_constant: int = 3, reentrancy_prob: float = 0.35,
+                 mod_prob: float = 0.3):
         if max_sources_per_constant > len(sources):
             raise ValueError("max_sources_per_constant exceeds the source inventory")
         self.max_nodes = max_nodes
         self.sources = sources
         self.max_sources_per_constant = max_sources_per_constant
-        self.max_request_depth = max_request_depth
         self.reentrancy_prob = reentrancy_prob
         self.mod_prob = mod_prob
-        self.labels = labels
 
 
 class _Builder:
@@ -90,7 +88,7 @@ class _Builder:
             req: dict[str, AMType] = {}
             if pool and rng.random() < cfg.reentrancy_prob:
                 for k, v in rng.sample(pool, min(len(pool), rng.randint(1, 2))):
-                    if v.depth() + 1 < cfg.max_request_depth:
+                    if v.depth() + 1 < _MAX_REQUEST_DEPTH:
                         req[k] = v
             fresh_entries.insert(0, (name, AMType(req)))
 
@@ -105,7 +103,7 @@ class _Builder:
             else:
                 lbl = "mod-of"
             slots.append((lbl, name))
-        self.nodes[nid] = constant(rng.choice(cfg.labels), nid, slots, head_type)
+        self.nodes[nid] = constant(rng.choice(_VOCAB), nid, slots, head_type)
 
         self.reserved += len(fresh_entries)
         for name, req in fresh_entries:

@@ -133,9 +133,6 @@ class SemanticGraph:
             and self.root == other.root
         )
 
-    def __hash__(self):
-        return hash((frozenset(self.nodes.items()), self.edges, self.root))
-
     def __repr__(self):
         return f"SemanticGraph({len(self.nodes)} nodes, {len(self.edges)} edges, root={self.root!r})"
 
@@ -202,11 +199,10 @@ class BlobHeuristics:
     """
 
     def __init__(self, rules):
-        self.rules = list(rules)
         self.exact = {}
         self.prefixes = []
         self.default = None
-        for pattern, side in self.rules:
+        for pattern, side in rules:
             if side not in ("src", "tgt"):
                 raise ValueError(f"bad blob rule side {side!r}")
             if pattern == "*":

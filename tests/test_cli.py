@@ -952,3 +952,50 @@ def test_run_leaves_the_ending_process_frozen(workspace):
     assert proc.stdout.splitlines()[-1] == "0 True"
     assert proc.stdout.splitlines()[:-1] == fresh(
         "-m", "amdep.cli", "count", "--automata", workspace / "run/automata").stdout.splitlines()
+
+
+@pytest.mark.parametrize("command", ["decompose", "pipeline"])
+@pytest.mark.parametrize("tie_break", ["bogus", "seeded:x"])
+def test_bad_tie_break_exits_1_naming_it(workspace, tmp_path, capsys, command, tie_break):
+    outputs = (["--out", tmp_path / "t.json", "--report", tmp_path / "s.json"]
+               if command == "decompose" else ["--out", tmp_path / "run"])
+    assert run(command, "--graphs", workspace / "graphs.json", "--tie-break", tie_break,
+               *outputs) == 1
+    assert one_error_line(capsys).startswith(f"error: --tie-break {tie_break}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train-em", "--smoothing", -1), ("train-em", "--smoothing", "nan"),
+    ("train-em", "--smoothing", "inf"), ("train-em", "--iters", -1),
+    ("pipeline", "--iters", -1), ("train-joint", "--batch", -1),
+    ("train-joint", "--epochs", -1), ("train-joint", "--lr", "nan"),
+    ("train-joint", "--l2", "inf")])
+def test_out_of_range_flag_exits_1_naming_it(workspace, tmp_path, capsys, command, flag,
+                                             value):
+    inputs = (["--graphs", workspace / "graphs.json"] if command == "pipeline"
+              else ["--automata", workspace / "run/automata"])
+    assert run(command, *inputs, flag, value, "--out", tmp_path / "out") == 1
+    assert one_error_line(capsys).startswith(f"error: {flag} {float(value)}: "
+                                             if flag in ("--smoothing", "--lr", "--l2")
+                                             else f"error: {flag} {value}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ill_typed_tree_names_it_for_every_jobs(workspace, tmp_path):
+    # APP and MOD swapped on one edge: no child of that node is admissible;
+    # a worker's error is raised at its tree's place, as --jobs 1 raises it
+    trees = json.loads((workspace / "run/trees.json").read_text())
+    item = next(item for item in trees if item["tree"]["edges"])
+    edge = item["tree"]["edges"][0]
+    edge["op"] = {"APP": "MOD", "MOD": "APP"}[edge["op"]]
+    (tmp_path / "t.json").write_text(json.dumps(trees))
+    errs = []
+    for jobs in (1, 2):
+        proc = fresh("-m", "amdep.cli", "build-automata", "--trees", tmp_path / "t.json",
+                     "--jobs", jobs, "--out", tmp_path / f"auto{jobs}")
+        assert proc.returncode == 1, proc.stderr
+        errs.append(proc.stderr)
+    assert errs[0].startswith(f"error: {tmp_path / 't.json'}: item {item['id']!r}: at node ")
+    assert len(errs[0].splitlines()) == 1
+    assert errs[1] == errs[0]
