@@ -8,6 +8,7 @@ form ``ps(<node-id>)``; reusable names are anything else (``s1``, ``s2``...).
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
@@ -705,32 +706,21 @@ def evaluate_with_orders(tree: AMDepTree, orders: dict[str, list]) -> SGraph:
 # canonical forms
 
 
+_ascii = json.encoder.encode_basestring_ascii  # the string encoder json.dumps uses by default
+_PARSED = 1 << 16  # distinct texts each parse memo keeps, per process
+
+
 def canonical_constant_form(c: SGraph) -> str:
     """Canonical, node-id-independent JSON string for a tree label (a
     single labeled node plus unlabeled slot nodes, or a bare placeholder).
     Used for event tying, entropy statistics and golden comparisons."""
-    others = [n for n in c.graph.nodes if n != c.root]
-    src_of = {v: k for k, v in c.sources.items()}
-    rename = {c.root: "r"}
-    anon = 0
-    for n in sorted(others, key=lambda n: (src_of.get(n, ""), str(c.graph.nodes[n]))):
-        if n in src_of:
-            rename[n] = f"s:{src_of[n]}"
-        else:
-            rename[n] = f"x{anon}"
-            anon += 1
-    g = c.graph.renamed(rename)
-    payload = {
-        "root": g.root,
-        "nodes": {n: lbl for n, lbl in sorted(g.nodes.items())},
-        "edges": [[e.src, e.label, e.tgt] for e in g.edges],
-        "sources": {k: rename[v] for k, v in sorted(c.sources.items())},
-        "type": c.typ.to_json(),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _LeafLayout(c, ()).label({})
 
 
+@lru_cache(maxsize=_PARSED)
 def constant_from_canonical(form: str) -> SGraph:
+    """The constant of a canonical form, parsed once per process for each
+    distinct form: callers share the SGraph, which they treat as immutable."""
     obj = json.loads(form)
     g = SemanticGraph(obj["nodes"], [Edge(s, t, lbl) for s, lbl, t in obj["edges"]], obj["root"])
     return SGraph(g, obj["root"], dict(obj["sources"]), AMType.from_json(obj["type"]))
@@ -738,11 +728,13 @@ def constant_from_canonical(form: str) -> SGraph:
 
 class _LeafLayout:
     """A constant laid out once for every renaming of its source names.
-    ``label(names)`` equals ``canonical_constant_form`` of the constant with
-    its names renamed per ``names`` (injectively): only the nodes a source
-    marks change their canonical id (``s:<name>``), so the root and the
-    anonymous slot ids, the edges and the type are kept and renamed in
-    place. ``clashes(combo)`` tells whether ``AMType`` would reject the
+    ``label(names)`` is the canonical form of the constant with its names
+    renamed per ``names``: the text ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` gives for its payload, with node ids ``r``
+    (root), ``x<i>`` (anonymous nodes, by label) and ``s:<name>`` (marked
+    nodes), written directly from labels encoded once. Only the marked ids
+    and the names change with a renaming, which must name no level of the
+    type twice. ``clashes(combo)`` tells whether ``AMType`` would reject the
     renaming of the placeholders ``ph`` to ``combo`` for naming one level of
     the type twice: a placeholder renamed onto a name its level already
     carries."""
@@ -753,9 +745,10 @@ class _LeafLayout:
         anon = sorted((n for n in nodes if n != c.root and n not in src_of),
                       key=lambda n: str(nodes[n]))
         self.ids = {c.root: "r", **{n: f"x{i}" for i, n in enumerate(anon)}}
+        self.text = {n: _ascii(i) for n, i in self.ids.items()}  # each id's JSON text
         self.named = [(n, src_of[n]) for n in nodes if n not in self.ids]
-        self.nodes = list(nodes.items())
-        self.edges = c.graph.edges
+        self.nodes = [(n, "null" if lbl is None else _ascii(lbl)) for n, lbl in nodes.items()]
+        self.edges = [(s, t, lbl, _ascii(lbl)) for s, t, lbl in c.graph.edges]
         self.sources = list(c.sources.items())
         self.typ = c.typ
         position = {p: i for i, p in enumerate(ph)}
@@ -774,19 +767,26 @@ class _LeafLayout:
 
     def label(self, names) -> str:
         ids = dict(self.ids)
+        text = dict(self.text)
         for n, k in self.named:
-            ids[n] = "s:" + names.get(k, k)
-        edges = sorted((ids[s], ids[t], lbl) for s, t, lbl in self.edges)
-        payload = {"root": "r",
-                   "nodes": {ids[n]: lbl for n, lbl in self.nodes},
-                   "edges": [[s, lbl, t] for s, t, lbl in edges],
-                   "sources": {names.get(k, k): ids[n] for k, n in self.sources},
-                   "type": _renamed_json(self.typ, names)}
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            ids[n] = i = "s:" + names.get(k, k)
+            text[n] = _ascii(i)
+        nodes = sorted([(ids[n], n, lbl) for n, lbl in self.nodes])
+        edges = sorted([(ids[s], ids[t], lbl, s, t, enc) for s, t, lbl, enc in self.edges])
+        sources = sorted([(names.get(k, k), n) for k, n in self.sources])
+        return "".join([
+            '{"edges":[', ",".join(["[" + text[s] + "," + enc + "," + text[t] + "]"
+                                    for _i, _j, _l, s, t, enc in edges]),
+            '],"nodes":{', ",".join([text[n] + ":" + lbl for _i, n, lbl in nodes]),
+            '},"root":"r","sources":{', ",".join([_ascii(k) + ":" + text[n] for k, n in sources]),
+            '},"type":', _type_text(self.typ, names), "}"])
 
 
-def _renamed_json(typ, names):
-    return {names.get(k, k): _renamed_json(sub, names) for k, sub in typ.entries}
+def _type_text(typ, names):
+    """The JSON text of typ.to_json() with its names renamed per names."""
+    entries = sorted([(names.get(k, k), sub) for k, sub in typ.entries])
+    return "{" + ",".join([_ascii(k) + ":" + (_type_text(sub, names) if sub.entries else "{}")
+                           for k, sub in entries]) + "}"
 
 
 def skeleton_form(c: SGraph) -> str:

@@ -8,8 +8,10 @@ that stay well-typed.
 An automaton is its integer index (``TreeAutomaton``). ``build_automaton``
 holds each state at an address as the tuple of its names for the placeholders
 of the address's leftmost leaf, numbered by their sorted order there; it
-renders a leaf's labels from one layout of its constant, joins an operation's
-children on their shared placeholders and prunes by flags on the numbers.
+renders a leaf's labels from one layout of its constant, once for each
+distinct constant and source tuple of the calls that share a
+``LeafRenamings`` table, joins an operation's children on their shared
+placeholders and prunes by flags on the numbers.
 ``read_automaton`` parses each distinct state text and leaf constant once
 per process, as a corpus's files share most of them. Both number the states
 in the order their rules first name them and share one index builder;
@@ -31,6 +33,7 @@ from .algebra import (
     DepEdge,
     SGraph,
     _LeafLayout,
+    _PARSED,
     constant_from_canonical,
     fold,
     placeholder,
@@ -260,15 +263,56 @@ def _alignments(shape, label):
             for addr, d in shape.items()}
 
 
-def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
+def _renamings(layout: _LeafLayout, ph, sources):
+    """A leaf's states and rules: its placeholders' injective assignments to
+    sources, sorted, the (state number, label) of each that names no level
+    of the constant's type twice, in assignment order, and how many do name
+    one twice."""
+    renamed = []
+    clashes = 0
+    for combo in permutations(sources, len(ph)):
+        if layout.levels and layout.clashes(combo):
+            clashes += 1
+            continue
+        renamed.append((combo, layout.label(dict(zip(ph, combo)))))
+    names = sorted(combo for combo, _lbl in renamed)
+    local = {combo: q for q, combo in enumerate(names)}
+    return tuple(names), tuple((local[combo], lbl) for combo, lbl in renamed), clashes
+
+
+class LeafRenamings(dict):
+    """(placeholder constant form, sources) -> that leaf's _renamings, which
+    the form and sources determine. A command passes one table to each
+    build_automaton call it makes, so a constant that recurs across its
+    corpus is rendered once; the oldest are dropped beyond _PARSED labels."""
+
+    def __init__(self):
+        self.rules = 0
+
+    def of(self, layout: _LeafLayout, form, ph, sources):
+        if (form, sources) not in self:
+            kept = _renamings(layout, ph, sources)
+            self.rules += len(kept[1])
+            while self.rules > _PARSED and self:
+                self.rules -= len(self.pop(next(iter(self)))[1])
+            self[form, sources] = kept
+        return self[form, sources]
+
+
+def build_automaton(tree: AMDepTree, sources, graph_id="",
+                    renamings: LeafRenamings | None = None) -> TreeAutomaton:
     """One leaf rule per injective assignment of a constant's placeholders
     (nested request names included) to reusable sources; operation rules
     percolate the head-side assignment upward when the two child assignments
     agree on their shared placeholders. A leaf renaming that would give one
     level of the constant's type a name twice, a placeholder renamed onto a
     source name the constant already carries, is skipped with a warning.
-    graph_id names the automaton and its warnings."""
+    graph_id names the automaton and its warnings; renamings holds the
+    leaves already rendered, by the caller's earlier calls (a new table when
+    None)."""
     sources = tuple(sources)
+    if renamings is None:
+        renamings = LeafRenamings()
     where = f"graph {graph_id}: " if graph_id else ""
     for ch in "(){}=,:# ":
         if any(ch in s for s in sources):
@@ -288,24 +332,16 @@ def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
             raise UnsupportedName(f"{where}node id {node.tree_node!r} unsupported "
                                   "in automaton files")
         layout = _LeafLayout(node.const, ph)
-        shape[node.address] = {"kind": "leaf", "node": node.tree_node,
-                               "const": layout.label({})}
+        form = layout.label({})
+        shape[node.address] = {"kind": "leaf", "node": node.tree_node, "const": form}
         root_label[node.address] = node.const.root_label()
-        renamed = []
-        clashes = 0
-        for combo in permutations(sources, len(ph)):
-            if layout.levels and layout.clashes(combo):
-                clashes += 1
-                continue
-            renamed.append((combo, layout.label(dict(zip(ph, combo)))))
         keys[node.address] = ph
-        names[node.address] = sorted(combo for combo, _lbl in renamed)
-        local = {combo: q for q, combo in enumerate(names[node.address])}
-        rules_at[node.address] = [(local[combo], lbl) for combo, lbl in renamed]
+        kept = renamings.of(layout, form, ph, sources)
+        names[node.address], rules_at[node.address], clashes = kept
         if clashes:
             log.warning("%sconstant at %s: skipped %d renamings of its placeholders onto "
                         "source names it already carries", where, node.tree_node, clashes)
-        elif not renamed:
+        elif not rules_at[node.address]:
             log.warning("%sconstant at %s has %d placeholders but only %d sources",
                         where, node.tree_node, len(ph), len(sources))
 
@@ -512,7 +548,6 @@ def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
 # serialization
 
 _STATE_RE = re.compile(r"^([01]*|e):\{([^}]*)\}$")  # address, placeholder=name pairs
-_PARSED = 1 << 16  # state texts, texts in braces and constants each kept parsed
 
 
 @lru_cache(maxsize=_PARSED)
@@ -530,7 +565,6 @@ def _pairs(phi: str) -> tuple:
     return tuple(sorted([(placeholder(k), v) for k, v in pairs]))
 
 
-@lru_cache(maxsize=_PARSED)
 def _root_label(const: str) -> str:
     return constant_from_canonical(const).root_label()
 

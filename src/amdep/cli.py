@@ -147,9 +147,10 @@ def cmd_decompose(args):
     return _decompose(args)[0]
 
 
-def _decompose(args):
+def _decompose(args, outdir=None):
     """decompose; returns the exit code, the corpus, the (id, tree) list and
-    the skip list."""
+    the skip list. outdir, the directory of args.out and args.report when
+    the pipeline runs it, is made once the graphs are decomposed."""
     from .algebra import write_trees
     from .graph import read_corpus
 
@@ -166,6 +167,8 @@ def _decompose(args):
             skipped.append({"id": gid, **failure.to_json()})
         for k, tree in enumerate(found):
             trees.append((gid if len(found) == 1 else f"{gid}#{k}", tree))
+    if outdir is not None:
+        outdir.mkdir(parents=True, exist_ok=True)
     write_trees(trees, args.out)
     write_json(skipped, args.report)
     if skipped:
@@ -192,9 +195,9 @@ def _build_one(payload):
     from .automata import build_automaton
     from .errors import NotWellTyped
 
-    tid, tree, sources, path = payload
+    tid, tree, sources, path, renamings = payload
     try:
-        return tid, build_automaton(tree, sources, graph_id=tid)
+        return tid, build_automaton(tree, sources, graph_id=tid, renamings=renamings)
     except NotWellTyped as exc:
         raise AmdepError(f"{path}: item {tid!r}: {exc}") from exc
 
@@ -230,14 +233,17 @@ def _build_automata(args, trees=None):
     trees: the (id, tree) list of args.trees when the caller already holds
     it, as the pipeline does; read from there when None."""
     from .algebra import read_trees
-    from .automata import count_trees, write_automaton
+    from .automata import LeafRenamings, count_trees, write_automaton
 
     sources = _source_names(args.sources)
     if trees is None:
         trees = read_trees(args.trees)
+    # shared by every tree with --jobs 1; a worker gets its own copy per tree
+    renamings = LeafRenamings()
+    results = _map(_build_one, [(tid, t, sources, args.trees, renamings) for tid, t in trees],
+                   args.jobs)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = _map(_build_one, [(tid, t, sources, args.trees) for tid, t in trees], args.jobs)
     index = []
     outputs = []
     for (tid, a), fname in zip(results, _automaton_files([tid for tid, _a in results])):
@@ -452,12 +458,11 @@ def cmd_pipeline(args):
     from .training import constant_entropy
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     ns = argparse.Namespace(**vars(args))
     ns.out = str(outdir / "trees.json")
     ns.report = str(outdir / "skipped.json")
     ns.manifest = str(outdir / "decompose.manifest.json")
-    code1, corpus, trees, skipped = _decompose(ns)
+    code1, corpus, trees, skipped = _decompose(ns, outdir)
     if not trees:
         skipped_ids = first_ids(s["id"] for s in skipped) or "none"
         raise AmdepError(f"no graph decomposed (skipped: {skipped_ids}; reasons in {ns.report})")

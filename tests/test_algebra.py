@@ -773,3 +773,93 @@ def skeleton_constants(draw):
 @settings(max_examples=150, deadline=None)
 def test_skeleton_form_matches_the_renamed_canonical_forms(c):
     assert skeleton_form(c) == reference_skeleton_form(c)
+
+
+def payload_form(c):
+    """The canonical form as first written, a payload dict rendered by
+    json.dumps: an oracle that shares no code with the renderer."""
+    others = [n for n in c.graph.nodes if n != c.root]
+    src_of = {v: k for k, v in c.sources.items()}
+    rename = {c.root: "r"}
+    anon = 0
+    for n in sorted(others, key=lambda n: (src_of.get(n, ""), str(c.graph.nodes[n]))):
+        if n in src_of:
+            rename[n] = f"s:{src_of[n]}"
+        else:
+            rename[n] = f"x{anon}"
+            anon += 1
+    g = c.graph.renamed(rename)
+    payload = {
+        "root": g.root,
+        "nodes": {n: lbl for n, lbl in sorted(g.nodes.items())},
+        "edges": [[e.src, e.label, e.tgt] for e in g.edges],
+        "sources": {k: rename[v] for k, v in sorted(c.sources.items())},
+        "type": c.typ.to_json(),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+# text that JSON escapes, or sorts apart from its escaped form
+ODD_TEXT = st.text(st.sampled_from(list('ab"\\\t\n\x00\x1f\x7fé \U0001F600 ')), max_size=4)
+ODD_NAMES = ["ps(a)", "ps(é)", 'ps(q")', "ps(\\)", "s1", "s\t2"]
+
+
+@st.composite
+def odd_text_constants(draw):
+    """As skeleton_constants, with node and edge labels drawn from ODD_TEXT,
+    slot and anonymous labels also None, and source names that need
+    escaping."""
+    names = draw(st.lists(st.sampled_from(ODD_NAMES), max_size=3, unique=True))
+
+    def request(depth):
+        keys = draw(st.lists(st.sampled_from(ODD_NAMES), max_size=2, unique=True))
+        return {k: request(depth - 1) for k in keys} if depth else {}
+
+    spec = {n: request(draw(st.integers(0, 2))) for n in names}
+    maybe_text = st.one_of(st.none(), ODD_TEXT)
+    nodes = {"r": draw(ODD_TEXT)}
+    sources = {}
+    for i, name in enumerate(names):
+        nodes[f"m{i}"] = draw(maybe_text)
+        sources[name] = f"m{i}"
+    for j in range(draw(st.integers(0, 3))):
+        nodes[f"x{j}"] = draw(maybe_text)
+    others = sorted(nodes)[:-1]  # every node but "r"
+    edges = [("r", n, draw(ODD_TEXT)) for n in others]
+    if len(others) > 1:
+        edges += draw(st.lists(st.tuples(st.sampled_from(others), st.sampled_from(others),
+                                         ODD_TEXT), max_size=3))
+    return SGraph(SemanticGraph(nodes, edges, "r"), "r", sources, AMType(spec))
+
+
+@given(c=odd_text_constants())
+@settings(max_examples=200, deadline=None)
+def test_rendered_forms_match_the_json_dumps_payload(c):
+    from amdep.algebra import _LeafLayout
+
+    assert canonical_constant_form(c) == payload_form(c)
+    ph = tuple(sorted(c.placeholders()))
+    layout = _LeafLayout(c, ph)
+    for combo in permutations(("s1", "s2", "s3"), len(ph)):
+        names = dict(zip(ph, combo))
+        try:
+            want = payload_form(c.rename_sources(names))
+        except (ValueError, TypeError):  # one level of the type would name a source twice
+            assert layout.clashes(combo)
+            continue
+        assert not layout.clashes(combo)
+        assert layout.label(names) == want
+    names = sorted(c.typ.all_names() | set(c.sources))
+    slots = [f"_{i}" for i in range(len(names))]
+    assert skeleton_form(c) == min(payload_form(c.rename_sources(dict(zip(names, perm))))
+                                   for perm in permutations(slots))
+
+
+def test_parsed_constant_is_kept_and_equals_a_fresh_parse():
+    c = constant('sé"e\\', "a", [("ARG0", "ps(b)"), ("AR\tG1", "s1")])
+    form = canonical_constant_form(c)
+    kept = constant_from_canonical(form)
+    assert constant_from_canonical(form) is kept
+    fresh = constant_from_canonical.__wrapped__(form)
+    assert fresh is not kept and fresh == kept
+    assert canonical_constant_form(kept) == form

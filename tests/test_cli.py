@@ -999,3 +999,23 @@ def test_ill_typed_tree_names_it_for_every_jobs(workspace, tmp_path):
     assert errs[0].startswith(f"error: {tmp_path / 't.json'}: item {item['id']!r}: at node ")
     assert len(errs[0].splitlines()) == 1
     assert errs[1] == errs[0]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_build_automata_that_exits_1_makes_no_out_dir(workspace, tmp_path, jobs):
+    trees = json.loads((workspace / "run/trees.json").read_text())
+    edge = next(item for item in trees if item["tree"]["edges"])["tree"]["edges"][0]
+    edge["op"] = {"APP": "MOD", "MOD": "APP"}[edge["op"]]
+    (tmp_path / "t.json").write_text(json.dumps(trees))
+    assert run("build-automata", "--trees", tmp_path / "t.json", "--jobs", jobs,
+               "--out", tmp_path / "auto") == 1
+    assert not (tmp_path / "auto").exists()
+
+
+@pytest.mark.parametrize("missing", ["--graphs", "--blobs"])
+def test_pipeline_that_exits_1_makes_no_out_dir(workspace, tmp_path, capsys, missing):
+    inputs = {"--graphs": workspace / "graphs.json", missing: tmp_path / "missing"}
+    assert run("pipeline", *[a for kv in inputs.items() for a in kv],
+               "--out", tmp_path / "run") == 1
+    assert one_error_line(capsys) == f"error: {tmp_path / 'missing'}: No such file or directory"
+    assert list(tmp_path.iterdir()) == []
