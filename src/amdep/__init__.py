@@ -12,15 +12,16 @@ import types
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    **dict.fromkeys(["AMDepTree", "AMType", "DepEdge", "EMPTY_TYPE", "SGraph", "apply",
-                     "check_well_typed", "evaluate", "modify", "term_type", "type_unify"],
-                    "algebra"),
+    **dict.fromkeys(["AMType", "EMPTY_TYPE", "Edge", "SGraph", "SemanticGraph", "type_unify"],
+                    "values"),
+    **dict.fromkeys(["AMDepTree", "DepEdge", "apply", "check_well_typed", "evaluate", "modify",
+                     "term_type"], "algebra"),
     **dict.fromkeys(["Decomposition", "NonDecomposable", "Theorem1Report", "canonical_tree",
                      "check_resolvable", "decompose", "default_plan", "modify_swap", "resolve",
                      "unroll"], "decompose"),
-    **dict.fromkeys(["BlobHeuristics", "BlobPartition", "Edge", "NormalizedGraph",
-                     "SemanticGraph", "is_isomorphic", "is_isomorphic_mod_of", "normalize_edges",
-                     "partition_blobs", "read_corpus", "write_corpus"], "graph"),
+    **dict.fromkeys(["BlobHeuristics", "BlobPartition", "NormalizedGraph", "is_isomorphic",
+                     "is_isomorphic_mod_of", "normalize_edges", "partition_blobs",
+                     "read_corpus", "write_corpus"], "graph"),
 }
 __all__ = list(_EXPORTS)
 

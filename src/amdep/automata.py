@@ -26,21 +26,21 @@ import operator
 import re
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import (
-    AMDepTree,
-    DepEdge,
+from .errors import AmdepError, MalformedInput, UnsupportedName
+from .files import _CHUNK, SHAPE, check, open_input, open_output
+from .values import (
     SGraph,
     _LeafLayout,
     _PARSED,
     constant_from_canonical,
-    fold,
     placeholder,
     placeholder_target,
 )
-from .errors import AmdepError, MalformedInput, UnsupportedName
-from .files import _CHUNK, SHAPE, check, open_input
+
+if TYPE_CHECKING:
+    from .algebra import AMDepTree
 
 log = logging.getLogger("amdep.automata")
 
@@ -87,6 +87,8 @@ class BinNode:
 def binarize(tree: AMDepTree) -> BinNode:
     """Fold each node's constant with its children in the deterministic
     admissible order; the head side is always the left child."""
+    from .algebra import fold
+
     _typ, root = fold(
         tree,
         leaf=lambda n: BinNode("", const=tree.constant(n), tree_node=n),
@@ -524,6 +526,8 @@ def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
     operations carry the run's reusable source names; an edge joins the
     leftmost leaves below its operation's two sides. Rules that do not give a
     tree, as a corrupt automaton file's may not, raise MalformedInput."""
+    from .algebra import AMDepTree, DepEdge
+
     shape = a.shape
     anchor = _alignments(shape, {k: d["node"] for k, d in shape.items() if d["kind"] == "leaf"})
     nodes: dict[str, SGraph] = {}
@@ -583,12 +587,12 @@ class _Numbers(dict):
 def write_automaton(a: TreeAutomaton, path, weights=None):
     """Line-oriented text: header comments, final states, then one rule per
     line `<state> <- <label>(<children>) [# weight]`. The text reaches the
-    file in chunks of _CHUNK lines, never whole."""
+    file in chunks of _CHUNK lines, never whole, through open_output."""
     lines = [f"#! graph {a.graph_id}", f"#! sources {' '.join(a.sources)}",
              f"#! shape {json.dumps(a.shape, sort_keys=True, separators=(',', ':'))}"]
     text = [str(s) for s in a.state_list]  # a state recurs in many rules
     lines += [f"final: {f}" for f in a.finals]
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for rid, (label, q, kids) in enumerate(zip(a.labels, a.parents, a.children)):
             if len(lines) >= _CHUNK:  # flushed before a line is added, so never left empty
                 fh.write("\n".join(lines) + "\n")

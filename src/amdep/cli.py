@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import AmdepError, EmptyAutomaton, MalformedInput, NonEmptyRootType, first_ids
-from .files import write_json, write_manifest
+from .files import make_output_dir, write_json, write_manifest
 
 log = logging.getLogger("amdep.cli")
 
@@ -168,7 +168,7 @@ def _decompose(args, outdir=None):
         for k, tree in enumerate(found):
             trees.append((gid if len(found) == 1 else f"{gid}#{k}", tree))
     if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+        make_output_dir(outdir)
     write_trees(trees, args.out)
     write_json(skipped, args.report)
     if skipped:
@@ -243,7 +243,7 @@ def _build_automata(args, trees=None):
     results = _map(_build_one, [(tid, t, sources, args.trees, renamings) for tid, t in trees],
                    args.jobs)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    make_output_dir(outdir)
     index = []
     outputs = []
     for (tid, a), fname in zip(results, _automaton_files([tid for tid, _a in results])):
@@ -333,11 +333,12 @@ def _train_em(args, automata):
 
 
 def cmd_train_joint(args):
-    from .graph import read_corpus
     from .training import JointConfig, joint_fit
 
     automata = _read_automata_dir(args.automata)[0]
     if args.corpus:
+        from .graph import read_corpus
+
         wanted = {gid for gid, _ in read_corpus(args.corpus)}
         automata = [(tid, a) for tid, a in automata if tid.split("#")[0] in wanted]
     cfg = JointConfig(epochs=args.epochs, lr=args.lr, batch=args.batch,

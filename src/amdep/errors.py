@@ -18,6 +18,10 @@ class MissingInput(AmdepError):
     """A required input file does not exist."""
 
 
+class UnwritableOutput(AmdepError):
+    """An output file cannot be written."""
+
+
 class MalformedInput(AmdepError):
     """An input file, or an item in it, is not in its format."""
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
-from .errors import AmdepError, MalformedInput, MissingInput
+from .errors import AmdepError, MalformedInput, MissingInput, UnwritableOutput
 
 
 def open_input(path):
@@ -28,6 +30,35 @@ def open_input(path):
         return open(path, encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise MissingInput(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+@contextmanager
+def open_output(path):
+    """open(path, "w") for writing text, made atomic: the text goes to a
+    temporary file in path's directory, which replaces path when the block
+    ends and is removed when it raises, so path holds either its old bytes
+    or all the new ones, never a prefix. A file that cannot be written
+    raises UnwritableOutput naming path."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):  # never made; else exc is the error to report
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise UnwritableOutput(f"{path}: {exc.strerror or exc}") from exc
+        raise
+
+
+def make_output_dir(path: Path):
+    """path.mkdir(parents=True, exist_ok=True); a directory that cannot be
+    made raises UnwritableOutput naming path."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnwritableOutput(f"{path}: {exc.strerror or exc}") from exc
 
 
 def read_json(path, schema, error=MalformedInput):
@@ -65,8 +96,8 @@ def write_json(obj, path):
     then a newline. json indents through its pure-Python encoder, one
     generator step per piece of text; _render makes one call per container
     instead, and the text reaches the file in chunks of about _CHUNK
-    pieces, never whole."""
-    with open(path, "w", encoding="utf-8") as fh:
+    pieces, never whole, through open_output."""
+    with open_output(path) as fh:
         out = []
         _render(obj, "\n", out, fh.write)
         out.append("\n")

@@ -1,5 +1,7 @@
-"""Rooted, node/edge-labeled directed graphs: corpus I/O, blob partitions,
-edge normalization and exact isomorphism checking."""
+"""Corpus graphs: corpus I/O, blob partitions, edge normalization and
+exact isomorphism checking. The graph type itself, ``SemanticGraph`` with
+its ``Edge``, lives in ``values`` and is imported here under the same name.
+"""
 
 from __future__ import annotations
 
@@ -9,153 +11,9 @@ from typing import NamedTuple
 
 from .errors import CorpusError, MalformedInput
 from .files import CORPUS_ITEM, open_input, read_items, write_json
+from .values import Edge, SemanticGraph
 
 log = logging.getLogger("amdep.graph")
-
-
-class Edge(NamedTuple):
-    src: str
-    tgt: str
-    label: str
-
-
-class SemanticGraph:
-    """Immutable rooted directed graph with labeled nodes and edges.
-
-    Node labels may be None only for fragment graphs used inside constants
-    (open argument slots); corpus graphs must be fully labeled.
-    """
-
-    __slots__ = ("nodes", "edges", "root", "_out", "_in")
-
-    def __init__(self, nodes, edges, root):
-        self.nodes = dict(nodes)
-        self.edges = tuple(sorted({e if isinstance(e, Edge) else Edge(*e) for e in edges}))
-        self.root = root
-        out: dict[str, list[Edge]] = {n: [] for n in self.nodes}
-        inc: dict[str, list[Edge]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            if e.src not in self.nodes:
-                raise CorpusError(f"edge {e} uses unknown node {e.src!r}")
-            if e.tgt not in self.nodes:
-                raise CorpusError(f"edge {e} uses unknown node {e.tgt!r}")
-            out[e.src].append(e)
-            inc[e.tgt].append(e)
-        if root not in self.nodes:
-            raise CorpusError(f"root {root!r} is not a node")
-        self._out = out
-        self._in = inc
-
-    def __setattr__(self, name, value):
-        if name in SemanticGraph.__slots__ and hasattr(self, "_in"):
-            raise AttributeError("SemanticGraph is immutable")
-        super().__setattr__(name, value)
-
-    def label(self, node):
-        return self.nodes[node]
-
-    def out_edges(self, node):
-        return self._out[node]
-
-    def in_edges(self, node):
-        return self._in[node]
-
-    def component(self, start, within):
-        """The nodes of within reachable from start (itself in within) along
-        edges in either direction."""
-        comp = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for e in self._out[n]:
-                if e.tgt in within and e.tgt not in comp:
-                    comp.add(e.tgt)
-                    stack.append(e.tgt)
-            for e in self._in[n]:
-                if e.src in within and e.src not in comp:
-                    comp.add(e.src)
-                    stack.append(e.src)
-        return comp
-
-    def is_connected(self):
-        """Connectivity ignoring edge directions."""
-        return len(self.component(self.root, self.nodes)) == len(self.nodes)
-
-    def is_acyclic(self):
-        indeg = {n: 0 for n in self.nodes}
-        for e in self.edges:
-            indeg[e.tgt] += 1
-        queue = [n for n, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            n = queue.pop()
-            seen += 1
-            for e in self._out[n]:
-                indeg[e.tgt] -= 1
-                if indeg[e.tgt] == 0:
-                    queue.append(e.tgt)
-        return seen == len(self.nodes)
-
-    def reachable_from(self, node):
-        """Set of nodes reachable via directed edges (includes node itself)."""
-        seen = {node}
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            for e in self._out[n]:
-                if e.tgt not in seen:
-                    seen.add(e.tgt)
-                    stack.append(e.tgt)
-        return seen
-
-    def validate(self, require_labels=True):
-        if require_labels:
-            for n, lbl in self.nodes.items():
-                if lbl is None:
-                    raise CorpusError(f"node {n!r} has no label")
-        if not self.is_connected():
-            raise CorpusError("graph is not connected")
-        return self
-
-    def renamed(self, mapping):
-        """New graph with node ids replaced per mapping (total on nodes)."""
-        return SemanticGraph(
-            {mapping[n]: lbl for n, lbl in self.nodes.items()},
-            [Edge(mapping[e.src], mapping[e.tgt], e.label) for e in self.edges],
-            mapping[self.root],
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemanticGraph)
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-            and self.root == other.root
-        )
-
-    def __repr__(self):
-        return f"SemanticGraph({len(self.nodes)} nodes, {len(self.edges)} edges, root={self.root!r})"
-
-    def to_json(self):
-        return {
-            "nodes": [
-                {"id": n, "label": lbl} if lbl is not None else {"id": n}
-                for n, lbl in sorted(self.nodes.items())
-            ],
-            "edges": [{"src": e.src, "tgt": e.tgt, "label": e.label} for e in self.edges],
-            "root": self.root,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        """The graph of a corpus item or constant that follows files.GRAPH."""
-        nodes = {nd["id"]: nd.get("label") for nd in obj["nodes"]}
-        if len(nodes) != len(obj["nodes"]):
-            raise CorpusError("duplicate node id")
-        edges = [Edge(e["src"], e["tgt"], e["label"]) for e in obj["edges"]]
-        if len(edges) != len(set(edges)):
-            raise CorpusError("duplicate (src, tgt, label) edge")
-        return cls(nodes, edges, obj["root"])
 
 
 # ---------------------------------------------------------------------------

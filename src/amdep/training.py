@@ -11,10 +11,10 @@ import random
 from collections import Counter
 from typing import NamedTuple
 
-from .algebra import canonical_constant_form, constant_from_canonical, skeleton_form
 from .automata import (Run, TreeAutomaton, bottom_up, leaf_constant, reconstruct_tree,
                        subtree_counts, unfold)
 from .errors import AmdepError, EmptyAutomaton, NonFiniteGradient, first_ids
+from .values import canonical_constant_form, constant_from_canonical, skeleton_form
 
 log = logging.getLogger("amdep.training")
 

@@ -606,6 +606,23 @@ class TestSerialization:
                 assert (tmp_path / "c.auto").read_bytes() == whole, chunk
             monkeypatch.undo()
 
+    def test_write_that_fails_leaves_the_old_file(self, rel_decomp, tmp_path, monkeypatch):
+        # a weight that cannot be read raises after the first chunk was written
+        a = build_automaton(rel_decomp.tree, S3)
+        assert len(a.labels) > 2
+        path = tmp_path / "a.auto"
+        path.write_text("old\n")
+
+        class FailingWeights(dict):
+            def __missing__(self, rid):
+                raise RuntimeError(f"no weight for rule {rid}")
+
+        monkeypatch.setattr(automata, "_CHUNK", 2)
+        with pytest.raises(RuntimeError, match="no weight for rule 2"):
+            write_automaton(a, path, FailingWeights({0: 0.5, 1: 0.5}))
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_events_survive(self, rel_decomp, tmp_path):
         a = build_automaton(rel_decomp.tree, S3)
         path = tmp_path / "e.auto"

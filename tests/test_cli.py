@@ -1019,3 +1019,46 @@ def test_pipeline_that_exits_1_makes_no_out_dir(workspace, tmp_path, capsys, mis
                "--out", tmp_path / "run") == 1
     assert one_error_line(capsys) == f"error: {tmp_path / 'missing'}: No such file or directory"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_count_and_train_joint_load_neither_algebra_nor_graph(workspace, tmp_path):
+    """count and train-joint read automata through amdep.values alone; the
+    graph module is loaded only for train-joint's --corpus."""
+    automata = ["--automata", workspace / "run/automata"]
+    argvs = {"count": ["count", *automata],
+             "train-joint": ["train-joint", *automata, "--out", tmp_path / "s.json"],
+             "train-joint --corpus": ["train-joint", *automata, "--corpus",
+                                      workspace / "graphs.json", "--out", tmp_path / "c.json"]}
+    loaded = {}
+    for name, argv in argvs.items():
+        proc = fresh("-c", LOADED_MODULES, *argv)
+        assert proc.returncode == 0, proc.stderr
+        loaded[name] = set(proc.stdout.splitlines()[-1].split())
+    for name in ("count", "train-joint"):
+        assert {"amdep.automata", "amdep.values"} <= loaded[name], name
+        assert not loaded[name] & {"amdep.algebra", "amdep.graph", "amdep.decompose",
+                                   "amdep.generate"}, name
+    assert "amdep.graph" in loaded["train-joint --corpus"]
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose", "train-joint", "viterbi"])
+def test_output_in_a_missing_directory_exits_1_naming_it(workspace, tmp_path, capsys, command):
+    missing = tmp_path / "missing" / "out.json"
+    argv = {"verify": ["--graphs", workspace / "graphs.json", "--trees", workspace / "gold.json",
+                       "--out", missing],
+            "decompose": ["--graphs", workspace / "graphs.json", "--out", tmp_path / "t.json",
+                          "--report", missing],
+            "train-joint": ["--automata", workspace / "run/automata", "--out", missing],
+            "viterbi": ["--automata", workspace / "run/automata", "--out", missing]}[command]
+    assert run(command, *argv) == 1
+    assert one_error_line(capsys) == f"error: {missing}: No such file or directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) in ([], ["t.json"])
+
+
+@pytest.mark.parametrize("command", ["build-automata", "pipeline"])
+def test_out_dir_that_cannot_be_made_exits_1_naming_it(workspace, tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    inputs = {"build-automata": ["--trees", workspace / "run/trees.json"],
+              "pipeline": ["--graphs", workspace / "graphs.json"]}[command]
+    assert run(command, *inputs, "--out", tmp_path / "file" / "out") == 1
+    assert one_error_line(capsys) == f"error: {tmp_path / 'file' / 'out'}: Not a directory"

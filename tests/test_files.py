@@ -339,3 +339,14 @@ def test_write_json_writes_the_bytes_json_dump_writes(value):
             json.dump(value, fh, ensure_ascii=False, indent=1, sort_keys=True)
             fh.write("\n")
         assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_write_json_that_fails_leaves_the_old_file(tmp_path):
+    # the bad value comes after the first chunks have been written: the old
+    # bytes stay, and the temporary file is gone
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        write_json(list(range(3 * _CHUNK)) + [object()], path)
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
