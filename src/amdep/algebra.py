@@ -7,6 +7,7 @@ imported here under the same names.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import NamedTuple
 
 from .errors import (
@@ -243,50 +244,19 @@ def child_order(e: DepEdge):
     return e.op, e.source, e.child
 
 
-class TreeView:
-    """A tree as fold reads it: the constant of each node, each node's child
-    edges in child_order, and the root. An AMDepTree is one that checked
-    its input; resolve keeps one up to date as it edits a tree."""
-
-    def __init__(self, nodes: dict[str, SGraph], root: str, children: dict[str, list]):
-        self.nodes = nodes
-        self.root = root
-        self._children = children
-
-    def children(self, node):
-        return list(self._children[node])
-
-    def constant(self, node) -> SGraph:
-        return self.nodes[node]
-
-    def depth_order(self, node=None):
-        """Nodes of the subtree at node (default: the root) ordered so
-        children precede parents; a subtree's order is the whole tree's
-        order restricted to it."""
-        order = []
-        stack = [(self.root if node is None else node, False)]
-        while stack:
-            n, done = stack.pop()
-            if done:
-                order.append(n)
-            else:
-                stack.append((n, True))
-                for e in self._children[n]:
-                    stack.append((e.child, False))
-        return order
-
-
-class AMDepTree(TreeView):
+class AMDepTree:
     """Tree whose nodes are graph constants and whose edges carry apply or
-    modify operations. Node ids are opaque strings."""
+    modify operations. Node ids are opaque strings. Each edge is kept twice:
+    as its child's parent edge, in edge order (the input order), and in its
+    parent's child list, in child_order."""
 
     def __init__(self, nodes: dict[str, SGraph], root: str, edges):
         self.nodes = dict(nodes)
         self.root = root
-        self.edges = [e if isinstance(e, DepEdge) else DepEdge(*e) for e in edges]
         self._children: dict[str, list[DepEdge]] = {n: [] for n in self.nodes}
         self._parent: dict[str, DepEdge] = {}
-        for e in self.edges:
+        for e in edges:
+            e = e if isinstance(e, DepEdge) else DepEdge(*e)
             if e.parent not in self.nodes or e.child not in self.nodes:
                 raise ValueError(f"edge {e} references unknown node")
             if e.op not in ("APP", "MOD"):
@@ -315,8 +285,53 @@ class AMDepTree(TreeView):
                 raise ValueError(f"node {n!r} has two APP children on one source")
             kids.sort(key=child_order)
 
+    @property
+    def edges(self) -> list[DepEdge]:
+        return list(self._parent.values())
+
     def parent_edge(self, node):
         return self._parent.get(node)
+
+    def children(self, node):
+        return list(self._children[node])
+
+    def constant(self, node) -> SGraph:
+        return self.nodes[node]
+
+    def depth_order(self, node=None):
+        """Nodes of the subtree at node (default: the root) ordered so
+        children precede parents; a subtree's order is the whole tree's
+        order restricted to it."""
+        order = []
+        stack = [(self.root if node is None else node, False)]
+        while stack:
+            n, done = stack.pop()
+            if done:
+                order.append(n)
+            else:
+                stack.append((n, True))
+                for e in self._children[n]:
+                    stack.append((e.child, False))
+        return order
+
+    def _copy(self) -> "AMDepTree":
+        """An unchecked copy to edit with _move and by assigning to its
+        nodes; AMDepTree(copy.nodes, copy.root, copy.edges) checks it."""
+        t = AMDepTree.__new__(AMDepTree)
+        t.nodes, t.root, t._parent = dict(self.nodes), self.root, dict(self._parent)
+        t._children = {n: list(kids) for n, kids in self._children.items()}
+        return t
+
+    def _move(self, node, edge=None):
+        """Detach node from its parent and attach it by edge, which goes
+        last in edge order; without edge, delete node, a leaf."""
+        old = self._parent.pop(node)
+        self._children[old.parent].remove(old)
+        if edge is None:
+            del self.nodes[node], self._children[node]
+        else:
+            self._parent[node] = edge
+            insort(self._children[edge.parent], edge, key=child_order)
 
     def to_json(self):
         return {
@@ -437,7 +452,7 @@ def _given_order(head_type, sequence, types):
         yield edge, head_type
 
 
-def fold(tree: TreeView, node=None, leaf=None, step=None, orders=None, replay=None):
+def fold(tree: AMDepTree, node=None, leaf=None, step=None, orders=None, replay=None):
     """The one bottom-up pass over the subtree at node (default: the root).
 
     Each node consumes its children in the greedy admissible order of
@@ -479,7 +494,7 @@ def check_well_typed(tree: AMDepTree) -> AMType:
     return fold(tree)[0]
 
 
-def term_type(tree: TreeView, node: str) -> AMType:
+def term_type(tree: AMDepTree, node: str) -> AMType:
     """Type of the result of evaluating the subtree rooted at node."""
     return fold(tree, node)[0]
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 import functools
 import logging
 import random
-from bisect import insort
 from typing import NamedTuple
 
 from .algebra import (
@@ -16,10 +15,8 @@ from .algebra import (
     DepEdge,
     EMPTY_TYPE,
     SGraph,
-    TreeView,
     canonical_constant_form,
     check_well_typed,
-    child_order,
     constant,
     evaluate,
     placeholder,
@@ -402,30 +399,18 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
 
     Nodes are processed so that a node is only handled once no other pending
     node's resolution path runs through it; within each step the edge order
-    is immaterial. The steps edit one child -> parent edge map, together
-    with the child lists of a TreeView over the same nodes, and read the
-    paths and the reference leaves off the input tree, which stays exact by
-    the invariant stated below. A moving node's subtree is typed on the
-    view, so a tree is built only once, at the end. With debug=True a tree
+    is immaterial. The steps edit one unchecked copy of the tree, and read
+    the paths and the reference leaves off the input tree, which stays exact
+    by the invariant stated below. A moving node's subtree is typed on the
+    copy, so a tree is checked only once, at the end. With debug=True a tree
     is also built and re-typechecked after every step (the intermediate
     trees, references included, must stay well-typed).
     """
-    nodes = dict(tree.nodes)
-    root = tree.root
     # A step moves only its own node and deletes only that node's reference
     # leaves, so every other node keeps its input parent edge until its own
     # step.
-    parent = {e.child: e for e in tree.edges}
-    children = {n: tree.children(n) for n in nodes}
-    view = TreeView(nodes, root, children)
+    t = tree._copy()
     ref_positions = _ref_positions(tree)
-
-    def current_tree():
-        return AMDepTree(nodes, root, parent.values())
-
-    def detach(n):
-        e = parent.pop(n)
-        children[e.parent].remove(e)
 
     # each path chains down from its target, so its nodes are the target and
     # every edge's child
@@ -451,7 +436,7 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
             tt = EMPTY_TYPE
         else:
             try:
-                tt = term_type(view, y)
+                tt = term_type(t, y)
             except NotWellTyped as exc:
                 raise ResolutionFailed(y, f"cannot type subtree: {exc}") from exc
         for path in plan.paths[y]:
@@ -465,28 +450,25 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
                     # one of its reference leaves, not merely on the final
                     # path edge (a reference can sit below y itself)
                     if e.child == y or e is path[-1]:
-                        nodes[e.parent] = nodes[e.parent].with_type(
-                            _add_request(nodes[e.parent].typ, placeholder(y), value, y))
+                        t.nodes[e.parent] = t.nodes[e.parent].with_type(
+                            _add_request(t.nodes[e.parent].typ, placeholder(y), value, y))
                     else:
                         addition = AMType({placeholder(y): value})
-                        nodes[e.parent] = nodes[e.parent].with_type(
-                            _add_request(nodes[e.parent].typ, e.source, addition, y))
+                        t.nodes[e.parent] = t.nodes[e.parent].with_type(
+                            _add_request(t.nodes[e.parent].typ, e.source, addition, y))
                 if e.child == y:
                     below_y = True
         if rt != y:
-            detach(y)
-            parent[y] = DepEdge(rt, y, "APP", placeholder(y))  # a moved edge goes last
-            insort(children[rt], parent[y], key=child_order)
+            t._move(y, DepEdge(rt, y, "APP", placeholder(y)))
         for n in ref_positions.get(y, []):
-            detach(n)
-            del nodes[n], children[n]
+            t._move(n)
         pending.discard(y)
         if debug:
             try:
-                check_well_typed(current_tree())
+                check_well_typed(AMDepTree(t.nodes, t.root, t.edges))
             except NotWellTyped as exc:
                 raise ResolutionFailed(y, f"tree ill-typed after step: {exc}") from exc
-    return current_tree()
+    return AMDepTree(t.nodes, t.root, t.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +478,14 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
 def modify_swap(tree: AMDepTree, pairs) -> AMDepTree:
     """Swap consecutive modify edges: for each pair (n->m, m->k) the node k
     becomes the modifier of n and m becomes an apply child of k, with m's
-    term type recorded as the request at m's slot in k's constant."""
-    nodes = dict(tree.nodes)
-    parent = {e.child: e for e in tree.edges}
+    term type recorded as the request at m's slot in k's constant. The swaps
+    edit one unchecked copy of the tree, which is checked once, at the end."""
+    t = tree._copy()
     used = set()
     for (n, m), (m2, k) in pairs:
         if m2 != m:
             raise InvalidSwapPair(f"pair ({n},{m});({m2},{k}) is not consecutive")
-        top, bot = parent.get(m), parent.get(k)
+        top, bot = t.parent_edge(m), t.parent_edge(k)
         if top is None or bot is None or top.parent != n or bot.parent != m:
             raise InvalidSwapPair(f"edges ({n},{m}) and ({m},{k}) not found")
         if top.op != "MOD" or top.source != placeholder(n):
@@ -513,16 +495,14 @@ def modify_swap(tree: AMDepTree, pairs) -> AMDepTree:
         if top in used or bot in used:
             raise InvalidSwapPair("edge appears in two pairs")
         used.update((top, bot))
-        tt = term_type(AMDepTree(nodes, tree.root, parent.values()), m)
+        tt = term_type(t, m)
         if placeholder(n) not in tt.names():
             raise InvalidSwapPair(
                 f"term type of {m!r} lacks {placeholder(n)!r}; swap would detach the modifier")
-        del parent[m], parent[k]  # moved edges go last in the tree's edge order
-        parent[k] = DepEdge(n, k, "MOD", placeholder(n))
-        parent[m] = DepEdge(k, m, "APP", placeholder(m))
-        nodes[k] = nodes[k].with_type(
-            _add_request(nodes[k].typ, placeholder(m), tt, k))
-    return AMDepTree(nodes, tree.root, parent.values())
+        t._move(k, DepEdge(n, k, "MOD", placeholder(n)))
+        t._move(m, DepEdge(k, m, "APP", placeholder(m)))
+        t.nodes[k] = t.nodes[k].with_type(_add_request(t.nodes[k].typ, placeholder(m), tt, k))
+    return AMDepTree(t.nodes, t.root, t.edges)
 
 
 def consecutive_mod_pairs(tree: AMDepTree):

@@ -242,6 +242,44 @@ class TestModifySwap:
             modify_swap(d.tree, [(("g", "f"), ("f", "t"))])  # first edge is APP
 
 
+class TestOneCheckedTreePerCall:
+    """resolve and modify_swap edit one copy of their input and check one
+    tree, at the end; only resolve(debug=True) builds one per step."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        init = AMDepTree.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(AMDepTree, "__init__", counted)
+        return calls
+
+    def test_resolve(self, sparkle_glow, heuristics, built):
+        n = normalized(sparkle_glow, heuristics)
+        c = canonical_tree(unroll(n), n)
+        plan = default_plan(c)
+        assert plan.targets
+        built.clear()
+        t = resolve(c, plan)
+        assert len(built) == 1
+        assert is_isomorphic(evaluate(t), n.graph)
+        built.clear()
+        assert resolve(c, plan, debug=True) == t
+        assert len(built) == 1 + len(plan.targets)
+
+    def test_modify_swap(self, relative_clause, heuristics, built):
+        t, _n = TestModifySwap().fig7d_tree(relative_clause, heuristics)
+        pairs = consecutive_mod_pairs(t)
+        assert len(pairs) == 1
+        built.clear()
+        modify_swap(t, pairs)
+        assert len(built) == 1
+
+
 class TestResolveExtended:
     def test_default_plan_matches_resolve(self, sparkle_glow, heuristics):
         n = normalized(sparkle_glow, heuristics)
