@@ -29,7 +29,7 @@ from itertools import permutations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import AmdepError, MalformedInput, UnsupportedName
-from .files import _CHUNK, SHAPE, check, open_input, open_output
+from .files import _CHUNK, SHAPE, check, escapes_surrogate, open_input, open_output
 from .values import (
     SGraph,
     _LeafLayout,
@@ -513,12 +513,17 @@ def _named(a: TreeAutomaton) -> str:
 def leaf_constant(a: TreeAutomaton, rid: int) -> SGraph:
     """The graph constant of leaf rule rid of a, parsed from its label when
     it is needed, not when a is read. A label that is not a canonical
-    constant raises MalformedInput naming the automaton and the rule."""
+    constant, or holds a lone surrogate, raises MalformedInput naming the
+    automaton and the rule."""
+    label = a.labels[rid]
     try:
-        return constant_from_canonical(a.labels[rid])
+        c = constant_from_canonical(label)
     except _NOT_A_CONSTANT as exc:
         raise MalformedInput(f"{_named(a)}: rule {rid}: label is not a graph constant: "
                              f"{exc!r}") from exc
+    if escapes_surrogate(label):
+        check(json.loads(label), dict, f"{_named(a)}: rule {rid}: label", surrogates=True)
+    return c
 
 
 def reconstruct_tree(a: TreeAutomaton, run: Run) -> AMDepTree:
@@ -623,6 +628,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
     graph_id = ""
     sources: tuple[str, ...] = ()
     shape: dict[str, dict] = {}
+    unpaired = False  # whether the shape may hold a lone surrogate
     finals: list[State] = []
     links, labels, rule_lines = [], [], []  # (parent, *children) numbers, label, line by rule id
     weights: dict[int, float] = {}
@@ -642,7 +648,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
                         elif key == "sources":
                             sources = tuple(rest.split())
                         elif key == "shape":
-                            shape = json.loads(rest)
+                            shape, unpaired = json.loads(rest), escapes_surrogate(rest)
                         continue
                     if line.startswith("#"):
                         continue
@@ -672,7 +678,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
         if isinstance(exc, UnicodeDecodeError):  # ln and its position are the read buffer's
             ln, exc = _first_undecodable(path)
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
-    check(shape, SHAPE, f"{path}: shape")
+    check(shape, SHAPE, f"{path}: shape", surrogates=unpaired)
     try:
         aligns = _alignments(shape, {addr: _root_label(d["const"])
                                      for addr, d in shape.items() if d["kind"] == "leaf"})

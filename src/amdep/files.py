@@ -61,28 +61,45 @@ def make_output_dir(path: Path):
         raise UnwritableOutput(f"{path}: {exc.strerror or exc}") from exc
 
 
-def read_json(path, schema, error=MalformedInput):
-    """The JSON value of a file, checked against schema; a file that is not
-    JSON or departs from schema raises error naming it."""
+def escapes_surrogate(text):
+    """Whether JSON text may decode to a lone UTF-16 surrogate, which UTF-8
+    cannot encode, so no output could hold it. Only an escape from \\ud800
+    to \\udfff gives one, and each begins \\ud or \\uD; a pair of them is
+    one character beyond U+FFFF."""
+    return "\\ud" in text or "\\uD" in text
+
+
+def _load(path, error):
+    """The JSON value of a file, and whether its text escapes a surrogate."""
     with open_input(path) as fh:
         try:
-            data = json.load(fh)
+            text = fh.read()
+            return json.loads(text), escapes_surrogate(text)
         except (ValueError, RecursionError) as exc:  # undecodable bytes too
             raise error(f"{path}: invalid JSON: {exc}") from exc
-    check(data, schema, path, error)
+
+
+def read_json(path, schema, error=MalformedInput):
+    """The JSON value of a file, checked against schema; a file that is not
+    JSON, departs from schema or holds a lone surrogate raises error naming
+    it."""
+    data, escapes = _load(path, error)
+    check(data, schema, path, error, escapes)
     return data
 
 
 def read_items(path, schema, build, error=MalformedInput):
     """(id, build(item)) for each item of a file that lists objects that
     each follow schema, which requires a string "id". An item that departs
-    from it, or that build rejects, raises error naming the file and the
-    item, by its id or else by #index."""
+    from it, holds a lone surrogate or that build rejects raises error
+    naming the file and the item, by its id or else by #index."""
     out = []
-    for i, item in enumerate(read_json(path, [dict], error)):
+    items, escapes = _load(path, error)
+    check(items, [dict], path, error)
+    for i, item in enumerate(items):
         tid = item.get("id")
         where = f"{path}: item {tid!r}" if isinstance(tid, str) else f"{path}: item #{i}"
-        check(item, schema, where, error)
+        check(item, schema, where, error, escapes)
         try:
             out.append((tid, build(item)))
         except (ValueError, AmdepError, RecursionError) as exc:  # RecursionError: a deep type
@@ -245,13 +262,35 @@ def _field(field, key):
     return f"{field}[{key!r}]"
 
 
-def check(value, schema, name, error=MalformedInput):
+def check(value, schema, name, error=MalformedInput, surrogates=False):
     """Raise error naming name and the field path where value first
-    departs from schema."""
+    departs from schema or, with surrogates, where a string of it, key or
+    value, first holds a lone surrogate."""
     try:
         _check(value, schema)
+        if surrogates:
+            _unpaired(value)
     except (_Mismatch, RecursionError) as exc:
         raise error(f"{name}: {exc}") from None
+
+
+def _unpaired(value):
+    """Raise _Mismatch at the first string of value, a key or a value, that
+    holds a lone surrogate."""
+    if isinstance(value, (dict, list)):
+        for key, v in value.items() if isinstance(value, dict) else enumerate(value):
+            try:
+                _unpaired(key)
+                _unpaired(v)
+            except _Mismatch as exc:
+                exc.path.append(key)
+                raise
+    elif isinstance(value, str):
+        try:
+            value.encode()
+        except UnicodeEncodeError as exc:
+            raise _Mismatch(f" holds the lone surrogate {value[exc.start]!r}",
+                            "the top level") from None
 
 
 def _check(value, schema):

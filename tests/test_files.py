@@ -120,7 +120,7 @@ COMMANDS = {
 # what replaces a value: one of another type, or one of the listed values
 OTHER_TYPES = [0, 1.5, "x", None, True, [], {}]
 VALUES = {"huge int": 10 ** 400, "big int": 2 ** 63, "NaN": math.nan, "empty string": "",
-          "non-ASCII text": "é☃"}
+          "non-ASCII text": "é☃", "lone surrogate": "x\ud800"}
 MUTATIONS = ["swap type", "delete", "wrap in list", *VALUES]
 
 
@@ -298,6 +298,90 @@ def test_corrupt_automaton_label_exits_1_naming_file_and_automaton(base, tmp_pat
     code, _out, err = run("viterbi", "--automata", tmp_path / "auto", "--out", tmp_path / "b.json")
     [line] = error_lines(err)
     assert code == 1 and line.startswith(f"error: {path}: automaton 'g1': {message}")
+
+
+# JSON text can escape a lone surrogate, which UTF-8 cannot encode: such a
+# string ended in a UnicodeEncodeError traceback when an output held it
+
+
+@pytest.mark.parametrize("command", ["decompose", "pipeline"])
+def test_lone_surrogate_in_a_corpus_exits_1_naming_file_item_and_field(tmp_path, command):
+    (tmp_path / "g.json").write_text(json.dumps(corpus_with(
+        nodes=[{"id": "a", "label": "see"}, {"id": "b", "label": "b\ud800oy"}])))
+    argv = {"decompose": ["--out", tmp_path / "t.json", "--report", tmp_path / "s.json"],
+            "pipeline": ["--iters", 1, "--out", tmp_path / "run"]}[command]
+    code, _out, err = run(command, "--graphs", tmp_path / "g.json", *argv)
+    assert code == 1 and error_lines(err) == [
+        f"error: {tmp_path / 'g.json'}: item 'g': nodes[1].label holds the lone "
+        "surrogate '\\ud800'"]
+    assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+
+
+def test_surrogate_pair_in_a_corpus_is_one_character(tmp_path):
+    (tmp_path / "g.json").write_text(json.dumps(corpus_with(
+        nodes=[{"id": "a", "label": "see"}, {"id": "b", "label": "b\U0001f600oy"}])))
+    assert "\\ud83d\\ude00" in (tmp_path / "g.json").read_text()
+    code, _out, err = run("pipeline", "--graphs", tmp_path / "g.json", "--iters", 1,
+                          "--out", tmp_path / "run")
+    assert code == 0, err
+    assert "b\U0001f600oy" in (tmp_path / "run/best-trees.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["verify", "build-automata", "stats"])
+@pytest.mark.parametrize("where", ["value", "key"])
+def test_lone_surrogate_in_trees_exits_1_naming_file_item_and_field(base, tmp_path, command,
+                                                                     where):
+    trees = json.loads((base / "trees.json").read_text())
+    nodes = trees[0]["tree"]["nodes"]
+    node = sorted(nodes)[0]
+    if where == "value":
+        nodes[node]["nodes"][0]["label"] = "x\udc00"
+        field = f"tree.nodes.{node}.nodes[0].label"
+    else:
+        key = node + "\udc00"
+        nodes[key] = nodes.pop(node)
+        field = f"tree.nodes[{key!r}]"
+    (tmp_path / "t.json").write_text(json.dumps(trees))
+    argv = {"verify": ["--graphs", base / "graphs.json", "--trees", tmp_path / "t.json",
+                       "--out", tmp_path / "v.json"],
+            "build-automata": ["--trees", tmp_path / "t.json", "--out", tmp_path / "auto"],
+            "stats": ["--trees", tmp_path / "t.json"]}[command]
+    code, _out, err = run(command, *argv)
+    assert code == 1 and error_lines(err) == [
+        f"error: {tmp_path / 't.json'}: item {trees[0]['id']!r}: {field} holds the lone "
+        "surrogate '\\udc00'"]
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+# a leaf label, and the shape's node id of the root leaf, as JSON text:
+# (the change to the automaton file, the error after the automaton's name)
+SURROGATES = {
+    "leaf label": (lambda text: text.replace('"nodes":{"r":"', '"nodes":{"r":"\\ud800'),
+                   "rule 0: label: nodes.r holds the lone surrogate '\\ud800'"),
+    "shape node": (lambda text: text.replace('"node":"a"', '"node":"a\\udbff"'),
+                   "shape: [''].node holds the lone surrogate '\\udbff'"),
+}
+
+
+@pytest.mark.parametrize("case", SURROGATES)
+def test_lone_surrogate_in_an_automaton_exits_1_naming_file_and_rule(tmp_path, case):
+    change, message = SURROGATES[case]
+    (tmp_path / "g.json").write_text(json.dumps(corpus_with(nodes=[{"id": "a", "label": "see"}],
+                                                            edges=[])))
+    assert run("pipeline", "--graphs", tmp_path / "g.json", "--iters", 1,
+               "--out", tmp_path / "run")[0] == 0
+    path = tmp_path / "run/automata/g.auto"
+    text = path.read_text()
+    assert change(text) != text
+    path.write_text(change(text))
+    code, _out, err = run("viterbi", "--automata", tmp_path / "run/automata",
+                          "--out", tmp_path / "best.json")
+    if case == "shape node":
+        message = f"{path}: {message}"
+    else:
+        message = f"{path}: automaton 'g': {message}"
+    assert code == 1 and error_lines(err) == [f"error: {message}"]
+    assert not (tmp_path / "best.json").exists()
 
 
 @pytest.mark.parametrize("tid", ["a/b", "../escaped", "nul\0"])
