@@ -268,8 +268,19 @@ def _entry_counts(a, trees=None):
     without it the entry's "trees" field is left out."""
     fields = {"rules": len(a.labels), "states": len(a.state_list), "empty": a.empty}
     if trees is not None:
-        fields["trees"] = str(trees)
+        fields["trees"] = _decimal(trees)
     return fields
+
+
+def _decimal(n):
+    """str(n) for a tree count n >= 0, also one with more digits than
+    Python converts to text by default (4,300), as a deep graph's count can
+    have: its digits grow linearly with the graph."""
+    try:
+        return str(n)
+    except ValueError:
+        high, low = divmod(n, 10 ** 4000)
+        return _decimal(high) + str(low).zfill(4000)
 
 
 def _read_automata_dir(path, counted=False):
@@ -303,8 +314,8 @@ def _read_automata_dir(path, counted=False):
 def cmd_count(args):
     automata, counts = _read_automata_dir(args.automata, counted=True)
     for (tid, _a), c in zip(automata, counts):
-        print(f"{tid}\t{c}")
-    print(f"TOTAL\t{sum(counts)}")
+        print(f"{tid}\t{_decimal(c)}")
+    print(f"TOTAL\t{_decimal(sum(counts))}")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from amdep.algebra import AMDepTree, AMType, constant, write_trees
-from amdep.cli import main
+from amdep.cli import _decimal, main
 from amdep.decompose import decompose
 from amdep.graph import SemanticGraph
 
@@ -854,6 +854,29 @@ def test_index_without_tree_counts_is_loaded_without_counting(workspace, tmp_pat
     assert run("train-em", "--automata", auto, "--iters", 5, "--seed", 1,
                "--out", tmp_path / "t.json") == 0
     assert (tmp_path / "t.json").read_bytes() == want
+
+
+def test_tree_counts_past_the_int_to_str_digit_limit(workspace, tmp_path, monkeypatch,
+                                                     capsys):
+    # a deep graph's count has more digits than Python converts by default
+    # (4,300); build-automata writes such a count and count re-reads it
+    monkeypatch.setattr("amdep.automata.count_trees", lambda a: 10 ** 4400 + 12345)
+    digits = "1" + "0" * 4395 + "12345"
+    assert run("build-automata", "--trees", workspace / "run/trees.json",
+               "--out", tmp_path / "auto") == 0
+    entries = _index_entries(tmp_path / "auto")
+    assert [e["trees"] for e in entries] == [digits] * len(entries)
+    assert run("count", "--automata", tmp_path / "auto") == 0
+    total = str(len(entries)) + str(12345 * len(entries)).zfill(4400)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{e['id']}\t{digits}" for e in entries] + [f"TOTAL\t{total}"]
+
+
+@given(st.one_of(st.integers(0, 10 ** 4299),
+                 st.integers(-5, 5).map(lambda d: 10 ** 4000 + d),
+                 st.integers(-5, 5).map(lambda d: 10 ** 4299 + d)))
+def test_tree_counts_below_the_limit_render_as_str(n):
+    assert _decimal(n) == str(n)
 
 
 @pytest.mark.parametrize("key, value", [("states", 0), ("empty", None), ("trees", "0"),
