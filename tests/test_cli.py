@@ -161,6 +161,15 @@ class TestDecompose:
         assert "fairy-that-begins-to-glow#0" in ids
         assert "fairy-that-begins-to-glow#1" in ids
 
+    def test_pipeline_enumerate_unrollings_decomposes_as_decompose(self, tmp_path):
+        assert run("decompose", "--graphs", GOLDENS / "figures-graphs.json",
+                   "--enumerate-unrollings",
+                   "--out", tmp_path / "t.json", "--report", tmp_path / "s.json") == 0
+        assert run("pipeline", "--graphs", GOLDENS / "figures-graphs.json",
+                   "--enumerate-unrollings", "--iters", 1, "--out", tmp_path / "run") == 0
+        assert (tmp_path / "run/trees.json").read_bytes() == (tmp_path / "t.json").read_bytes()
+        assert (tmp_path / "run/skipped.json").read_bytes() == (tmp_path / "s.json").read_bytes()
+
     def test_jobs_parallel_identical(self, workspace, tmp_path):
         assert run("decompose", "--graphs", workspace / "graphs.json",
                    "--out", tmp_path / "t2.json", "--report", tmp_path / "s2.json",
