@@ -315,51 +315,48 @@ def _lca(chains):
     raise ValueError("no common ancestor")
 
 
-def _ref_positions(tree: AMDepTree) -> dict[str, list[str]]:
-    """Each referenced node -> its reference leaves."""
-    out: dict[str, list[str]] = {}
+def _chain_table(tree: AMDepTree) -> dict[str, list[list[str]]]:
+    """Each referenced node -> the ancestor chains of its positions (the node
+    and each of its reference leaves), in sorted order."""
+    refs: dict[str, list[str]] = {}
     for node in tree.nodes:
         if is_ref_node(tree, node):
-            out.setdefault(placeholder_target(tree.parent_edge(node).source), []).append(node)
-    return out
+            refs.setdefault(placeholder_target(tree.parent_edge(node).source), []).append(node)
+    return {y: [_ancestors(tree, p) for p in sorted([y] + leaves)] for y, leaves in refs.items()}
 
 
-def _lca_targets(tree: AMDepTree) -> dict[str, str]:
-    """Each referenced node -> the lowest common ancestor of the node and
-    all its reference leaves."""
-    return {y: _lca([_ancestors(tree, p) for p in [y] + refs])
-            for y, refs in _ref_positions(tree).items()}
+def _plan(tree: AMDepTree, chains, targets=None) -> ResolutionPlan:
+    """The plan over a chain table. Every fact of a node's plan is a slice of
+    its chains (a node without references has one, its own): the lowest
+    common ancestor is the lowest node on all of them, the target must lie on
+    them at or above it (without targets, it is the lowest common ancestor),
+    and the path to a position is the parent edges of its chain below the
+    target, top down."""
+    for y in chains:
+        if targets is not None and y not in targets:
+            raise ValueError(f"plan must cover referenced node {y!r}")
+    plan = ResolutionPlan({}, {})
+    for y in sorted(chains if targets is None else targets):
+        cs = chains.get(y) or [_ancestors(tree, y)]
+        lca = _lca(cs)
+        rt = lca if targets is None else targets[y]
+        if rt not in cs[0][cs[0].index(lca):]:
+            raise ValueError(f"target {rt!r} for {y!r} is below the common ancestor {lca!r}")
+        plan.targets[y] = rt
+        plan.paths[y] = [[tree.parent_edge(n) for n in reversed(c[:c.index(rt)])] for c in cs]
+    return plan
 
 
 def default_plan(tree: AMDepTree) -> ResolutionPlan:
     """Resolve exactly the referenced nodes, each at the lowest common
     ancestor of the node and all its reference leaves."""
-    return build_plan(tree, _lca_targets(tree))
+    return _plan(tree, _chain_table(tree))
 
 
 def build_plan(tree: AMDepTree, targets: dict[str, str]) -> ResolutionPlan:
     """Plan with explicit resolution targets (each at least as high as the
-    default lowest common ancestor); may include nodes without references.
-
-    Every fact of a node's plan is a slice of one ancestor chain per
-    position (the node and each of its reference leaves): the lowest common
-    ancestor is the lowest node on all of them, the target must lie on them
-    at or above it, and the path to a position is the parent edges of its
-    chain below the target, top down."""
-    ref_positions = _ref_positions(tree)
-    for y in ref_positions:
-        if y not in targets:
-            raise ValueError(f"plan must cover referenced node {y!r}")
-    plan = ResolutionPlan({}, {})
-    for y, rt in sorted(targets.items()):
-        chains = [_ancestors(tree, p) for p in sorted([y] + ref_positions.get(y, []))]
-        lca = _lca(chains)
-        if rt not in chains[0][chains[0].index(lca):]:
-            raise ValueError(f"target {rt!r} for {y!r} is below the common ancestor {lca!r}")
-        plan.targets[y] = rt
-        plan.paths[y] = [[tree.parent_edge(n) for n in reversed(c[:c.index(rt)])]
-                         for c in chains]
-    return plan
+    default lowest common ancestor); may include nodes without references."""
+    return _plan(tree, _chain_table(tree), targets)
 
 
 def check_resolvable(tree: AMDepTree, plan: ResolutionPlan,
@@ -400,17 +397,16 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
     Nodes are processed so that a node is only handled once no other pending
     node's resolution path runs through it; within each step the edge order
     is immaterial. The steps edit one unchecked copy of the tree, and read
-    the paths and the reference leaves off the input tree, which stays exact
-    by the invariant stated below. A moving node's subtree is typed on the
-    copy, so a tree is checked only once, at the end. With debug=True a tree
-    is also built and re-typechecked after every step (the intermediate
+    the paths off the plan, which stays exact by the invariant stated below;
+    a reference leaf's path ends at it. A moving node's subtree is typed on
+    the copy, so a tree is checked only once, at the end. With debug=True a
+    tree is also built and re-typechecked after every step (the intermediate
     trees, references included, must stay well-typed).
     """
     # A step moves only its own node and deletes only that node's reference
     # leaves, so every other node keeps its input parent edge until its own
     # step.
     t = tree._copy()
-    ref_positions = _ref_positions(tree)
 
     # each path chains down from its target, so its nodes are the target and
     # every edge's child
@@ -419,12 +415,11 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
 
     pending = set(plan.targets)
     while pending:
-        eligible = [y for y in sorted(pending)
-                    if not any(y in path_nodes[x] for x in pending if x != y)]
-        if not eligible:
+        y = next((y for y in sorted(pending)
+                  if not any(y in path_nodes[x] for x in pending if x != y)), None)
+        if y is None:
             raise ResolutionFailed(sorted(pending)[0],
                                    "circular resolution paths; no eligible node")
-        y = eligible[0]
         rt = plan.targets[y]
         # The request recorded along a resolution path is the type of
         # whatever ultimately occupies the merged slot. At or above y that is
@@ -444,24 +439,22 @@ def resolve(tree: AMDepTree, plan: ResolutionPlan, debug=False) -> AMDepTree:
             for e in path:
                 if e.parent == y:
                     below_y = True
-                value = EMPTY_TYPE if below_y else tt
                 if e.op == "APP":
                     # the slot rule applies whenever the edge ends at y or at
                     # one of its reference leaves, not merely on the final
                     # path edge (a reference can sit below y itself)
-                    if e.child == y or e is path[-1]:
-                        t.nodes[e.parent] = t.nodes[e.parent].with_type(
-                            _add_request(t.nodes[e.parent].typ, placeholder(y), value, y))
-                    else:
-                        addition = AMType({placeholder(y): value})
-                        t.nodes[e.parent] = t.nodes[e.parent].with_type(
-                            _add_request(t.nodes[e.parent].typ, e.source, addition, y))
+                    value = EMPTY_TYPE if below_y else tt
+                    slot, addition = ((placeholder(y), value) if e.child == y or e is path[-1]
+                                      else (e.source, AMType({placeholder(y): value})))
+                    t.nodes[e.parent] = t.nodes[e.parent].with_type(
+                        _add_request(t.nodes[e.parent].typ, slot, addition, y))
                 if e.child == y:
                     below_y = True
         if rt != y:
             t._move(y, DepEdge(rt, y, "APP", placeholder(y)))
-        for n in ref_positions.get(y, []):
-            t._move(n)
+        for path in plan.paths[y]:
+            if path and path[-1].child != y:
+                t._move(path[-1].child)
         pending.discard(y)
         if debug:
             try:
@@ -561,8 +554,9 @@ def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=Fal
                 except InvalidSwapPair:
                     pass
         for cand in variants:
-            for targets in _plan_space(cand, with_lifts):
-                plan = build_plan(cand, targets)
+            plans = ((build_plan(cand, targets) for targets in _plan_space(cand, True))
+                     if with_lifts else [default_plan(cand)])
+            for plan in plans:
                 report = check_resolvable(cand, plan, n)
                 if not report.decomposable:
                     yield None, NonDecomposable("resolution conditions violated", report)
@@ -619,12 +613,16 @@ def enumerate_candidate_trees(g: SemanticGraph, heuristics=None, tie_break="sort
 
 
 def _plan_space(tree: AMDepTree, with_lifts):
-    default = _lca_targets(tree)
+    """The targets of the default plan, or with_lifts of every plan whose
+    targets lie at or above the default ones."""
+    chains = _chain_table(tree)
+    default = {y: _lca(cs) for y, cs in chains.items()}
     if not with_lifts:
         return [default]
     plans = [{}]
     for y in sorted(default):
-        plans = [dict(pl, **{y: a}) for pl in plans for a in _ancestors(tree, default[y])]
+        above = chains[y][0][chains[y][0].index(default[y]):]
+        plans = [dict(pl, **{y: a}) for pl in plans for a in above]
     return plans
 
 
