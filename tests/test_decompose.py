@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -9,6 +11,7 @@ from amdep.algebra import (
     constant,
     evaluate,
     placeholder,
+    placeholder_target,
     term_type,
 )
 from amdep.decompose import (
@@ -278,6 +281,41 @@ class TestOneCheckedTreePerCall:
         built.clear()
         modify_swap(t, pairs)
         assert len(built) == 1
+
+
+class TestResolutionFactsOncePerCandidate:
+    """decompose scans each candidate tree for reference leaves once, in
+    default_plan, and builds one ancestor chain per position (a referenced
+    node and each of its reference leaves); resolve reads the leaves off the
+    plan."""
+
+    def test_decompose(self, sparkle_glow, heuristics, monkeypatch):
+        # the package's own decompose attribute is the function
+        module = importlib.import_module("amdep.decompose")
+        is_ref, ancestors = module.is_ref_node, module._ancestors
+        scanned, chained = [], []
+
+        def counted_is_ref(tree, node):
+            scanned.append((tree, node))
+            return is_ref(tree, node)
+
+        def counted_ancestors(tree, node):
+            chained.append((tree, node))
+            return ancestors(tree, node)
+
+        monkeypatch.setattr(module, "is_ref_node", counted_is_ref)
+        monkeypatch.setattr(module, "_ancestors", counted_ancestors)
+        assert isinstance(decompose(sparkle_glow, heuristics), Decomposition)
+        candidates = {id(t): t for t, _node in scanned}
+        assert candidates
+        assert {id(t) for t, _node in chained} <= candidates.keys()
+        for t in candidates.values():
+            assert sorted(node for u, node in scanned if u is t) == sorted(t.nodes)
+            refs = [node for node in t.nodes if is_ref(t, node)]
+            assert refs
+            positions = refs + sorted({placeholder_target(t.parent_edge(r).source)
+                                       for r in refs})
+            assert sorted(node for u, node in chained if u is t) == sorted(positions)
 
 
 class TestResolveExtended:
