@@ -551,8 +551,8 @@ def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=Fal
             for pair in consecutive_mod_pairs(base):
                 try:
                     variants.append(modify_swap(base, [pair]))
-                except InvalidSwapPair:
-                    pass
+                except (InvalidSwapPair, NotWellTyped):
+                    pass  # a pair that cannot swap, or whose swap does not type
         for cand in variants:
             plans = ((build_plan(cand, targets) for targets in _plan_space(cand, True))
                      if with_lifts else [default_plan(cand)])

@@ -31,7 +31,7 @@ from amdep.decompose import (
     resolve,
     unroll,
 )
-from amdep.errors import AmdepError, InvalidSwapPair, ResolutionFailed
+from amdep.errors import AmdepError, InvalidSwapPair, NotWellTyped, ResolutionFailed
 from amdep.generate import GeneratorConfig, gen_random_tree
 from amdep.graph import SemanticGraph, is_isomorphic, normalize_edges, partition_blobs
 
@@ -439,6 +439,21 @@ class TestDecompose:
 
 
 class TestCompletenessHarness:
+    def test_swap_that_does_not_type_is_skipped(self, heuristics):
+        # k modifies m twice (ARG0 and ARG1), and m modifies the root n: the
+        # one swap pair's m is not typed by the swapped tree, so that variant
+        # is skipped as an invalid pair is
+        g = SemanticGraph({"n": "N", "m": "M", "k": "K"},
+                          [("m", "n", "ARG0"), ("k", "m", "ARG0"), ("k", "m", "ARG1")], "n")
+        n = normalized(g, heuristics)
+        c = canonical_tree(unroll(n), n)
+        (pair,) = consecutive_mod_pairs(c)
+        with pytest.raises(NotWellTyped):
+            modify_swap(c, [pair])
+        plain = enumerate_candidate_trees(g, heuristics, with_swaps=False)
+        assert len(plain) == 1
+        assert enumerate_candidate_trees(g, heuristics) == plain
+
     def test_relative_clause_both_analyses_found(self, relative_clause, heuristics,
                                                  figure_goldens):
         trees = enumerate_candidate_trees(relative_clause, heuristics,
