@@ -567,9 +567,9 @@ class TestSerialization:
         assert str(err.value) == f"{path}, line {n}: malformed: {self.MALFORMED[line]}"
 
     def test_undecodable_bytes_raise_malformed_input(self, rel_decomp, tmp_path):
-        # bytes that are not UTF-8, past the first read buffer: the line and
-        # the position the codec reports depend on where buffered reading
-        # stood, so only the form of the message is pinned
+        # bytes that are not UTF-8, past the first read buffer: only the form
+        # of the message is pinned here; the line and the position are exact,
+        # and test_undecodable_bytes_name_their_line pins them
         path = tmp_path / "u.auto"
         write_automaton(build_automaton(rel_decomp.tree, S3), path)
         path.write_bytes(path.read_bytes() + b"# a comment\n" * 3000 + b"\xff\n")

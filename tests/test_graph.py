@@ -358,16 +358,22 @@ class TestIsomorphism:
 
 def _match_undos(g1, g2):
     """is_isomorphic(g1, g2), and how many times the search undid a match
-    on the way, counted by tracing _match's undo line."""
-    import inspect
+    on the way, counted by tracing _match's undo line. The line is read off
+    the traced code object, not the source file, which may have changed
+    since the module was imported."""
+    import dis
     import sys
 
     from amdep import graph
 
     code = graph._match.__code__
-    lines, first = inspect.getsourcelines(graph._match)
-    undo = first + next(i for i, line in enumerate(lines)
-                        if "used.discard(mapping.pop(n))" in line)
+    undo = None
+    for ins in dis.get_instructions(code):
+        undo = ins.starts_line or undo
+        if ins.argval == "discard":  # used.discard(mapping.pop(n))
+            break
+    else:
+        raise AssertionError("_match has no discard call")
     undone = 0
 
     def trace(frame, event, _arg):
