@@ -440,8 +440,9 @@ class TestDecompose:
 
 class TestCompletenessHarness:
     def test_swap_that_does_not_type_is_skipped(self, heuristics):
-        # k modifies m twice (ARG0 and ARG1), and m modifies the root n: the
-        # one swap pair's m is not typed by the swapped tree, so that variant
+        # k modifies m twice (ARG0 and ARG1), so one of k's slots for m holds
+        # a reference leaf and m's subtree does not type before resolution:
+        # swapping the one modify pair raises NotWellTyped, and that variant
         # is skipped as an invalid pair is
         g = SemanticGraph({"n": "N", "m": "M", "k": "K"},
                           [("m", "n", "ARG0"), ("k", "m", "ARG0"), ("k", "m", "ARG1")], "n")
