@@ -6,7 +6,8 @@ The digests pin every byte of trees.json and skipped.json from
 whose skip report holds every skip reason (directed cycles, Theorem-1
 violations, failed resolutions, open sources). Each corpus is decomposed
 with and without --enumerate-unrollings, except the 100-node one, which
-takes about 45 s to enumerate and so is pinned without it. One more digest
+takes about 45 s to enumerate and so is pinned without it; the random
+corpus is also decomposed both ways under --tie-break seeded:7. One more digest
 pins the trees enumerate_candidate_trees finds with swaps and lifted
 targets on the first 150 random graphs. To record them again after a
 deliberate change of the decomposition:
@@ -66,10 +67,14 @@ def decompose_digests(root: Path) -> dict:
         corpora[f"gen-{max_nodes}"] = path = root / f"gen-{max_nodes}.json"
         main(["gen", "--n", "40", "--seed", "1", "--max-nodes", str(max_nodes),
               "--graphs", str(path), "--trees", str(root / f"gold-{max_nodes}.json")])
+    seeded = ["--tie-break", "seeded:7"]
+    modes = {"first": [], "all": ["--enumerate-unrollings"],
+             "seeded-first": seeded, "seeded-all": [*seeded, "--enumerate-unrollings"]}
     digests = {}
     for name, corpus in corpora.items():
-        for mode, flags in (("first", []), ("all", ["--enumerate-unrollings"])):
-            if (name, mode) == ("gen-100", "all"):
+        for mode, flags in modes.items():
+            if (name, mode) == ("gen-100", "all") or (mode.startswith("seeded")
+                                                      and name != "random"):
                 continue
             out = root / name / mode
             out.mkdir(parents=True)
