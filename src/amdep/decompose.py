@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import logging
 import random
+from collections import deque
 from typing import NamedTuple
 
 from .algebra import (
@@ -84,97 +85,95 @@ def _order_key(tie_break):
     raise ValueError(f"unknown tie_break {tie_break!r} (use 'sorted' or 'seeded:K')")
 
 
-def _entry_is_valid(g, parents, pick, comp, visited):
-    """A backward entry into an untraversed component is kept only when every
-    other boundary edge (w, m) of the component can later become a reference
-    leaf whose resolution survives the new modify edge: the entry point x
-    must equal m, or reach m by a directed path whose carriers can actually
-    fold below x (nodes still unvisited, or already placed in x's subtree) —
-    that chain is what leaves the delayed slot open in x's partial result."""
-    x = pick.tgt
+def _entry_targets(g, parents, depth, x, visited):
+    """The nodes that a backward entry at x keeps resolvable as boundary
+    targets: x, and the end of every directed path from x whose carriers can
+    actually fold below x (nodes still unvisited, or already placed in x's
+    subtree). The entry into an untraversed component is kept only when each
+    boundary target of the component (the target of an edge from it into the
+    visited nodes) is among them, since it can then become a reference leaf
+    whose resolution survives the new modify edge: that chain is what leaves
+    the delayed slot open in x's partial result. One search from x serves
+    every target and every component."""
 
     def under_x(w):
-        while w is not None:
-            if w == x:
-                return True
-            w = parents.get(w)
-        return False
+        while depth[w] > depth[x]:
+            w = parents[w]
+        return w == x
 
-    def constrained_reach(m):
-        seen = {x}
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            for e in g.out_edges(v):
-                w = e.tgt
-                if w == m:
-                    return True
-                if w in seen:
-                    continue
-                if w not in visited or under_x(w):
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    for e in g.edges:  # edges out of comp are untraversed; the pick ends at x
-        if e.src in comp and e.tgt in visited:
-            if e.tgt != x and not constrained_reach(e.tgt):
-                return False
-    return True
+    seen, reached, stack = {x}, {x}, [x]
+    while stack:
+        for e in g.out_edges(stack.pop()):
+            reached.add(e.tgt)
+            if e.tgt not in seen and (e.tgt not in visited or under_x(e.tgt)):
+                seen.add(e.tgt)
+                stack.append(e.tgt)
+    return reached
 
 
-def _run_unroll(n: NormalizedGraph, tie_break, choices=(), record=None):
+def _run_unroll(n: NormalizedGraph, tie_break, choices, record):
     """Core two-queue traversal. choices/record support enumeration over
     backward entry points: choices[i] overrides the pick at juncture i, and
     record (a list) receives (candidate count, valid count) per juncture."""
     g = n.graph
     okey = _order_key(tie_break)
-    traversed: set[Edge] = set()
     labels = {g.root: g.label(g.root)}  # the visited nodes
+    unvisited = set(g.nodes) - {g.root}
     refs: dict[str, str] = {}
     edges: list[UEdge] = []
     parents: dict[str, str] = {}
-    fqueue: list[Edge] = []
+    depth = {g.root: 0}
+    fqueue: deque[Edge] = deque()
     bqueue: list[Edge] = []
-    juncture = 0
+    comps: dict[str, str] = {}  # unvisited node -> its component's first candidate source
+    members: dict[str, set[str]] = {}  # that source -> the component
 
-    def visit(v):
-        outs = sorted((e for e in g.out_edges(v) if e not in traversed),
-                      key=lambda e: okey(e, e.tgt))
-        ins = sorted((e for e in g.in_edges(v) if e not in traversed),
-                     key=lambda e: okey(e, e.src))
-        fqueue.extend(outs)
-        bqueue.extend(ins)
+    def visit(v, via):  # via, the edge that placed v, is its one traversed edge
+        fqueue.extend(sorted((e for e in g.out_edges(v) if e != via),
+                             key=lambda e: okey(e, e.tgt)))
+        bqueue.extend(sorted((e for e in g.in_edges(v) if e != via),
+                             key=lambda e: okey(e, e.src)))
 
     def place(child, parent, edge, backward):
         labels[child] = g.label(child)
+        unvisited.discard(child)
         parents[child] = parent
+        depth[child] = depth[parent] + 1
         edges.append(UEdge(parent, child, backward, edge))
-        visit(child)
+        visit(child, edge)
 
-    visit(g.root)
+    visit(g.root, None)
     while True:
         while fqueue:  # each edge enters once, when its source is visited
-            e = fqueue.pop(0)
-            traversed.add(e)
-            if e.tgt not in labels:
+            e = fqueue.popleft()
+            if e.tgt in unvisited:
                 place(e.tgt, e.src, e, False)
             else:
                 rid = f"ref{len(refs)}"
                 refs[rid] = e.tgt
                 edges.append(UEdge(e.src, rid, False, e))
-        candidates = [e for e in bqueue if e not in traversed]
-        if not candidates:
+        # with no forward edge pending, the candidates are exactly the edges
+        # from an unvisited node into a visited one
+        bqueue[:] = [e for e in bqueue if e.src in unvisited]
+        if not bqueue:
             break
-        unvisited = {x for x in g.nodes if x not in labels}
-        ranked = [(e, _entry_is_valid(g, parents, e, g.component(e.src, unvisited), labels))
-                  for e in candidates]
+        for e in bqueue:  # a component of the unvisited nodes is searched once
+            if e.src not in comps:
+                members[e.src] = g.component(e.src, unvisited)
+                comps.update(dict.fromkeys(members[e.src], e.src))
+        targets: dict[str, set[str]] = {}  # a component -> its candidates' targets
+        for e in bqueue:
+            targets.setdefault(comps[e.src], set()).add(e.tgt)
+        kept = {x: _entry_targets(g, parents, depth, x, labels) for x in {e.tgt for e in bqueue}}
+        ranked = [(e, targets[comps[e.src]] <= kept[e.tgt]) for e in bqueue]
         ordered = [e for e, ok in ranked if ok] + [e for e, ok in ranked if not ok]
-        if record is not None:
-            record.append((len(ordered), sum(1 for _, ok in ranked if ok)))
-        pick = ordered[choices[juncture] if juncture < len(choices) else 0]
-        juncture += 1
-        traversed.add(pick)
+        j = len(record)
+        record.append((len(ordered), sum(1 for _, ok in ranked if ok)))
+        pick = ordered[choices[j] if j < len(choices) else 0]
+        # nodes placed from here on lie in the pick's component (each forward
+        # edge of a placed node ends in it), so only that one is searched again
+        for v in members.pop(comps[pick.src]):
+            del comps[v]
         place(pick.src, pick.tgt, pick, True)
     return UnrolledTree(g.root, labels, refs, edges)
 
@@ -184,32 +183,30 @@ def unroll(n: NormalizedGraph, tie_break="sorted") -> UnrolledTree:
     Forward edges are always drained first; a backward edge is only taken
     when no forward edge is pending, entering an untraversed component at a
     point from which the component's remaining boundary edges stay
-    resolvable."""
-    return _run_unroll(n, tie_break)
+    resolvable. It is the first of iter_unrollings."""
+    return next(iter_unrollings(n, tie_break))
 
 
 def iter_unrollings(n: NormalizedGraph, tie_break="sorted", include_invalid=False):
     """Lazily yield unrollings, varying the backward entry choices. Variants
     are explored best-first by the number of deviations from the greedy
     (validity-ranked) picks, so the first yield is exactly
-    unroll(n, tie_break) and near-greedy alternatives come early.
+    unroll(n, tie_break) and near-greedy alternatives come early: a child
+    deviates once more than its parent and is queued after it, so a FIFO
+    queue holds them in that order.
 
     By default only entries the validity filter accepts are explored (the
     meaningful latent choice); include_invalid widens to every candidate,
     which the completeness harness uses for exhaustive negative proofs.
     """
-    import heapq
-
     seen = set()
-    emitted = 0
-    pops = 0
-    counter = 0
-    heap = [(0, 0, [])]
-    while heap and emitted < MAX_UNROLLINGS and pops < 8 * MAX_UNROLLINGS:
-        devs, _tie, choices = heapq.heappop(heap)
+    emitted = pops = 0
+    queue = deque([[]])
+    while queue and emitted < MAX_UNROLLINGS and pops < 8 * MAX_UNROLLINGS:
+        choices = queue.popleft()
         pops += 1
         record: list[tuple[int, int]] = []
-        tree = _run_unroll(n, tie_break, choices=choices, record=record)
+        tree = _run_unroll(n, tie_break, choices, record)
         key = tuple(sorted(tree.edges))
         if key not in seen:
             seen.add(key)
@@ -221,9 +218,7 @@ def iter_unrollings(n: NormalizedGraph, tie_break="sorted", include_invalid=Fals
             total, valid = record[j]
             width = total if include_invalid else max(1, valid)
             for alt in range(1, width):
-                counter += 1
-                child = choices + [0] * (j - len(choices)) + [alt]
-                heapq.heappush(heap, (devs + 1, counter, child))
+                queue.append(choices + [0] * (j - len(choices)) + [alt])
 
 
 def enumerate_unrollings(n: NormalizedGraph):
