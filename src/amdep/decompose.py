@@ -531,10 +531,10 @@ def _normalize(g: SemanticGraph, heuristics: BlobHeuristics | None) -> Normalize
 def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=False):
     """The one candidate-verify loop: for each unrolling, its canonical tree
     (plus, with_swaps, each single modify-edge swap of it) under every plan
-    of _plan_space is checked for resolvability, resolved, typed and
-    evaluated against the normalized graph. Yields (tree, None) for a
-    candidate that verifies and (None, NonDecomposable) with the first check
-    it failed otherwise."""
+    of _plan_space, each built from the candidate's one chain table, is
+    checked for resolvability, resolved, typed and evaluated against the
+    normalized graph. Yields (tree, None) for a candidate that verifies and
+    (None, NonDecomposable) with the first check it failed otherwise."""
     for u in unrollings:
         try:
             base = canonical_tree(u, n)
@@ -549,8 +549,9 @@ def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=Fal
                 except (InvalidSwapPair, NotWellTyped):
                     pass  # a pair that cannot swap, or whose swap does not type
         for cand in variants:
-            plans = ((build_plan(cand, targets) for targets in _plan_space(cand, True))
-                     if with_lifts else [default_plan(cand)])
+            chains = _chain_table(cand)
+            plans = ((_plan(cand, chains, targets) for targets in _lifts(chains))
+                     if with_lifts else [_plan(cand, chains)])
             for plan in plans:
                 report = check_resolvable(cand, plan, n)
                 if not report.decomposable:
@@ -611,12 +612,16 @@ def _plan_space(tree: AMDepTree, with_lifts):
     """The targets of the default plan, or with_lifts of every plan whose
     targets lie at or above the default ones."""
     chains = _chain_table(tree)
-    default = {y: _lca(cs) for y, cs in chains.items()}
-    if not with_lifts:
-        return [default]
+    return _lifts(chains) if with_lifts else [{y: _lca(cs) for y, cs in chains.items()}]
+
+
+def _lifts(chains):
+    """The targets of every plan over a chain table whose targets lie at or
+    above the default ones."""
     plans = [{}]
-    for y in sorted(default):
-        above = chains[y][0][chains[y][0].index(default[y]):]
+    for y in sorted(chains):
+        chain = chains[y][0]
+        above = chain[chain.index(_lca(chains[y])):]
         plans = [dict(pl, **{y: a}) for pl in plans for a in above]
     return plans
 

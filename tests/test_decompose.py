@@ -318,6 +318,51 @@ class TestResolutionFactsOncePerCandidate:
             assert sorted(node for u, node in chained if u is t) == sorted(positions)
 
 
+    def test_enumeration_with_lifts(self, heuristics, monkeypatch):
+        # every lifted plan of a candidate is built from its one chain table;
+        # fairy's lowest common ancestor "and" lifts to the root
+        g = SemanticGraph({"w": "want", "a": "and", "s": "sparkle", "g": "glow", "f": "fairy"},
+                          [("w", "a", "ARG1"), ("a", "s", "op1"), ("a", "g", "op2"),
+                           ("s", "f", "ARG0"), ("g", "f", "ARG0")], "w")
+        module = importlib.import_module("amdep.decompose")
+        chain_table, tables = module._chain_table, []
+
+        def counted_chain_table(tree):
+            tables.append(tree)
+            return chain_table(tree)
+
+        plans = []
+        monkeypatch.setattr(module, "_chain_table", counted_chain_table)
+        monkeypatch.setattr(module, "check_resolvable",
+                            lambda t, plan, n: plans.append(plan) or check_resolvable(t, plan, n))
+        assert enumerate_candidate_trees(g, heuristics, with_lifts=True)
+        assert len(plans) > len(tables) > 0
+        assert len({id(t) for t in tables}) == len(tables)
+
+
+class TestUnrollingFactsOncePerJuncture:
+    """A juncture of the unrolling searches each unvisited component once,
+    however many candidates enter the visited nodes from it."""
+
+    def test_two_candidates_into_one_component(self, heuristics, monkeypatch):
+        module = importlib.import_module("amdep.decompose")
+        g = SemanticGraph({"r": "want", "a": "boy", "b": "go"},
+                          [("a", "r", "ARG0"), ("b", "r", "ARG1"), ("a", "b", "ARG2")], "r")
+        n = normalized(g, heuristics)
+        component, searched = SemanticGraph.component, []
+
+        def counted_component(graph, start, within):
+            searched.append(start)
+            return component(graph, start, within)
+
+        monkeypatch.setattr(SemanticGraph, "component", counted_component)
+        record = []
+        u = module._run_unroll(n, "sorted", [], record)
+        assert record == [(2, 2)]
+        assert len(searched) == 1
+        assert u == unroll(n)
+
+
 class TestResolveExtended:
     def test_default_plan_matches_resolve(self, sparkle_glow, heuristics):
         n = normalized(sparkle_glow, heuristics)
