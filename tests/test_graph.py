@@ -289,8 +289,9 @@ class TestIsomorphism:
         edges[n // 2] = (*edges[n // 2][:2], "ARG1")
         assert not is_isomorphic(g1, SemanticGraph(g2.nodes, edges, "b0"))
 
-    def test_symmetric_candidates_need_backtracking(self):
-        # two same-labeled children, only one carries a grandchild
+    def test_children_told_apart_by_their_out_edges(self):
+        # two same-labelled children, only one with an out-edge (to c): their
+        # signatures differ, so the match needs no backtracking
         g1 = SemanticGraph({"r": "R", "a": "X", "b": "X", "c": "C"},
                            [("r", "a", "e"), ("r", "b", "e"), ("a", "c", "f")], "r")
         g2 = SemanticGraph({"r": "R", "a": "X", "b": "X", "c": "C"},
