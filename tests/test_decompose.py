@@ -317,7 +317,6 @@ class TestResolutionFactsOncePerCandidate:
                                        for r in refs})
             assert sorted(node for u, node in chained if u is t) == sorted(positions)
 
-
     def test_enumeration_with_lifts(self, heuristics, monkeypatch):
         # every lifted plan of a candidate is built from its one chain table;
         # fairy's lowest common ancestor "and" lifts to the root
@@ -325,16 +324,18 @@ class TestResolutionFactsOncePerCandidate:
                           [("w", "a", "ARG1"), ("a", "s", "op1"), ("a", "g", "op2"),
                            ("s", "f", "ARG0"), ("g", "f", "ARG0")], "w")
         module = importlib.import_module("amdep.decompose")
-        chain_table, tables = module._chain_table, []
+        chain_table, tables, plans = module._chain_table, [], []
 
         def counted_chain_table(tree):
             tables.append(tree)
             return chain_table(tree)
 
-        plans = []
+        def counted_check(tree, plan, n):
+            plans.append(plan)
+            return check_resolvable(tree, plan, n)
+
         monkeypatch.setattr(module, "_chain_table", counted_chain_table)
-        monkeypatch.setattr(module, "check_resolvable",
-                            lambda t, plan, n: plans.append(plan) or check_resolvable(t, plan, n))
+        monkeypatch.setattr(module, "check_resolvable", counted_check)
         assert enumerate_candidate_trees(g, heuristics, with_lifts=True)
         assert len(plans) > len(tables) > 0
         assert len({id(t) for t in tables}) == len(tables)
