@@ -157,12 +157,11 @@ def _run_unroll(n: NormalizedGraph, tie_break, choices, record):
         bqueue[:] = [e for e in bqueue if e.src in unvisited]
         if not bqueue:
             break
+        targets: dict[str, set[str]] = {}  # a component -> its candidates' targets
         for e in bqueue:  # a component of the unvisited nodes is searched once
             if e.src not in comps:
                 members[e.src] = g.component(e.src, unvisited)
                 comps.update(dict.fromkeys(members[e.src], e.src))
-        targets: dict[str, set[str]] = {}  # a component -> its candidates' targets
-        for e in bqueue:
             targets.setdefault(comps[e.src], set()).add(e.tgt)
         kept = {x: _entry_targets(g, parents, depth, x, labels) for x in {e.tgt for e in bqueue}}
         ranked = [(e, targets[comps[e.src]] <= kept[e.tgt]) for e in bqueue]
@@ -530,9 +529,9 @@ def _normalize(g: SemanticGraph, heuristics: BlobHeuristics | None) -> Normalize
 
 def _candidates(n: NormalizedGraph, unrollings, with_swaps=False, with_lifts=False):
     """The one candidate-verify loop: for each unrolling, its canonical tree
-    (plus, with_swaps, each single modify-edge swap of it) under every plan
-    of _plan_space, each built from the candidate's one chain table, is
-    checked for resolvability, resolved, typed and evaluated against the
+    (plus, with_swaps, each single modify-edge swap of it) under its default
+    plan (with_lifts, every plan of _lifts), each built from the candidate's
+    one chain table, is checked for resolvability, resolved, typed and evaluated against the
     normalized graph. Yields (tree, None) for a candidate that verifies and
     (None, NonDecomposable) with the first check it failed otherwise."""
     for u in unrollings:
