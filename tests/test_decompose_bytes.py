@@ -6,7 +6,7 @@ The digests pin every byte of trees.json and skipped.json from
 whose skip report holds every skip reason (directed cycles, Theorem-1
 violations, failed resolutions, open sources). Each corpus is decomposed
 with and without --enumerate-unrollings, except the 100-node one, which
-takes about 15 s to enumerate and so is pinned without it; the random
+takes about 19 s to enumerate and so is pinned without it; the random
 corpus is also decomposed both ways under --tie-break seeded:7. One more digest
 pins the trees enumerate_candidate_trees finds with swaps and lifted
 targets on the first 150 random graphs. To record them again after a
