@@ -21,14 +21,13 @@ in the order their rules first name them and share one index builder;
 from __future__ import annotations
 
 import json
-import logging
 import operator
 import re
 from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import AmdepError, MalformedInput, UnsupportedName
+from .errors import AmdepError, Logger, MalformedInput, UnsupportedName
 from .files import _CHUNK, SHAPE, check, escapes_surrogate, open_input, open_output
 from .values import (
     SGraph,
@@ -42,7 +41,7 @@ from .values import (
 if TYPE_CHECKING:
     from .algebra import AMDepTree
 
-log = logging.getLogger("amdep.automata")
+log = Logger("amdep.automata")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import math
 import os
 import sys
@@ -22,10 +21,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import AmdepError, EmptyAutomaton, MalformedInput, NonEmptyRootType, first_ids
+from .errors import (AmdepError, EmptyAutomaton, Logger, MalformedInput, NonEmptyRootType,
+                     defer_log_set_up, first_ids, loaded_logging)
 from .files import make_output_dir, write_json, write_manifest
 
-log = logging.getLogger("amdep.cli")
+log = Logger("amdep.cli")
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,21 +54,22 @@ def _load_blobs(path):
     return BlobHeuristics.from_tsv(path) if path else BlobHeuristics.default_table()
 
 
-class _Records(logging.Handler):
-    """Keeps what a worker logs, each message formatted so that it pickles."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.records.append(record)
-
-
 def _call_logged(fn, payload):
     """fn(payload), or None and the message of the AmdepError it raised, and
     the log records it emitted, which are kept instead of written."""
+    import logging
+
+    class _Records(logging.Handler):
+        """Keeps what a worker logs, each message formatted so that it pickles."""
+
+        def __init__(self):
+            super().__init__()
+            self.records = []
+
+        def emit(self, record):
+            record.msg, record.args, record.exc_info = record.getMessage(), None, None
+            self.records.append(record)
+
     root = logging.getLogger()
     handler = _Records()
     saved, root.handlers = root.handlers, [handler]
@@ -85,12 +86,14 @@ def _map(fn, payloads, jobs):
     jobs > 1; the pool is imported only then, so the CLI starts without it.
     Workers send their log records and AmdepError messages back with their
     results, and they are written and raised in input order, so stderr does
-    not depend on jobs."""
+    not depend on jobs. Logging is set up before the pool starts, as the
+    first record the parent writes may come from a worker."""
     if jobs <= 1:
         return [fn(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor
     from functools import partial
 
+    logging = loaded_logging()
     results = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for result, error, records in pool.map(partial(_call_logged, fn), payloads):
@@ -637,13 +640,27 @@ def _check_flags(args):
                              "use 'sorted' or 'seeded:K' with an integer K") from None
 
 
-def main(argv=None):
-    try:
-        logging.getLogger().setLevel(os.environ.get("AMD_LOG", "WARNING"))
-    except ValueError as exc:
-        print(f"error: AMD_LOG: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+def _set_up_logging(level="WARNING"):
+    """Messages at level and above go to stderr, each prefixed with its level
+    and logger name; ValueError if level names no level."""
+    import logging
+
+    logging.getLogger().setLevel(level)
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+
+
+def main(argv=None):
+    # with AMD_LOG unset the set-up waits for the first message, so a command
+    # that writes none does not import logging
+    if "AMD_LOG" in os.environ or "logging" in sys.modules:
+        defer_log_set_up(None)
+        try:
+            _set_up_logging(os.environ.get("AMD_LOG", "WARNING"))
+        except ValueError as exc:
+            print(f"error: AMD_LOG: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+    else:
+        defer_log_set_up(_set_up_logging)
     args = build_parser().parse_args(argv)
     try:
         _check_flags(args)

@@ -5,7 +5,6 @@ sources, then resolve the reentrancies through the type system."""
 from __future__ import annotations
 
 import functools
-import logging
 import random
 from collections import deque
 from typing import NamedTuple
@@ -37,8 +36,6 @@ from .graph import (
     normalize_edges,
     partition_blobs,
 )
-
-log = logging.getLogger("amdep.decompose")
 
 MAX_UNROLLINGS = 64  # unrollings tried per graph, lazily, best-first
 

@@ -1,6 +1,48 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy and the logger shared across the package."""
 
 from __future__ import annotations
+
+import sys
+
+# the set-up of logging that defer_log_set_up left to the first message
+_set_up = None
+
+
+def defer_log_set_up(set_up):
+    """Run set_up() before the next message a Logger writes, or, with None,
+    drop the set-up deferred before."""
+    global _set_up
+    _set_up = set_up
+
+
+def loaded_logging():
+    """The logging module, imported, after any deferred set-up has run."""
+    global _set_up
+    import logging
+
+    if _set_up is not None:
+        set_up, _set_up = _set_up, None
+        set_up()
+    return logging
+
+
+class Logger:
+    """The logger named name, with logging imported only for a message that
+    could be written: a command that writes none does not load logging,
+    traceback and what they import. Until logging is loaded, info is
+    dropped, as the root logger's default level WARNING drops it."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def info(self, msg, *args):
+        if "logging" in sys.modules:
+            loaded_logging().getLogger(self.name).info(msg, *args)
+
+    def warning(self, msg, *args):
+        loaded_logging().getLogger(self.name).warning(msg, *args)
 
 
 class AmdepError(Exception):

@@ -5,15 +5,14 @@ its ``Edge``, lives in ``values`` and is imported here under the same name.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import CorpusError, MalformedInput
+from .errors import CorpusError, Logger, MalformedInput
 from .files import CORPUS_ITEM, open_input, read_items, write_json
 from .values import Edge, SemanticGraph
 
-log = logging.getLogger("amdep.graph")
+log = Logger("amdep.graph")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ scorer trained through the outer-weight gradient identity."""
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 import random
@@ -13,10 +12,10 @@ from typing import NamedTuple
 
 from .automata import (Run, TreeAutomaton, bottom_up, leaf_constant, reconstruct_tree,
                        subtree_counts, unfold)
-from .errors import AmdepError, EmptyAutomaton, NonFiniteGradient, first_ids
+from .errors import AmdepError, EmptyAutomaton, Logger, NonFiniteGradient, first_ids
 from .values import canonical_constant_form, constant_from_canonical, skeleton_form
 
-log = logging.getLogger("amdep.training")
+log = Logger("amdep.training")
 
 NEG_INF = float("-inf")
 SMOOTHING = 1e-6  # EM's default additive smoothing of expected event counts

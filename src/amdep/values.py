@@ -39,27 +39,30 @@ class SemanticGraph:
     __slots__ = ("nodes", "edges", "root", "_out", "_in")
 
     def __init__(self, nodes, edges, root):
-        self.nodes = dict(nodes)
-        self.edges = tuple(sorted({e if isinstance(e, Edge) else Edge(*e) for e in edges}))
-        self.root = root
-        out: dict[str, list[Edge]] = {n: [] for n in self.nodes}
-        inc: dict[str, list[Edge]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            if e.src not in self.nodes:
+        nodes = dict(nodes)
+        edges = tuple(sorted({e if isinstance(e, Edge) else Edge(*e) for e in edges}))
+        out: dict[str, list[Edge]] = {n: [] for n in nodes}
+        inc: dict[str, list[Edge]] = {n: [] for n in nodes}
+        for e in edges:
+            if e.src not in nodes:
                 raise CorpusError(f"edge {e} uses unknown node {e.src!r}")
-            if e.tgt not in self.nodes:
+            if e.tgt not in nodes:
                 raise CorpusError(f"edge {e} uses unknown node {e.tgt!r}")
             out[e.src].append(e)
             inc[e.tgt].append(e)
-        if root not in self.nodes:
+        if root not in nodes:
             raise CorpusError(f"root {root!r} is not a node")
-        self._out = out
-        self._in = inc
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_in", inc)
 
     def __setattr__(self, name, value):
-        if name in SemanticGraph.__slots__ and hasattr(self, "_in"):
-            raise AttributeError("SemanticGraph is immutable")
-        super().__setattr__(name, value)
+        raise AttributeError("SemanticGraph is immutable")
+
+    def __reduce__(self):  # pickle through __init__, which __setattr__ leaves alone
+        return SemanticGraph, (self.nodes, self.edges, self.root)
 
     def label(self, node):
         return self.nodes[node]

@@ -351,13 +351,20 @@ def test_tree_file_round_trip(tmp_path):
 
 def test_tree_pickle_round_trip():
     # worker processes receive and return trees by pickle; AMType, nested
-    # requests included, must survive although it refuses attribute writes
+    # requests included, and SemanticGraph must survive although they refuse
+    # attribute writes
     import pickle
 
     tree = coordination_tree()
     assert pickle.loads(pickle.dumps(tree)) == tree
     t = typ({"x": {}, "y": {"x": {}}})
     assert pickle.loads(pickle.dumps(t)) == t and hash(pickle.loads(pickle.dumps(t))) == hash(t)
+    g = tree.nodes[tree.root].graph
+    g2 = pickle.loads(pickle.dumps(g))
+    assert g2 == g and g2.out_edges(g2.root) == g.out_edges(g.root)
+    for value in (t, g2):
+        with pytest.raises(AttributeError, match="immutable"):
+            value.root = "x"
 
 
 def test_order_invariance_on_random_trees():

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -277,6 +278,23 @@ class TestAutomataCommands:
             assert run("build-automata", "--trees", tmp_path / "t.json", "--sources", 3,
                        "--out", tmp_path / "auto3") == 0
         assert [rec for rec in caplog.records if rec.name == "amdep.cli"] == []
+
+    def test_jobs_same_stderr_when_only_workers_warn(self, tmp_path):
+        # decompose skips nothing, so the first warning build-automata writes
+        # comes from a worker: it still carries its level and logger name
+        corpus = [{**WIDE, "id": f"wide{i}"} if i % 2 else {**ONE_EDGE, "id": f"one{i}"}
+                  for i in range(6)]
+        (tmp_path / "g.json").write_text(json.dumps(corpus))
+        assert run("decompose", "--graphs", tmp_path / "g.json", "--out", tmp_path / "t.json",
+                   "--report", tmp_path / "s.json") == 0
+        errs = []
+        for jobs in (1, 2):
+            proc = fresh("-m", "amdep.cli", "build-automata", "--trees", tmp_path / "t.json",
+                         "--sources", 2, "--jobs", jobs, "--out", tmp_path / f"auto{jobs}")
+            assert proc.returncode == 2, proc.stderr
+            errs.append(proc.stderr)
+        assert errs[0].startswith("WARNING amdep.automata: graph wide1: ")
+        assert errs[1] == errs[0]
 
     def test_colliding_file_names_kept_apart(self, tmp_path, capsys):
         # a#0 and a_0 both map to a_0.auto: each needs its own file
@@ -750,6 +768,15 @@ def test_unknown_log_level_exits_1(monkeypatch, capsys):
     assert "AMD_LOG" in line and "LOUD" in line
 
 
+def _argv(workspace, tmp_path, command):
+    return {"verify": ["--graphs", workspace / "graphs.json", "--trees", workspace / "gold.json"],
+            "count": ["--automata", workspace / "run/automata"],
+            "train-joint": ["--automata", workspace / "run/automata", "--epochs", 1,
+                            "--out", tmp_path / "scorer.json"],
+            "decompose": ["--graphs", workspace / "graphs.json", "--out", tmp_path / "t.json",
+                          "--report", tmp_path / "s.json"]}[command]
+
+
 LOADED_MODULES = ("import sys; from amdep.cli import main; main(sys.argv[1:]); "
                   "print(*sorted(m for m in sys.modules if m.startswith('amdep.')))")
 
@@ -760,15 +787,35 @@ LOADED_MODULES = ("import sys; from amdep.cli import main; main(sys.argv[1:]); "
     ("count", {"amdep.automata"}, {"amdep.decompose", "amdep.training", "amdep.generate"}),
     ("decompose", {"amdep.decompose"}, {"amdep.automata", "amdep.training", "amdep.generate"})])
 def test_command_loads_only_its_modules(workspace, tmp_path, command, needed, unloaded):
-    argv = {"verify": ["--graphs", workspace / "graphs.json", "--trees", workspace / "gold.json"],
-            "count": ["--automata", workspace / "run/automata"],
-            "decompose": ["--graphs", workspace / "graphs.json", "--out", tmp_path / "t.json",
-                          "--report", tmp_path / "s.json"]}[command]
-    proc = fresh("-c", LOADED_MODULES, command, *argv)
+    proc = fresh("-c", LOADED_MODULES, command, *_argv(workspace, tmp_path, command))
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert needed <= loaded
     assert not loaded & unloaded
+
+
+@pytest.mark.parametrize("command", ["count", "verify", "train-joint", "decompose"])
+def test_command_that_writes_no_message_loads_no_logging(workspace, tmp_path, monkeypatch,
+                                                        command):
+    """logging imports traceback, linecache, tokenize and more: a command
+    loads it only for a message it writes."""
+    monkeypatch.delenv("AMD_LOG", raising=False)
+    code = ("import sys; from amdep.cli import main; code = main(sys.argv[1:]); "
+            "print('logging' in sys.modules, 'traceback' in sys.modules); sys.exit(code)")
+    proc = fresh("-c", code, command, *_argv(workspace, tmp_path, command))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "False False"
+
+
+def test_info_written_only_when_amd_log_asks(workspace, tmp_path, monkeypatch):
+    monkeypatch.delenv("AMD_LOG", raising=False)
+    argv = ("-m", "amdep.cli", "decompose", *_argv(workspace, tmp_path, "decompose"))
+    proc = fresh(*argv, AMD_LOG="INFO")
+    assert proc.returncode == 0
+    assert re.fullmatch(r"INFO amdep\.cli: decomposed 12/12 graphs in \d+\.\d\ds\n",
+                        proc.stderr), proc.stderr
+    proc = fresh(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 PACKAGE_NAMES = {
