@@ -8,10 +8,9 @@ that stay well-typed.
 An automaton is its integer index (``TreeAutomaton``). ``build_automaton``
 holds each state at an address as the tuple of its names for the placeholders
 of the address's leftmost leaf, numbered by their sorted order there; it
-renders a leaf's labels from one layout of its constant, once for each
-distinct constant and source tuple of the calls that share a
-``LeafRenamings`` table, joins an operation's children on their shared
-placeholders and prunes by flags on the numbers.
+renders each leaf's labels from one layout of its constant, joins an
+operation's children on their shared placeholders and prunes by flags on
+the numbers.
 ``read_automaton`` parses each distinct state text and leaf constant once
 per process, as a corpus's files share most of them. Both number the states
 in the order their rules first name them and share one index builder;
@@ -281,39 +280,15 @@ def _renamings(layout: _LeafLayout, ph, sources):
     return tuple(names), tuple((local[combo], lbl) for combo, lbl in renamed), clashes
 
 
-class LeafRenamings(dict):
-    """(placeholder constant form, sources) -> that leaf's _renamings, which
-    the form and sources determine. A command passes one table to each
-    build_automaton call it makes, so a constant that recurs across its
-    corpus is rendered once; the oldest are dropped beyond _PARSED labels."""
-
-    def __init__(self):
-        self.rules = 0
-
-    def of(self, layout: _LeafLayout, form, ph, sources):
-        if (form, sources) not in self:
-            kept = _renamings(layout, ph, sources)
-            self.rules += len(kept[1])
-            while self.rules > _PARSED and self:
-                self.rules -= len(self.pop(next(iter(self)))[1])
-            self[form, sources] = kept
-        return self[form, sources]
-
-
-def build_automaton(tree: AMDepTree, sources, graph_id="",
-                    renamings: LeafRenamings | None = None) -> TreeAutomaton:
+def build_automaton(tree: AMDepTree, sources, graph_id="") -> TreeAutomaton:
     """One leaf rule per injective assignment of a constant's placeholders
     (nested request names included) to reusable sources; operation rules
     percolate the head-side assignment upward when the two child assignments
     agree on their shared placeholders. A leaf renaming that would give one
     level of the constant's type a name twice, a placeholder renamed onto a
     source name the constant already carries, is skipped with a warning.
-    graph_id names the automaton and its warnings; renamings holds the
-    leaves already rendered, by the caller's earlier calls (a new table when
-    None)."""
+    graph_id names the automaton and its warnings."""
     sources = tuple(sources)
-    if renamings is None:
-        renamings = LeafRenamings()
     where = f"graph {graph_id}: " if graph_id else ""
     for ch in "(){}=,:# ":
         if any(ch in s for s in sources):
@@ -333,12 +308,10 @@ def build_automaton(tree: AMDepTree, sources, graph_id="",
             raise UnsupportedName(f"{where}node id {node.tree_node!r} unsupported "
                                   "in automaton files")
         layout = _LeafLayout(node.const, ph)
-        form = layout.label({})
-        shape[node.address] = {"kind": "leaf", "node": node.tree_node, "const": form}
+        shape[node.address] = {"kind": "leaf", "node": node.tree_node, "const": layout.label({})}
         root_label[node.address] = node.const.root_label()
         keys[node.address] = ph
-        kept = renamings.of(layout, form, ph, sources)
-        names[node.address], rules_at[node.address], clashes = kept
+        names[node.address], rules_at[node.address], clashes = _renamings(layout, ph, sources)
         if clashes:
             log.warning("%sconstant at %s: skipped %d renamings of its placeholders onto "
                         "source names it already carries", where, node.tree_node, clashes)

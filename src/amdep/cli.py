@@ -198,9 +198,9 @@ def _build_one(payload):
     from .automata import build_automaton
     from .errors import NotWellTyped
 
-    tid, tree, sources, path, renamings = payload
+    tid, tree, sources, path = payload
     try:
-        return tid, build_automaton(tree, sources, graph_id=tid, renamings=renamings)
+        return tid, build_automaton(tree, sources, graph_id=tid)
     except NotWellTyped as exc:
         raise AmdepError(f"{path}: item {tid!r}: {exc}") from exc
 
@@ -236,15 +236,12 @@ def _build_automata(args, trees=None):
     trees: the (id, tree) list of args.trees when the caller already holds
     it, as the pipeline does; read from there when None."""
     from .algebra import read_trees
-    from .automata import LeafRenamings, count_trees, write_automaton
+    from .automata import count_trees, write_automaton
 
     sources = _source_names(args.sources)
     if trees is None:
         trees = read_trees(args.trees)
-    # shared by every tree with --jobs 1; a worker gets its own copy per tree
-    renamings = LeafRenamings()
-    results = _map(_build_one, [(tid, t, sources, args.trees, renamings) for tid, t in trees],
-                   args.jobs)
+    results = _map(_build_one, [(tid, t, sources, args.trees) for tid, t in trees], args.jobs)
     outdir = Path(args.out)
     make_output_dir(outdir)
     index = []

@@ -604,13 +604,6 @@ def enumerate_candidate_trees(g: SemanticGraph, heuristics=None, tie_break="sort
     return list(found.values())
 
 
-def _plan_space(tree: AMDepTree, with_lifts):
-    """The targets of the default plan, or with_lifts of every plan whose
-    targets lie at or above the default ones."""
-    chains = _chain_table(tree)
-    return _lifts(chains) if with_lifts else [{y: _lca(cs) for y, cs in chains.items()}]
-
-
 def _lifts(chains):
     """The targets of every plan over a chain table whose targets lie at or
     above the default ones."""

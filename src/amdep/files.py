@@ -228,8 +228,18 @@ SHAPE = {str: lambda d: {"node": str, "const": str} if isinstance(d, dict)
          and d.get("kind") == "leaf" else {"kind": str}}
 POSITIVE = Number(lambda x: x > 0, "a positive finite number")
 THETA = {"theta": {str: POSITIVE}, "groups?": {str: [str]}, "meta?": dict, "default?": POSITIVE}
-SCORER = {"params": {str: Number(lambda x: 0 < math.exp(x) < math.inf,
-                                 "a number whose exp is a positive finite weight")},
+
+
+def exp_is_weight(x) -> bool:
+    """Whether exp(x) is a positive finite float: a scorer parameter that
+    train-joint may reach and a scorer file may hold."""
+    try:
+        return 0 < math.exp(x) < math.inf
+    except OverflowError:
+        return False
+
+
+SCORER = {"params": {str: Number(exp_is_weight, "a number whose exp is a positive finite weight")},
           "meta?": dict}
 # a weights file is theta.json when it has "theta", else scorer.json
 WEIGHTS = lambda obj: THETA if isinstance(obj, dict) and "theta" in obj else SCORER
@@ -299,7 +309,7 @@ def _check(value, schema):
     if isinstance(schema, Number):
         try:
             ok = type(value) in (int, float) and math.isfinite(value) and schema.test(value)
-        except OverflowError:  # an int too large for a float, or its exp
+        except OverflowError:  # an int too large for a float
             ok = False
         if not ok:
             raise _Mismatch(f" is {value!r}, not {schema.what}")

@@ -13,6 +13,7 @@ from typing import NamedTuple
 from .automata import (Run, TreeAutomaton, bottom_up, leaf_constant, reconstruct_tree,
                        subtree_counts, unfold)
 from .errors import AmdepError, EmptyAutomaton, Logger, NonFiniteGradient, first_ids
+from .files import exp_is_weight
 from .values import canonical_constant_form, constant_from_canonical, skeleton_form
 
 log = Logger("amdep.training")
@@ -348,7 +349,12 @@ def em_fit(automata, iterations=25, seed=0, smoothing=SMOOTHING) -> EventTable:
         if len(history) >= 2 and history[-1] < history[-2] - 1e-9:
             log.warning("EM log-likelihood decreased: %.12f -> %.12f",
                         history[-2], history[-1])
-        _normalize_groups(counts, members, smoothing)
+        try:
+            _normalize_groups(counts, members, smoothing)
+        except OverflowError:  # fsum of an event group's smoothed counts
+            raise AmdepError(f"EM iteration {it + 1}: the smoothed counts of an event group "
+                             f"sum past the largest float; --smoothing {smoothing!r} "
+                             "is too large") from None
         theta = counts
     return EventTable(dict(zip(keys, theta)), groups,
                       meta={"iterations": iterations, "seed": seed,
@@ -490,7 +496,13 @@ def joint_fit(automata, cfg: JointConfig) -> Scorer:
                 if not math.isfinite(v):
                     raise NonFiniteGradient(f"gradient for {k!r} is {v!r}")
                 if cfg.lr:
-                    scorer.params[k] = scorer.params.get(k, 0.0) + cfg.lr * v
+                    p = scorer.params.get(k, 0.0) + cfg.lr * v
+                    if not exp_is_weight(p):
+                        raise NonFiniteGradient(
+                            f"epoch {epoch + 1}: the parameter of feature {k!r} reached "
+                            f"{p!r}, whose exp is not a positive finite weight; "
+                            "try a smaller --lr")
+                    scorer.params[k] = p
         history.append(total_ll / len(usable))
     scorer.meta["mean_log_inside"] = history
     return scorer

@@ -16,11 +16,9 @@ from amdep.algebra import (
     constant,
     evaluate,
     is_placeholder,
-    placeholder_target,
 )
 from amdep import automata
 from amdep.automata import (
-    LeafRenamings,
     Rule,
     State,
     TreeAutomaton,
@@ -768,69 +766,3 @@ def test_source_name_with_a_reserved_character_is_unsupported(rel_decomp, ch):
     with pytest.raises(UnsupportedName) as err:
         build_automaton(rel_decomp.tree, ("s1", f"s{ch}2", "s3"))
     assert str(err.value) == f"source name containing {ch!r} unsupported"
-
-
-def _built(tree, sources, caplog, renamings):
-    """What build_automaton makes of tree with the renamings table, and the
-    warnings it logs."""
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="amdep.automata"):
-        a = build_automaton(tree, sources, graph_id="g", renamings=renamings)
-    return ((a.labels, a.parents, a.children, a.state_list, a.accept, a.shape, a.aligns),
-            [rec.getMessage() for rec in caplog.records])
-
-
-def _counted_renderings(monkeypatch):
-    """The list of leaves rendered from now on, by their placeholder tuple."""
-    rendered = []
-    render = automata._renamings
-
-    def counted(layout, ph, sources):
-        rendered.append(ph)
-        return render(layout, ph, sources)
-
-    monkeypatch.setattr(automata, "_renamings", counted)
-    return rendered
-
-
-def test_tree_built_twice_gives_the_same_automaton(rel_decomp, monkeypatch, caplog):
-    rendered = _counted_renderings(monkeypatch)
-    renamings = LeafRenamings()
-    first = _built(rel_decomp.tree, S3, caplog, renamings)
-    leaves = len(rendered)
-    assert leaves > 0
-    assert _built(rel_decomp.tree, S3, caplog, renamings) == first
-    assert len(rendered) == leaves  # the second build rendered no leaf
-    assert _built(rel_decomp.tree, S3, caplog, None) == first
-    assert len(rendered) == 2 * leaves
-
-
-def test_leaf_shared_by_two_trees_gives_the_same_automaton(heuristics, monkeypatch, caplog):
-    # both roots are "see" with one slot ps(b) on ARG0: one placeholder constant
-    def tree(label):
-        g = SemanticGraph({"a": "see", "b": label}, [("a", "b", "ARG0")], "a")
-        return decompose(g, heuristics).tree
-
-    boy, girl = tree("boy"), tree("girl")
-    alone = _built(girl, S3, caplog, None)
-    rendered = _counted_renderings(monkeypatch)
-    renamings = LeafRenamings()
-    _built(boy, S3, caplog, renamings)
-    assert _built(girl, S3, caplog, renamings) == alone
-    assert rendered == [("ps(b)",), (), ()]  # see once, boy and girl once each
-
-
-def test_kept_renamings_log_every_warning(sparkle_glow, heuristics, caplog):
-    # see carries s1 beside its placeholder ps(b), so at 2 sources one
-    # renaming clashes; sparkle_glow's "and" has 3 placeholders for 2 sources
-    see = constant("see", "a", [("ARG0", "ps(b)"), ("ARG1", "s1")])
-    clashing = AMDepTree({"a": see, "b": constant("boy", "b")}, "a",
-                         [("a", "b", "APP", "ps(b)")])
-    too_few = decompose(sparkle_glow, heuristics).tree
-    renamings = LeafRenamings()
-    for tree, warning in ((clashing, "graph g: constant at a: skipped 1 renamings of its "
-                                     "placeholders onto source names it already carries"),
-                          (too_few, "placeholders but only 2 sources")):
-        first = _built(tree, ("s1", "s2"), caplog, renamings)
-        assert any(warning in m for m in first[1]), first[1]
-        assert _built(tree, ("s1", "s2"), caplog, renamings) == first

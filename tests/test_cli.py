@@ -346,6 +346,25 @@ class TestTrainAndViterbi:
         assert line.endswith("--smoothing must be above 0")
         assert not (tmp_path / "theta.json").exists()
 
+    def test_smoothing_past_the_largest_float_exits_1(self, workspace, tmp_path, capsys):
+        assert run("train-em", "--automata", workspace / "run/automata",
+                   "--smoothing", 1e308, "--out", tmp_path / "theta.json") == 1
+        assert one_error_line(capsys) == (
+            "error: EM iteration 1: the smoothed counts of an event group sum past the "
+            "largest float; --smoothing 1e+308 is too large")
+        assert not list(tmp_path.iterdir())  # neither theta.json nor its manifest
+
+    # 50 drives a weight past the largest float, -200 below the least above 0
+    @pytest.mark.parametrize("lr", [50, -200])
+    def test_train_joint_weight_out_of_range_exits_1(self, workspace, tmp_path, capsys, lr):
+        assert run("train-joint", "--automata", workspace / "run/automata", "--epochs", 10,
+                   "--lr", lr, "--out", tmp_path / "scorer.json") == 1
+        line = one_error_line(capsys)
+        assert re.fullmatch(r"error: epoch \d+: the parameter of feature '.+' reached \S+, "
+                            r"whose exp is not a positive finite weight; try a smaller --lr",
+                            line), line
+        assert not list(tmp_path.iterdir())  # neither scorer.json nor its manifest
+
     def test_train_joint(self, workspace, tmp_path):
         assert run("train-joint", "--automata", workspace / "run/automata",
                    "--epochs", 3, "--lr", 0.2, "--seed", 0,

@@ -17,7 +17,8 @@ from amdep.algebra import (
 from amdep.decompose import (
     Decomposition,
     NonDecomposable,
-    _plan_space,
+    _chain_table,
+    _lifts,
     build_plan,
     canonical_tree,
     check_resolvable,
@@ -542,7 +543,7 @@ class TestDebugMode:
         assume(n.graph.is_acyclic())
         u = unroll(n)
         c = canonical_tree(u, n)
-        for targets in _plan_space(c, with_lifts=True):
+        for targets in _lifts(_chain_table(c)):
             plan = build_plan(c, targets)
             for y, rt in targets.items():
                 positions = sorted([y] + [r for r, t in u.refs.items() if t == y])
