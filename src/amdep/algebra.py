@@ -156,8 +156,6 @@ class _Cells:
         """apply(head, arg, source) in place on head. typ, the result type,
         is computed here unless the caller has it already."""
         sources = head.sources
-        if source not in sources:
-            raise MissingSource(source)
         req = head.typ.request(source)
         if req != arg.typ:
             raise RequestMismatch(source, req, arg.typ)
@@ -176,33 +174,26 @@ class _Cells:
 
     def modify(self, head: _Value, mod: _Value, source):
         """modify(head, mod, source) in place on head."""
-        if source not in mod.sources:
-            raise MissingSource(source)
         if not mod.typ.request(source).is_empty:
             raise NonEmptyModRequest(source)
         leftover = [(name, req) for name, req in mod.typ.entries if name != source]
         extra = [name for name, _req in leftover if name not in head.typ]
         if extra:
             raise ModAddsSources(extra)
+        mapping = {mod.sources[source]: head.root}
         for name, req in leftover:
             if head.typ.request(name) != req:
                 raise RequestClash(name, head.typ.request(name), req)
-        mapping = {mod.sources[source]: head.root}
-        for name, _req in leftover:
             mapping.setdefault(mod.sources[name], head.sources[name])
         self._merge(head, mod, mapping)
 
     def step(self, n, head: _Value, edge: DepEdge, child: _Value, typ: AMType) -> _Value:
         """fold's step at tree node n: merge child into head in place. typ
         is head's type after the step, as typing computed it."""
-        try:
-            if edge.op == "APP":
-                self.apply(head, child, edge.source, typ)
-            else:
-                self.modify(head, child, edge.source)
-        except (MissingSource, RequestMismatch, NonEmptyModRequest,
-                ModAddsSources, RequestClash, LabelClash) as exc:
-            raise NotWellTyped(n, str(exc)) from exc
+        if edge.op == "APP":
+            self.apply(head, child, edge.source, typ)
+        else:
+            self.modify(head, child, edge.source)
         return head
 
     def graph(self, value: _Value) -> SemanticGraph:
@@ -423,13 +414,9 @@ def _consumed(head_type, edge, child_type):
 
 
 def _fold_order(node, head_type, pending):
-    """Greedy admissible consumption order for one node's children.
-
-    pending: list of (DepEdge, child term type), pre-sorted by the
-    deterministic tie-break (op kind APP < MOD, source, child id).
-    Yields (edge, head_type_after). Raises NotWellTyped when stuck, and
-    RequestClash when an APP clashes, which fold names node in.
-    """
+    """fold's default order, greedy: each step consumes the first child in
+    pending (in child_order) that is admissible. Raises NotWellTyped when
+    stuck, and RequestClash when an APP clashes, which fold names node in."""
     remaining = list(pending)
     while remaining:
         reasons = []
@@ -445,26 +432,21 @@ def _fold_order(node, head_type, pending):
         yield edge, head_type
 
 
-def _given_order(head_type, sequence, types):
-    """An explicit child order, typed like _fold_order but unchecked."""
-    for edge in sequence:
-        head_type = _consumed(head_type, edge, types[edge.child])
-        yield edge, head_type
-
-
-def fold(tree: AMDepTree, node=None, leaf=None, step=None, orders=None, replay=None):
+def fold(tree: AMDepTree, node=None, leaf=None, step=None, order=_fold_order):
     """The one bottom-up pass over the subtree at node (default: the root).
 
-    Each node consumes its children in the greedy admissible order of
-    _fold_order, or in orders[n] where given, or as replay[n] lists them:
-    the (edge, head type after it) pairs an earlier fold chose, taken as
-    they are. leaf(n) is n's starting value and step(n, value, edge,
-    child_value, head_type) the value after consuming one child, where
-    head_type is the node's type after it; step runs as soon as the child
-    is chosen, so an evaluation error surfaces before the search looks at
-    later children. Evaluation passes one mutable value per node that step
-    merges each child into (see _Cells). Without leaf and step only types
-    are computed. Returns node's (term type, value).
+    Each node n consumes its children in the order that order(n,
+    head_type, pending) yields, as (edge, head type after it) pairs, where
+    pending lists n's children with their term types in child_order; the
+    default, _fold_order, is the greedy admissible order. leaf(n) is n's
+    starting value and step(n, value, edge, child_value, head_type) the
+    value after consuming one child, where head_type is the node's type
+    after it; step runs as soon as the child is chosen, so an evaluation
+    error surfaces before the search looks at later children. Evaluation
+    passes one mutable value per node that step merges each child into
+    (see _Cells). An operation error, in typing or in step, is raised as
+    NotWellTyped at n. Without leaf and step only types are computed.
+    Returns node's (term type, value).
     """
     node = tree.root if node is None else node
     types: dict[str, AMType] = {}
@@ -472,17 +454,12 @@ def fold(tree: AMDepTree, node=None, leaf=None, step=None, orders=None, replay=N
     for n in tree.depth_order(node):
         head = tree.constant(n).typ
         value = leaf(n) if leaf else None
-        if replay is not None:
-            sequence = replay[n]
-        elif orders is not None and n in orders:
-            sequence = _given_order(head, orders[n], types)
-        else:
-            sequence = _fold_order(n, head, [(e, types[e.child]) for e in tree.children(n)])
         try:
-            for edge, head in sequence:
+            for edge, head in order(n, head, [(e, types[e.child]) for e in tree.children(n)]):
                 if step:
                     value = step(n, value, edge, values.pop(edge.child), head)
-        except RequestClash as exc:  # from typing a step: _Cells.step wraps its own
+        except (MissingSource, RequestMismatch, NonEmptyModRequest,
+                ModAddsSources, RequestClash, LabelClash) as exc:
             raise NotWellTyped(n, str(exc)) from exc
         types[n] = head
         values[n] = value
@@ -511,7 +488,8 @@ def evaluate(tree: AMDepTree) -> SemanticGraph:
     if not typ.is_empty:
         raise NonEmptyRootType(typ)
     cells = _Cells()
-    value = fold(tree, None, lambda n: cells.value(tree.constant(n)), cells.step, replay=steps)[1]
+    value = fold(tree, None, lambda n: cells.value(tree.constant(n)), cells.step,
+                 lambda n, _head, _pending: steps[n])[1]
     for n, c in value.nodes.items():
         if cells.label[c] is None:
             raise NotWellTyped(None, f"evaluation leaves node {n!r} unlabeled")
@@ -542,6 +520,16 @@ def admissible_orders(tree: AMDepTree, node, types):
 def evaluate_with_orders(tree: AMDepTree, orders: dict[str, list]) -> SGraph:
     """Evaluate with an explicit child order at selected nodes (each must be
     admissible); other nodes fold in the default greedy order."""
+    def _given_order(n, head_type, pending):
+        """orders[n] where given, typed like _fold_order but unchecked."""
+        if n not in orders:
+            yield from _fold_order(n, head_type, pending)
+            return
+        types = {e.child: t for e, t in pending}
+        for edge in orders[n]:
+            head_type = _consumed(head_type, edge, types[edge.child])
+            yield edge, head_type
+
     cells = _Cells()
-    value = fold(tree, None, lambda n: cells.value(tree.constant(n)), cells.step, orders)[1]
+    value = fold(tree, None, lambda n: cells.value(tree.constant(n)), cells.step, _given_order)[1]
     return cells.sgraph(value)

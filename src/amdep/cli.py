@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .errors import (AmdepError, EmptyAutomaton, Logger, MalformedInput, NonEmptyRootType,
                      defer_log_set_up, first_ids, loaded_logging)
-from .files import make_output_dir, write_json, write_manifest
+from .files import dump_json, make_output_dir, open_output, write_json, write_manifest
 
 log = Logger("amdep.cli")
 
@@ -172,8 +172,9 @@ def _decompose(args, outdir=None):
             trees.append((gid if len(found) == 1 else f"{gid}#{k}", tree))
     if outdir is not None:
         make_output_dir(outdir)
-    write_trees(trees, args.out)
-    write_json(skipped, args.report)
+    with open_output(args.report) as fh:  # a report that cannot be written leaves no --out
+        write_trees(trees, args.out)
+        dump_json(skipped, fh)
     if skipped:
         log.warning("%d/%d graphs not decomposable: %s", len(skipped), len(corpus),
                     first_ids(s["id"] for s in skipped))

@@ -115,10 +115,15 @@ def write_json(obj, path):
     instead, and the text reaches the file in chunks of about _CHUNK
     pieces, never whole, through open_output."""
     with open_output(path) as fh:
-        out = []
-        _render(obj, "\n", out, fh.write)
-        out.append("\n")
-        fh.write("".join(out))
+        dump_json(obj, fh)
+
+
+def dump_json(obj, fh):
+    """Write obj to the open text file fh as write_json writes it to a path."""
+    out = []
+    _render(obj, "\n", out, fh.write)
+    out.append("\n")
+    fh.write("".join(out))
 
 
 _CHUNK = 4096

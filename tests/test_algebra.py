@@ -192,6 +192,15 @@ class TestApplyModify:
         with pytest.raises(NonEmptyModRequest):
             modify(head, mod, "m0")
 
+    def test_modify_request_clash(self):
+        # red's leftover source x requests [y], the head's x requests []
+        head = constant("see", "h", [("ARG0", "x")])
+        red = constant("red", "r", [("mod", "m"), ("ARG1", "x")],
+                       typ({"m": {}, "x": {"y": {}}}))
+        with pytest.raises(RequestClash) as exc:
+            modify(head, red, "m")
+        assert str(exc.value) == "source 'x' carries conflicting requests: [] vs [y]"
+
 
 def coordination_tree():
     """Resolved tree for the coordination figure, with reusable names."""
@@ -265,6 +274,15 @@ class TestEvaluate:
         assert exc.value.node == "h"
         with pytest.raises(NonEmptyRootType, match=r"\[y\]"):
             evaluate(two_error_tree(open_root=True))
+
+    def test_modifier_slot_with_a_request_is_not_admissible(self):
+        odd = constant("odd", "o", [("mod", "m0")], typ({"m0": {"x": {}}}))
+        tree = AMDepTree({"f": constant("fairy", "f"), "o": odd}, "f",
+                         [("f", "o", "MOD", "m0")])
+        with pytest.raises(NotWellTyped) as exc:
+            check_well_typed(tree)
+        assert str(exc.value) == ("at node 'f': no admissible child; "
+                                  "MOD_m0->o: modifier slot 'm0' has non-empty request")
 
 
 class TestTermType:

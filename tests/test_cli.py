@@ -1153,6 +1153,22 @@ def test_output_in_a_missing_directory_exits_1_naming_it(workspace, tmp_path, ca
     assert sorted(p.name for p in tmp_path.iterdir()) in ([], ["t.json"])
 
 
+def test_unwritable_report_leaves_no_trees_file(workspace, tmp_path, capsys):
+    # a --report that cannot be written leaves no new --out, and an old one
+    # keeps its bytes
+    missing = tmp_path / "missing" / "s.json"
+    argv = ["--graphs", workspace / "graphs.json", "--out", tmp_path / "t.json",
+            "--report", missing]
+    assert run("decompose", *argv) == 1
+    assert one_error_line(capsys) == f"error: {missing}: No such file or directory"
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "t.json").write_text("old")
+    assert run("decompose", *argv) == 1
+    assert one_error_line(capsys) == f"error: {missing}: No such file or directory"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+    assert (tmp_path / "t.json").read_text() == "old"
+
+
 @pytest.mark.parametrize("command", ["build-automata", "pipeline"])
 def test_out_dir_that_cannot_be_made_exits_1_naming_it(workspace, tmp_path, capsys, command):
     (tmp_path / "file").write_text("")

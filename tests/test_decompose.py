@@ -245,6 +245,20 @@ class TestModifySwap:
         with pytest.raises(InvalidSwapPair):
             modify_swap(d.tree, [(("g", "f"), ("f", "t"))])  # first edge is APP
 
+    def test_invalid_pair_texts(self):
+        # fairy <-MOD_ps(f)- tiny <-MOD_s1- green: the lower edge of the
+        # pair is a modify edge, but not by green's placeholder for tiny
+        tree = AMDepTree(
+            {"f": constant("fairy", "f"), "t": constant("tiny", "t", [("mod", placeholder("f"))]),
+             "q": constant("green", "q", [("mod", "s1")])}, "f",
+            [("f", "t", "MOD", placeholder("f")), ("t", "q", "MOD", "s1")])
+        with pytest.raises(InvalidSwapPair) as exc:
+            modify_swap(tree, [(("f", "t"), ("q", "t"))])
+        assert str(exc.value) == "pair (f,t);(q,t) is not consecutive"
+        with pytest.raises(InvalidSwapPair) as exc:
+            modify_swap(tree, [(("f", "t"), ("t", "q"))])
+        assert str(exc.value) == "edge (t,q) is not MOD_ps(t)"
+
 
 class TestOneCheckedTreePerCall:
     """resolve and modify_swap edit one copy of their input and check one
