@@ -262,13 +262,7 @@ class AMDepTree:
             raise ValueError("root has a parent")
         # one parent per node and none for the root: a walk from the root
         # meets each node at most once, and misses every node on a cycle
-        reach = [root]
-        reached = 1
-        while reach:
-            for e in self._children[reach.pop()]:
-                reached += 1
-                reach.append(e.child)
-        if reached != len(self.nodes):
+        if len(self.depth_order()) != len(self.nodes):
             raise ValueError("tree is not connected")
         for n, kids in self._children.items():
             pairs = [(e.op, e.source) for e in kids if e.op == "APP"]

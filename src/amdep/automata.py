@@ -546,10 +546,6 @@ def _pairs(phi: str) -> tuple:
     return tuple(sorted([(placeholder(k), v) for k, v in pairs]))
 
 
-def _root_label(const: str) -> str:
-    return constant_from_canonical(const).root_label()
-
-
 class _Numbers(dict):
     """State text -> number of its state by first appearance in a file."""
 
@@ -652,7 +648,7 @@ def read_automaton(path) -> tuple[TreeAutomaton, dict[int, float] | None]:
         raise MalformedInput(f"{path}, line {ln}: malformed: {exc}") from exc
     check(shape, SHAPE, f"{path}: shape", surrogates=unpaired)
     try:
-        aligns = _alignments(shape, {addr: _root_label(d["const"])
+        aligns = _alignments(shape, {addr: constant_from_canonical(d["const"]).root_label()
                                      for addr, d in shape.items() if d["kind"] == "leaf"})
     except _NOT_A_CONSTANT as exc:  # a bad constant, or no leaf below an address
         raise MalformedInput(f"{path}: shape does not fit the rules: {exc!r}") from exc

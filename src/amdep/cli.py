@@ -21,8 +21,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import (AmdepError, EmptyAutomaton, Logger, MalformedInput, NonEmptyRootType,
-                     defer_log_set_up, first_ids, loaded_logging)
+from .errors import (AmdepError, EmptyAutomaton, Logger, MalformedInput, MergedEdges,
+                     NonEmptyRootType, defer_log_set_up, first_ids, loaded_logging)
 from .files import dump_json, make_output_dir, open_output, write_json, write_manifest
 
 log = Logger("amdep.cli")
@@ -46,12 +46,6 @@ LEAST = {
     "top": (0, "the number of constants shown cannot be negative"),
     "smoothing": (0, "smoothing cannot be negative"),
 }
-
-
-def _load_blobs(path):
-    from .graph import BlobHeuristics
-
-    return BlobHeuristics.from_tsv(path) if path else BlobHeuristics.default_table()
 
 
 def _call_logged(fn, payload):
@@ -110,7 +104,6 @@ def _map(fn, payloads, jobs):
 
 
 def cmd_gen(args):
-    from .algebra import write_trees
     from .generate import GeneratorConfig, gen_corpus
     from .graph import write_corpus
 
@@ -118,8 +111,9 @@ def cmd_gen(args):
                           max_sources_per_constant=min(3, args.sources))
     t0 = time.time()
     corpus = gen_corpus(args.n, args.seed, cfg)
-    write_corpus([(gid, g) for gid, g, _t in corpus], args.graphs)
-    write_trees([(gid, t) for gid, _g, t in corpus], args.trees)
+    with open_output(args.trees) as fh:  # trees that cannot be written leave no --graphs
+        write_corpus([(gid, g) for gid, g, _t in corpus], args.graphs)
+        dump_json([{"id": gid, "tree": t.to_json()} for gid, _g, t in corpus], fh)
     log.info("generated %d instances in %.2fs", args.n, time.time() - t0)
     write_manifest(args.manifest or args.graphs + ".manifest.json", "gen",
                    {"n": args.n, "seed": args.seed, "max_nodes": args.max_nodes,
@@ -139,8 +133,11 @@ def _decompose_one(payload):
         if isinstance(d, Decomposition):
             return gid, [d.tree], None
         return gid, [], d
-    trees = enumerate_candidate_trees(g, heuristics, tie_break, with_swaps=False,
-                                      include_invalid_entries=False)
+    try:
+        trees = enumerate_candidate_trees(g, heuristics, tie_break, with_swaps=False,
+                                          include_invalid_entries=False)
+    except MergedEdges as exc:
+        return gid, [], NonDecomposable(str(exc))
     if trees:
         return gid, trees, None
     return gid, [], NonDecomposable("no resolvable unrolling")
@@ -155,10 +152,11 @@ def _decompose(args, outdir=None):
     the skip list. outdir, the directory of args.out and args.report when
     the pipeline runs it, is made once the graphs are decomposed."""
     from .algebra import write_trees
-    from .graph import read_corpus
+    from .graph import BlobHeuristics, read_corpus
 
     corpus = read_corpus(args.graphs)
-    heuristics = _load_blobs(args.blobs)
+    heuristics = (BlobHeuristics.from_tsv(args.blobs) if args.blobs
+                  else BlobHeuristics.default_table())
     payloads = [(gid, g, heuristics, args.tie_break, args.enumerate_unrollings)
                 for gid, g in corpus]
     t0 = time.time()
@@ -471,30 +469,26 @@ def cmd_pipeline(args):
     from .training import constant_entropy
 
     outdir = Path(args.out)
-    ns = argparse.Namespace(**vars(args))
-    ns.out = str(outdir / "trees.json")
-    ns.report = str(outdir / "skipped.json")
-    ns.manifest = str(outdir / "decompose.manifest.json")
+    # one namespace for every stage: each takes the previous stage's output
+    # as its input and names its own outputs
+    ns = argparse.Namespace(**vars(args), smoothing=None, sample_seed=None)
+    ns.out, ns.report, ns.manifest = (str(outdir / name) for name in
+                                      ("trees.json", "skipped.json", "decompose.manifest.json"))
     code1, corpus, trees, skipped = _decompose(ns, outdir)
     if not trees:
         skipped_ids = first_ids(s["id"] for s in skipped) or "none"
         raise AmdepError(f"no graph decomposed (skipped: {skipped_ids}; reasons in {ns.report})")
-    ns2 = argparse.Namespace(trees=str(outdir / "trees.json"), sources=args.sources,
-                             out=str(outdir / "automata"), jobs=args.jobs)
-    code2, automata = _build_automata(ns2, trees)
-    ns3 = argparse.Namespace(automata=str(outdir / "automata"), iters=args.iters,
-                             seed=args.seed, smoothing=None,
-                             out=str(outdir / "theta.json"),
-                             manifest=str(outdir / "theta.manifest.json"))
-    table = _train_em(ns3, automata)
-    ns4 = argparse.Namespace(automata=str(outdir / "automata"),
-                             weights=str(outdir / "theta.json"), sample_seed=None,
-                             out=str(outdir / "best-trees.json"),
-                             manifest=str(outdir / "viterbi.manifest.json"))
-    code4, best = _viterbi(ns4, automata, table)
-    ns5 = argparse.Namespace(graphs=args.graphs, trees=str(outdir / "best-trees.json"),
-                             out=str(outdir / "verify.json"))
-    code5 = cmd_verify(ns5, corpus, best)
+    ns.trees, ns.out = ns.out, str(outdir / "automata")
+    code2, automata = _build_automata(ns, trees)
+    ns.automata, ns.out, ns.manifest = (ns.out, str(outdir / "theta.json"),
+                                        str(outdir / "theta.manifest.json"))
+    table = _train_em(ns, automata)
+    ns.weights, ns.out, ns.manifest = (ns.out, str(outdir / "best-trees.json"),
+                                       str(outdir / "viterbi.manifest.json"))
+    code4, best = _viterbi(ns, automata, table)
+    outputs = [ns.trees, ns.weights, ns.out]
+    ns.trees, ns.out = ns.out, str(outdir / "verify.json")
+    code5 = cmd_verify(ns, corpus, best)
     counts = {
         "graphs": len(corpus),
         "decomposed": len(corpus) - len(skipped),
@@ -505,10 +499,7 @@ def cmd_pipeline(args):
     write_manifest(outdir / "manifest.json", "pipeline",
                    {"sources": args.sources, "iters": args.iters, "seed": args.seed,
                     "tie_break": args.tie_break, "jobs": args.jobs},
-                   [args.graphs] + ([args.blobs] if args.blobs else []),
-                   [str(outdir / "trees.json"), str(outdir / "theta.json"),
-                    str(outdir / "best-trees.json")],
-                   counts)
+                   [args.graphs] + ([args.blobs] if args.blobs else []), outputs, counts)
     codes = [code1, code2, code4, code5]
     if EXIT_FAIL in codes:
         return EXIT_FAIL

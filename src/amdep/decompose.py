@@ -25,8 +25,8 @@ from .algebra import (
     term_type,
     type_unify,
 )
-from .errors import (AmdepError, InvalidSwapPair, NonEmptyRootType, NotWellTyped, RequestClash,
-                     ResolutionFailed)
+from .errors import (AmdepError, InvalidSwapPair, MergedEdges, NonEmptyRootType, NotWellTyped,
+                     RequestClash, ResolutionFailed)
 from .graph import (
     BlobHeuristics,
     Edge,
@@ -54,7 +54,8 @@ class UEdge(NamedTuple):
 class UnrolledTree(NamedTuple):
     """Tree-shaped expansion of a normalized graph. Real nodes keep their
     graph ids (each occurs once); repeat visits become reference leaves with
-    ids ref0, ref1, ... pointing back at a real node."""
+    ids ref0, ref1, ... (each primed until no graph node has it) pointing
+    back at a real node."""
 
     root: str
     labels: dict[str, str]  # real node id -> label
@@ -147,6 +148,8 @@ def _run_unroll(n: NormalizedGraph, tie_break, choices, record):
                 place(e.tgt, e.src, e, False)
             else:
                 rid = f"ref{len(refs)}"
+                while rid in g.nodes:  # a graph node keeps its id
+                    rid += "'"
                 refs[rid] = e.tgt
                 edges.append(UEdge(e.src, rid, False, e))
         # with no forward edge pending, the candidates are exactly the edges
@@ -576,7 +579,10 @@ def decompose(g: SemanticGraph, heuristics: BlobHeuristics | None = None,
     succeeds and the result is deterministic for a fixed tie_break. When none
     verifies, the report is the first candidate's failure.
     """
-    n = _normalize(g, heuristics)
+    try:
+        n = _normalize(g, heuristics)
+    except MergedEdges as exc:  # the normalized graph would lose an edge
+        return NonDecomposable(str(exc))
     if not n.graph.is_acyclic():
         return NonDecomposable("normalized graph has a directed cycle")
     first_failure = None
@@ -592,7 +598,8 @@ def enumerate_candidate_trees(g: SemanticGraph, heuristics=None, tie_break="sort
     """Bounded exploration of the decomposition space: every unrolling entry
     choice, optionally every single modify-edge swap and every lifted
     resolution target. Returns the distinct trees that verify (well-typed
-    and evaluating to the normalized input), in the order first found."""
+    and evaluating to the normalized input), in the order first found. A
+    graph with an edge and its -of twin raises MergedEdges."""
     n = _normalize(g, heuristics)
     if not n.graph.is_acyclic():
         return []

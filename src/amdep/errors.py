@@ -72,6 +72,11 @@ class CorpusError(MalformedInput):
     """A corpus file, or a graph in it, is malformed."""
 
 
+class MergedEdges(AmdepError):
+    """Two edges of a graph, an edge and its -of twin, normalize to one
+    edge, so the normalized graph would keep only one of them."""
+
+
 class UnsupportedName(AmdepError, ValueError):
     """A node id or source name uses a character that automaton files
     reserve."""

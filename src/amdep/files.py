@@ -79,12 +79,12 @@ def _load(path, error):
             raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
-def read_json(path, schema, error=MalformedInput):
+def read_json(path, schema):
     """The JSON value of a file, checked against schema; a file that is not
-    JSON, departs from schema or holds a lone surrogate raises error naming
-    it."""
-    data, escapes = _load(path, error)
-    check(data, schema, path, error, escapes)
+    JSON, departs from schema or holds a lone surrogate raises MalformedInput
+    naming it."""
+    data, escapes = _load(path, MalformedInput)
+    check(data, schema, path, surrogates=escapes)
     return data
 
 

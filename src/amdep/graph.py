@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import CorpusError, Logger, MalformedInput
+from .errors import CorpusError, Logger, MalformedInput, MergedEdges
 from .files import CORPUS_ITEM, open_input, read_items, write_json
 from .values import Edge, SemanticGraph
 
@@ -140,16 +140,22 @@ class NormalizedGraph(NamedTuple):
 
 
 def normalize_edges(g: SemanticGraph, p: BlobPartition) -> NormalizedGraph:
+    """The normalized graph of g under p; an edge and its -of twin, which
+    normalize to one edge, raise MergedEdges naming both."""
     if set(p.owner) != set(g.edges):
         raise ValueError("partition does not cover exactly the edges of the graph")
-    edges = []
+    edges: dict[Edge, Edge] = {}  # normalized edge -> its input edge
     for e in g.edges:
         if p.owner[e] == e.src:
-            edges.append(e)
+            ne = e
         else:
             if e.label.endswith(OF_SUFFIX):
                 log.warning("stripping existing -of suffix while reversing %s", e)
-            edges.append(Edge(e.tgt, e.src, flip_label(e.label)))
+            ne = Edge(e.tgt, e.src, flip_label(e.label))
+        if ne in edges:
+            a, b = (f"{x.src} -{x.label}-> {x.tgt}" for x in (edges[ne], e))
+            raise MergedEdges(f"edges {a} and {b} normalize to one edge")
+        edges[ne] = e
     ng = SemanticGraph(g.nodes, edges, g.root)
     return NormalizedGraph(ng, BlobPartition({e: e.src for e in ng.edges}))
 
@@ -200,10 +206,8 @@ def _adjacency(nodes, pairs):
 
 
 def _match(nodes1, root1, pairs1, nodes2, root2, pairs2):
-    if len(nodes1) != len(nodes2):
-        return False
-    if sum(sum(c.values()) for c in pairs1.values()) != sum(sum(c.values()) for c in pairs2.values()):
-        return False
+    # a signature lists its node's out-edges, so equal sorted signatures
+    # mean equal node and edge counts
     sig1 = _signature(nodes1, pairs1)
     sig2 = _signature(nodes2, pairs2)
     if sorted(sig1.values()) != sorted(sig2.values()):

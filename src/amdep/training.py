@@ -20,6 +20,7 @@ log = Logger("amdep.training")
 
 NEG_INF = float("-inf")
 SMOOTHING = 1e-6  # EM's default additive smoothing of expected event counts
+UNSEEN = 1e-6  # the weight of an event that an EventTable does not list
 
 
 def logsumexp(values):
@@ -250,11 +251,11 @@ class EventTable:
 
     __slots__ = ("theta", "groups", "meta", "default")
 
-    def __init__(self, theta: dict[str, float], groups: dict[str, list[str]] | None = None,
-                 meta: dict | None = None, default: float = 1e-6):
+    def __init__(self, theta: dict[str, float], groups: dict[str, list[str]], meta: dict,
+                 default: float = UNSEEN):
         self.theta = theta
-        self.groups = {} if groups is None else groups
-        self.meta = {} if meta is None else meta
+        self.groups = groups
+        self.meta = meta
         self.default = default
 
     def rule_weights(self, a: TreeAutomaton) -> list[float]:
@@ -381,7 +382,7 @@ def weights_from_json(obj):
     Scorer."""
     if "theta" in obj:
         return EventTable(obj["theta"], obj.get("groups", {}), obj.get("meta", {}),
-                          obj.get("default", 1e-6))
+                          obj.get("default", UNSEEN))
     return Scorer(obj["params"], obj.get("meta", {}))
 
 

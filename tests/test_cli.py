@@ -28,6 +28,19 @@ PARALLEL_EDGES = {"id": "twice", "root": "a",
                   "nodes": [{"id": "a", "label": "see"}, {"id": "b", "label": "boy"}],
                   "edges": [{"src": "a", "tgt": "b", "label": "ARG0"},
                             {"src": "a", "tgt": "b", "label": "ARG1"}]}
+# a -ARG1-> ref0 and b -ARG0-> ref0 make a reference leaf, which is
+# numbered as the graph's own node ref0 is named
+REF0 = {"id": "ref0", "root": "a",
+        "nodes": [{"id": "a", "label": "see"}, {"id": "b", "label": "boy"},
+                  {"id": "ref0", "label": "girl"}],
+        "edges": [{"src": "a", "tgt": "b", "label": "ARG0"},
+                  {"src": "a", "tgt": "ref0", "label": "ARG1"},
+                  {"src": "b", "tgt": "ref0", "label": "ARG0"}]}
+# b -mod-> a normalizes to a -mod-of-> b, an edge the graph already has
+OF_TWINS = {"id": "twins", "root": "a",
+            "nodes": [{"id": "a", "label": "see"}, {"id": "b", "label": "red"}],
+            "edges": [{"src": "b", "tgt": "a", "label": "mod"},
+                      {"src": "a", "tgt": "b", "label": "mod-of"}]}
 WIDE = {"id": "wide", "root": "a",
         "nodes": [{"id": "a", "label": "give"}, {"id": "b", "label": "cat"},
                   {"id": "c", "label": "dog"}, {"id": "d", "label": "bone"}],
@@ -100,6 +113,20 @@ class TestGen:
         assert one_error_line(capsys).startswith(f"error: {flag} {value}: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_trees_leave_no_graphs_file(self, tmp_path, capsys):
+        # trees that cannot be written leave no new --graphs, and an old one
+        # keeps its bytes
+        missing = tmp_path / "missing" / "t.json"
+        argv = ["--n", 3, "--graphs", tmp_path / "g.json", "--trees", missing]
+        assert run("gen", *argv) == 1
+        assert one_error_line(capsys) == f"error: {missing}: No such file or directory"
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "g.json").write_text("old")
+        assert run("gen", *argv) == 1
+        assert one_error_line(capsys) == f"error: {missing}: No such file or directory"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.json"]
+        assert (tmp_path / "g.json").read_text() == "old"
+
 
 class TestDecompose:
     def test_figures(self, tmp_path):
@@ -142,6 +169,35 @@ class TestDecompose:
                    "--report", tmp_path / "s.json") == 2
         [skip] = json.loads((tmp_path / "s.json").read_text())
         assert skip["id"] == "twice" and skip["reason"]
+        assert json.loads((tmp_path / "t.json").read_text()) == []
+
+    @pytest.mark.parametrize("enumerate_all", [False, True])
+    def test_reference_leaf_ids_avoid_node_ids(self, tmp_path, enumerate_all):
+        # the graph's node ref0 gives the tree of the same graph with ref0
+        # renamed to c
+        flags = ["--enumerate-unrollings"] if enumerate_all else []
+        trees = []
+        for name in ("ref0", "c"):
+            graphs = tmp_path / f"{name}.json"
+            graphs.write_text(json.dumps([REF0]).replace("ref0", name))
+            assert run("decompose", "--graphs", graphs, *flags, "--out", tmp_path / "t.json",
+                       "--report", tmp_path / "s.json") == 0
+            assert run("verify", "--graphs", graphs, "--trees", tmp_path / "t.json") == 0
+            trees.append(json.loads((tmp_path / "t.json").read_text().replace(name, "c")))
+        assert trees[0] == trees[1] != []
+
+    @pytest.mark.parametrize("enumerate_all", [False, True])
+    def test_edge_and_its_of_twin_skipped(self, tmp_path, enumerate_all):
+        # normalization would merge the two edges into one, and the tree of
+        # the merged graph does not evaluate to the input
+        graphs = tmp_path / "g.json"
+        graphs.write_text(json.dumps([OF_TWINS]))
+        flags = ["--enumerate-unrollings"] if enumerate_all else []
+        assert run("decompose", "--graphs", graphs, *flags, "--out", tmp_path / "t.json",
+                   "--report", tmp_path / "s.json") == 2
+        assert json.loads((tmp_path / "s.json").read_text()) == [{
+            "id": "twins", "report": None,
+            "reason": "edges a -mod-of-> b and b -mod-> a normalize to one edge"}]
         assert json.loads((tmp_path / "t.json").read_text()) == []
 
     def test_nondecomposable_summarised_in_one_line(self, tmp_path, caplog):
@@ -552,6 +608,13 @@ class TestStatsAndPipeline:
         assert len(err) == 1 and err[0].startswith("error: " + error)
         assert (tmp_path / "run/trees.json").is_file()
         assert (tmp_path / "run/skipped.json").is_file()
+
+    def test_pipeline_skips_an_edge_and_its_of_twin(self, tmp_path, capsys):
+        (tmp_path / "g.json").write_text(json.dumps([{**ONE_EDGE, "id": "one"}, OF_TWINS]))
+        assert run("pipeline", "--graphs", tmp_path / "g.json", "--out", tmp_path / "run") == 2
+        assert capsys.readouterr().out == "verified 1/1 trees\n"
+        [skip] = json.loads((tmp_path / "run/skipped.json").read_text())
+        assert skip["id"] == "twins" and "normalize to one edge" in skip["reason"]
 
     def test_mod_attach_graph_verifies(self, tmp_path, capsys):
         # the Viterbi tree renames a modifier's attach slot and an APP source

@@ -32,7 +32,8 @@ from amdep.decompose import (
     resolve,
     unroll,
 )
-from amdep.errors import AmdepError, InvalidSwapPair, NotWellTyped, ResolutionFailed
+from amdep.errors import (AmdepError, InvalidSwapPair, MergedEdges, NotWellTyped,
+                          ResolutionFailed)
 from amdep.generate import GeneratorConfig, gen_random_tree
 from amdep.graph import SemanticGraph, is_isomorphic, normalize_edges, partition_blobs
 
@@ -94,6 +95,12 @@ class TestUnroll:
     def test_bad_tie_break(self, tiny_fairy, heuristics):
         with pytest.raises(ValueError):
             unroll(normalized(tiny_fairy, heuristics), "bogus")
+
+    def test_reference_leaf_id_is_primed_past_a_node_id(self, heuristics):
+        g = SemanticGraph({"a": "see", "b": "boy", "ref0": "girl", "ref0'": "dog"},
+                          [("a", "b", "ARG0"), ("a", "ref0", "ARG1"), ("b", "ref0", "ARG0"),
+                           ("a", "ref0'", "ARG2")], "a")
+        assert unroll(normalized(g, heuristics)).refs == {"ref0''": "ref0"}
 
 
 class TestCanonicalTree:
@@ -491,6 +498,15 @@ class TestDecompose:
         d = decompose(g, heuristics)
         assert isinstance(d, NonDecomposable)
         assert "cycle" in d.reason
+
+    def test_edge_and_its_of_twin_rejected(self, heuristics):
+        # both normalize to a -mod-of-> b; the normalized graph would keep one
+        g = SemanticGraph({"a": "see", "b": "red"},
+                          [("b", "a", "mod"), ("a", "b", "mod-of")], "a")
+        assert decompose(g, heuristics) == NonDecomposable(
+            "edges a -mod-of-> b and b -mod-> a normalize to one edge")
+        with pytest.raises(MergedEdges):
+            enumerate_candidate_trees(g, heuristics)
 
     def test_self_loop_rejected(self, heuristics):
         g = SemanticGraph({"a": "A", "b": "B"},
